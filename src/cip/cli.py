@@ -111,25 +111,21 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 args.trace, lambda h: lagrangian.write_lr_trace(state, constraint_list, h)
             )
     else:
-        dists = [core.to_distribution(matrix) for _, matrix in corpus]
-        fi = posterior.build_feature_index(
-            corpus, constraint_list, root_counts_left=config.root_counts_left
+        result = posterior.pr_decode(
+            corpus,
+            constraint_list,
+            config.pr,
+            projective=args.projective,
+            single_root=config.single_root,
+            root_counts_left=config.root_counts_left,
         )
-        lambdas, trace = posterior.solve_dual(corpus, dists, fi, config.pr)
-        posteriors = posterior.posterior_arc_probs(corpus, dists, fi, lambdas)
-        decode_one = decoder.projective_decode if args.projective else decoder.mst_decode
-        trees = [
-            decode_one(
-                core.ScoreMatrix(posterior.log_probs(dist)),
-                single_root=config.single_root,
-            )
-            for dist in posteriors
-        ]
-        iterations = len(trace)
-        converged = bool(trace) and trace[-1].grad_norm < config.pr.grad_tol
+        trees = result.trees
+        iterations = len(result.trace)
+        converged = result.converged
         if args.trace:
             _atomic_write(
-                args.trace, lambda h: posterior.write_pr_trace(trace, fi.labels, h)
+                args.trace,
+                lambda h: posterior.write_pr_trace(result.trace, result.labels, h),
             )
 
     _atomic_write(args.out, lambda h: core.write_conllu(corpus.sentences, h, trees))
@@ -188,12 +184,17 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
     with open(args.conllu, encoding="utf-8") as handle:
         sentences = core.read_conllu(handle)
     constraint_list = _load_constraints(args.constraints)
+    config = _load_config(args.config)
     total_arcs = sum(len(s) for s in sentences)
     rows = []
     oracle = []
     for constraint in constraint_list:
         measured, count = typology.estimate_ratio(
-            sentences, constraint, sample_size=args.sample, seed=args.seed
+            sentences,
+            constraint,
+            sample_size=args.sample,
+            seed=args.seed,
+            root_counts_left=config.root_counts_left,
         )
         rows.append(
             {
@@ -361,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--oracle-out", help="write constraints with measured ratios")
     p.add_argument("--oracle-theta", type=float, default=0.01)
+    p.add_argument("--config", help="decode config; its root_counts_left applies")
     p.set_defaults(func=cmd_estimate_ratios)
 
     p = sub.add_parser("compile-constraints", help="constraints from typology data")

@@ -13,6 +13,11 @@ which sums over all head assignments, not only trees; the final MAP decode
 restores the tree constraint.  ``-log Z`` is concave, so projected
 (stochastic) gradient ascent finds the optimum; each constraint contributes
 an upper and a lower feature row (margins folded into effective ratios).
+
+The dual works in log space on the columns some feature row touches, packed
+once per solve into padded arrays (``PackedColumns``): one vectorized pass
+per step gives every sentence's log Z and gradient.  Trees are decoded from
+``scores - lambda . phi``, which has the same argmax as ``log q``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import Constraint, Direction, phi_matrix
 from .core import ArcDistribution, Corpus, ParseTree, ScoreMatrix, to_distribution
@@ -112,6 +116,96 @@ def log_probs(dist: ArcDistribution) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class PackedColumns:
+    """The dependent columns that some feature row touches, packed once.
+
+    Packed column ``t`` is dependent ``column[t]`` (0-based) of sentence
+    ``sentence[t]``.  ``log_p[t]`` holds its ``log p(head | dep)`` over
+    ``n_max + 1`` head slots, padded with ``-inf``, and ``phi[f, t]`` the
+    values of feature row ``f`` on the same slots, 0 on padding.  Columns no
+    row touches are left out: ``lambda`` does not reweight them, so their
+    share of log Z is exactly ``log 1 = 0`` and of the gradient 0.
+    """
+
+    log_p: np.ndarray
+    phi: np.ndarray
+    sentence: np.ndarray
+    column: np.ndarray
+    n_sentences: int
+
+    def evaluate(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pass over all packed columns at ``lambdas``.
+
+        Returns the per-sentence log Z (shape ``(K,)``), the per-sentence
+        gradient of log Z (``(K, F)``), and the reweighted head
+        distributions of the packed columns (``(T, n_max + 1)``).
+        """
+        logw = self.log_p - np.tensordot(lambdas, self.phi, axes=1)
+        top = logw.max(axis=1, keepdims=True)
+        weights = np.exp(logw - top)
+        mass = weights.sum(axis=1, keepdims=True)
+        q = weights / mass
+        k = self.n_sentences
+        log_z = np.bincount(self.sentence, top[:, 0] + np.log(mass[:, 0]), minlength=k)
+        expected = np.einsum("fth,th->ft", self.phi, q)
+        grads = np.empty((k, len(lambdas)))
+        for f, row in enumerate(expected):
+            grads[:, f] = -np.bincount(self.sentence, row, minlength=k)
+        return log_z, grads, q
+
+
+def pack_columns(dists: Sequence[ArcDistribution], fi: FeatureIndex) -> PackedColumns:
+    """Pack the columns of ``dists`` that ``fi`` touches (see PackedColumns)."""
+    if len(dists) != len(fi.entries):
+        raise ValueError("distributions and feature index differ in length")
+    width = max((dist.n for dist in dists), default=0) + 1
+    none = np.empty(0, dtype=int)
+    # Each list starts with an empty block so that concatenation works when
+    # nothing is touched.
+    sentence, column = [none], [none]
+    log_p = [np.empty((0, width))]
+    phi = [np.empty((fi.n_features, 0, width))]
+    for k, (dist, rows) in enumerate(zip(dists, fi.entries)):
+        touched = np.unique(np.concatenate([none, *(cols for _, cols, _ in rows)]))
+        if touched.size == 0:
+            continue
+        slots = dist.n + 1
+        grid = np.zeros((fi.n_features, slots, dist.n))
+        for f, (heads, cols, values) in enumerate(rows):
+            grid[f, heads, cols] = values
+        packed_log_p = np.full((touched.size, width), -np.inf)
+        packed_log_p[:, :slots] = log_probs(dist)[:, touched].T
+        packed_phi = np.zeros((fi.n_features, touched.size, width))
+        packed_phi[:, :, :slots] = grid[:, :, touched].transpose(0, 2, 1)
+        sentence.append(np.full(touched.size, k))
+        column.append(touched)
+        log_p.append(packed_log_p)
+        phi.append(packed_phi)
+    return PackedColumns(
+        log_p=np.concatenate(log_p),
+        phi=np.concatenate(phi, axis=1),
+        sentence=np.concatenate(sentence),
+        column=np.concatenate(column),
+        n_sentences=len(dists),
+    )
+
+
+def _corpus_sums(
+    corpus: Corpus,
+    dists: Sequence[ArcDistribution],
+    fi: FeatureIndex,
+    lambdas: np.ndarray,
+    subset: Sequence[int] | None,
+) -> tuple[float, np.ndarray]:
+    """log Z and its gradient, summed over ``subset`` (default: all)."""
+    log_z, grads, _ = pack_columns(dists, fi).evaluate(np.asarray(lambdas, dtype=float))
+    if subset is not None:
+        picked = np.asarray(subset, dtype=int)
+        log_z, grads = log_z[picked], grads[picked]
+    return float(log_z.sum()), grads.sum(axis=0)
+
+
 def log_partition(
     corpus: Corpus,
     dists: Sequence[ArcDistribution],
@@ -121,14 +215,7 @@ def log_partition(
     subset: Sequence[int] | None = None,
 ) -> float:
     """Factorized log normalizer of the reweighted head distributions."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    indices = range(len(corpus)) if subset is None else subset
-    total = 0.0
-    for k in indices:
-        dist = dists[k]
-        logw = log_probs(dist) - fi.exponent(k, lambdas, dist.probs.shape)
-        total += float(logsumexp(logw, axis=0).sum())
-    return total
+    return _corpus_sums(corpus, dists, fi, lambdas, subset)[0]
 
 
 def grad_log_partition(
@@ -141,17 +228,7 @@ def grad_log_partition(
 ) -> np.ndarray:
     """Gradient of ``log_partition``: the per-dependent expectation of
     ``-phi`` under the reweighted head distributions."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    indices = range(len(corpus)) if subset is None else subset
-    grad = np.zeros(fi.n_features)
-    for k in indices:
-        dist = dists[k]
-        logw = log_probs(dist) - fi.exponent(k, lambdas, dist.probs.shape)
-        weights = np.exp(logw - logsumexp(logw, axis=0))
-        for f, (heads, cols, values) in enumerate(fi.entries[k]):
-            if heads.size:
-                grad[f] -= float(np.sum(values * weights[heads, cols]))
-    return grad
+    return _corpus_sums(corpus, dists, fi, lambdas, subset)[1]
 
 
 @dataclass(frozen=True)
@@ -173,13 +250,18 @@ def solve_dual(
     Batches are sampled without replacement per epoch and the batch gradient
     is rescaled to full-corpus magnitude.  The loop stops at the iteration
     cap or when the full-corpus gradient norm, restricted to coordinates not
-    pinned at the boundary, falls below ``grad_tol``.
+    pinned at the boundary, falls below ``grad_tol``.  Each step makes one
+    pass over the packed columns: the trace record takes the full sums, the
+    batch step the sums over its sentences, both at the same ``lambda``.
     """
     d = fi.n_features
     lambdas = np.zeros(d)
     trace: list[DualTraceRecord] = []
     if d == 0:
         return lambdas, trace
+    if len(dists) != len(corpus):
+        raise ValueError("distributions and corpus differ in length")
+    packed = pack_columns(dists, fi)
 
     size = len(corpus)
     batch = min(params.batch_size, size)
@@ -190,29 +272,33 @@ def solve_dual(
     moment2 = np.zeros(d)
     steps = 0
 
-    def record(iteration: int) -> float:
-        ascent = -grad_log_partition(corpus, dists, fi, lambdas)
+    def record(iteration: int) -> tuple[float, np.ndarray]:
+        """Trace the full-corpus state at ``lambdas``; return the projected
+        gradient norm and the per-sentence gradients of log Z."""
+        log_z, grads, _ = packed.evaluate(lambdas)
+        ascent = -grads.sum(axis=0)
         projected = np.where(lambdas > 0, ascent, np.maximum(ascent, 0.0))
         norm = float(np.linalg.norm(projected))
         trace.append(
             DualTraceRecord(
                 iteration=iteration,
                 grad_norm=norm,
-                neg_log_z=-log_partition(corpus, dists, fi, lambdas),
+                neg_log_z=-float(log_z.sum()),
                 lambdas=tuple(float(v) for v in lambdas),
             )
         )
-        return norm
+        return norm, grads
 
     for iteration in range(params.max_iter):
-        if record(iteration) < params.grad_tol:
+        norm, grads = record(iteration)
+        if norm < params.grad_tol:
             return lambdas, trace
         if cursor + batch > size:
             order = rng.permutation(size)
             cursor = 0
         subset = order[cursor:cursor + batch]
         cursor += batch
-        gradient = -grad_log_partition(corpus, dists, fi, lambdas, subset=subset)
+        gradient = -grads[subset].sum(axis=0)
         gradient *= size / batch
         rate = params.lr0 * params.decay**iteration
         if params.optimizer == "adaptive_moments":
@@ -238,14 +324,12 @@ def posterior_arc_probs(
 ) -> list[ArcDistribution]:
     """Reweight each head distribution by ``exp(-lambda . phi)`` and
     renormalize per dependent."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    out = []
-    for k, dist in enumerate(dists):
-        logw = log_probs(dist) - fi.exponent(k, lambdas, dist.probs.shape)
-        probs = np.exp(logw - logsumexp(logw, axis=0))
-        probs /= probs.sum(axis=0)
-        out.append(ArcDistribution(probs))
-    return out
+    packed = pack_columns(dists, fi)
+    _, _, q = packed.evaluate(np.asarray(lambdas, dtype=float))
+    probs = [np.array(dist.probs) for dist in dists]
+    for t, (k, j) in enumerate(zip(packed.sentence, packed.column)):
+        probs[k][:, j] = q[t, :dists[k].n + 1]
+    return [ArcDistribution(p) for p in probs]
 
 
 def kl_divergence(
@@ -261,6 +345,53 @@ def kl_divergence(
     return total
 
 
+@dataclass(frozen=True)
+class PrResult:
+    """Trees decoded under the solved duals, with the dual trace."""
+
+    trees: list[ParseTree]
+    lambdas: np.ndarray
+    trace: list[DualTraceRecord]
+    labels: tuple[str, ...]
+    converged: bool
+
+
+def pr_decode(
+    corpus: Corpus,
+    constraints: Sequence[Constraint],
+    params: PrParams = PrParams(),
+    *,
+    projective: bool = False,
+    single_root: bool = False,
+    root_counts_left: bool = False,
+) -> PrResult:
+    """Full pipeline: normalize scores, solve the dual, decode.
+
+    Trees are decoded from ``scores - lambda . phi``.  That differs from
+    ``log q`` by a constant per dependent column, which shifts every tree's
+    score equally, so the argmax is the MAP tree of the reweighted
+    distributions; the scores stay finite where ``q`` underflows.
+    """
+    if len(corpus) == 0:
+        raise ValueError("corpus is empty")
+    dists = [to_distribution(matrix) for _, matrix in corpus]
+    fi = build_feature_index(corpus, constraints, root_counts_left=root_counts_left)
+    lambdas, trace = solve_dual(corpus, dists, fi, params)
+    decode = projective_decode if projective else mst_decode
+    trees = []
+    for k, (_, matrix) in enumerate(corpus):
+        shape = matrix.scores.shape
+        reweighted = ScoreMatrix(matrix.scores - fi.exponent(k, lambdas, shape))
+        trees.append(decode(reweighted, single_root=single_root))
+    return PrResult(
+        trees=trees,
+        lambdas=lambdas,
+        trace=trace,
+        labels=fi.labels,
+        converged=bool(trace) and trace[-1].grad_norm < params.grad_tol,
+    )
+
+
 def pr_infer(
     corpus: Corpus,
     constraints: Sequence[Constraint],
@@ -270,19 +401,16 @@ def pr_infer(
     single_root: bool = False,
     root_counts_left: bool = False,
 ) -> tuple[list[ParseTree], np.ndarray]:
-    """Full pipeline: normalize scores, solve the dual, reweight, decode."""
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
-    dists = [to_distribution(matrix) for _, matrix in corpus]
-    fi = build_feature_index(corpus, constraints, root_counts_left=root_counts_left)
-    lambdas, _ = solve_dual(corpus, dists, fi, params)
-    posteriors = posterior_arc_probs(corpus, dists, fi, lambdas)
-    decode = projective_decode if projective else mst_decode
-    trees = []
-    for dist in posteriors:
-        log_q = log_probs(dist)
-        trees.append(decode(ScoreMatrix(log_q), single_root=single_root))
-    return trees, lambdas
+    """``pr_decode`` reduced to its trees and duals."""
+    result = pr_decode(
+        corpus,
+        constraints,
+        params,
+        projective=projective,
+        single_root=single_root,
+        root_counts_left=root_counts_left,
+    )
+    return result.trees, result.lambdas
 
 
 def write_pr_trace(

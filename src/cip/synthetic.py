@@ -252,14 +252,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, float | N
                 cls = classify_arc(constraint, sentence, head, dep)
                 if cls is ArcClass.NEITHER or rng.random() >= spec.flip_prob:
                     continue
-                if cls is ArcClass.PLUS:
+                # Mirror the gold head across the dependent, clipped to the
+                # sentence; for a binary constraint the class does not say
+                # which side the head is on, so the side is read off the arc.
+                if head < dep:
                     if dep == length:
                         continue
-                    competitor = min(dep + (dep - head), length)
+                    competitor = min(2 * dep - head, length)
                 else:
                     if dep == 1:
                         continue
-                    competitor = max(dep - (head - dep), 1)
+                    competitor = max(2 * dep - head, 1)
                 scores[competitor, dep - 1] += spec.margin + spec.flip_boost
         matrices.append(ScoreMatrix(scores, sent_id=sentence.sent_id))
 

@@ -229,7 +229,9 @@ FLIP_LEVELS = [
 
 @pytest.fixture(scope="module")
 def transfer_suite():
-    """Ten corrupted synthetic corpora decoded with oracle constraints."""
+    """Ten corrupted synthetic corpora decoded with oracle constraints, and
+    the seconds the generation and decoding took."""
+    start = time.monotonic()
     rows = []
     for index, (flip_prob, flip_boost) in enumerate(FLIP_LEVELS):
         spec = cip.SyntheticSpec(
@@ -266,19 +268,19 @@ def transfer_suite():
                 "pr": cip.uas(pr_trees, corpus.sentences),
             }
         )
-    return rows
+    return {"rows": rows, "seconds": time.monotonic() - start}
 
 
 def test_criterion_6_synthetic_transfer(transfer_suite):
-    start = time.monotonic()
-    gaps = np.array([row["gap"] for row in transfer_suite])
-    lr_gain = np.array([row["lr"] - row["baseline"] for row in transfer_suite])
-    pr_gain = np.array([row["pr"] - row["baseline"] for row in transfer_suite])
+    rows = transfer_suite["rows"]
+    elapsed = transfer_suite["seconds"]
+    gaps = np.array([row["gap"] for row in rows])
+    lr_gain = np.array([row["lr"] - row["baseline"] for row in rows])
+    pr_gain = np.array([row["pr"] - row["baseline"] for row in rows])
     wins = int(np.sum((lr_gain >= 0.05) & (pr_gain >= 0.05)))
-    elapsed = time.monotonic() - start
     _verdict(
         f"criterion 6: transfer improvement on {wins}/10 specs, "
-        f"min gap {gaps.min():.2f}",
+        f"min gap {gaps.min():.2f} ({elapsed:.1f}s)",
         bool(np.all(gaps >= 0.3) and wins >= 8 and elapsed < 300),
     )
 
@@ -306,10 +308,9 @@ def test_criterion_7_typology_compilation():
 
 
 def test_criterion_8_ratio_gap_correlation(transfer_suite):
-    gaps = np.array([row["gap"] for row in transfer_suite])
-    gains = np.array(
-        [(row["lr"] + row["pr"]) / 2 - row["baseline"] for row in transfer_suite]
-    )
+    rows = transfer_suite["rows"]
+    gaps = np.array([row["gap"] for row in rows])
+    gains = np.array([(row["lr"] + row["pr"]) / 2 - row["baseline"] for row in rows])
     pearson = float(np.corrcoef(gaps, gains)[0, 1])
     _verdict(
         f"criterion 8: ratio gap vs improvement, pearson {pearson:.3f}",

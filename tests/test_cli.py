@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import cip
@@ -206,6 +207,98 @@ def test_estimate_ratios_sampling(workspace, tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["ratios"][0]["count"] > 0
+
+
+def test_estimate_ratios_honours_root_counts_left(workspace, tmp_path):
+    # VERB tokens attach to the root in most sentences, so counting root
+    # arcs as left-headed moves the VERB ratio.
+    constraints = tmp_path / "verb.json"
+    constraints.write_text(
+        json.dumps([{"id": "verb-left", "kind": "unary", "pos": "VERB", "r": 0.5, "theta": 0.1}])
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"root_counts_left": True}))
+    oracles = {}
+    for name, extra in (("default", []), ("root-left", ["--config", str(config)])):
+        oracles[name] = tmp_path / f"oracle-{name}.json"
+        code = main(
+            [
+                "estimate-ratios",
+                "--conllu", str(workspace["gold"]),
+                "--constraints", str(constraints),
+                "--oracle-out", str(oracles[name]),
+                *extra,
+            ]
+        )
+        assert code == 0
+
+    # Scores under which the gold trees are the unique best decode.
+    with open(workspace["gold"], encoding="utf-8") as handle:
+        sentences = cip.read_conllu(handle)
+    gold_scores = tmp_path / "gold_scores.jsonl"
+    with open(gold_scores, "w", encoding="utf-8") as handle:
+        matrices = []
+        for s in sentences:
+            grid = np.zeros((len(s) + 1, len(s)))
+            grid[list(s.gold_heads), np.arange(len(s))] = 10.0
+            matrices.append(cip.ScoreMatrix(grid, sent_id=s.sent_id))
+        cip.write_scores(matrices, handle)
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(gold_scores),
+            "--constraints", str(oracles["root-left"]),
+            "--config", str(config),
+            "--out", str(workspace["out"]),
+            "--report", str(workspace["report"]),
+        ]
+    )
+    assert code == 0
+    report = json.loads(workspace["report"].read_text())
+    assert report["uas"] == 1.0
+    (row,) = report["constraints"]
+    ratios = {}
+    for name, path in oracles.items():
+        with open(path, encoding="utf-8") as handle:
+            (constraint,) = cip.load_constraints(handle)
+        ratios[name] = constraint.r
+    assert ratios["root-left"] == row["ratio_final"]
+    assert ratios["root-left"] > ratios["default"]
+
+
+def test_pr_decode_survives_large_score_gap(tmp_path):
+    # exp(-900) underflows: the losing heads of token 2 get q = 0.
+    gold = tmp_path / "gold.conllu"
+    scores = tmp_path / "scores.jsonl"
+    constraints = tmp_path / "constraints.json"
+    out = tmp_path / "out.conllu"
+    sentence = cip.Sentence(
+        forms=("the", "dog", "ran"), upos=("DET", "NOUN", "VERB"), sent_id="s1"
+    )
+    grid = np.zeros((4, 3))
+    grid[0, 1] = 900.0
+    with open(gold, "w", encoding="utf-8") as handle:
+        cip.write_conllu([sentence], handle)
+    with open(scores, "w", encoding="utf-8") as handle:
+        cip.write_scores([cip.ScoreMatrix(grid, sent_id="s1")], handle)
+    constraint = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=1.0, theta=0.01)
+    with open(constraints, "w", encoding="utf-8") as handle:
+        cip.save_constraints([constraint], handle)
+    code = main(
+        [
+            "decode",
+            "--conllu", str(gold),
+            "--scores", str(scores),
+            "--constraints", str(constraints),
+            "--method", "pr",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    with open(out, encoding="utf-8") as handle:
+        (decoded,) = cip.read_conllu(handle)
+    assert cip.ParseTree(decoded.gold_heads).heads[1] == 0
 
 
 def test_compile_constraints(tmp_path):

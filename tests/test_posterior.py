@@ -8,7 +8,13 @@ import pytest
 
 import cip
 from cip.constraints import Direction, phi
-from cip.posterior import DualTraceRecord, kl_divergence, log_probs, write_pr_trace
+from cip.posterior import (
+    DualTraceRecord,
+    PackedColumns,
+    kl_divergence,
+    log_probs,
+    write_pr_trace,
+)
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
 
@@ -108,6 +114,108 @@ class TestLogPartition:
             value = cip.log_partition(corpus, dists, fi, lam)
             oracle = enum_log_partition(corpus, dists, cons, lam)
             assert value == pytest.approx(oracle, abs=1e-9)
+
+
+def ragged_problem(rng, upos_rows, constraints):
+    entries = []
+    for upos in upos_rows:
+        n = len(upos)
+        entries.append((make_sentence(upos), cip.ScoreMatrix(rng.normal(0, 2, (n + 1, n)))))
+    corpus = cip.Corpus(tuple(entries))
+    dists = [cip.to_distribution(m) for _, m in corpus]
+    return corpus, dists, cip.build_feature_index(corpus, constraints)
+
+
+RAGGED_CONSTRAINTS = [
+    cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.7, theta=0.05),
+    cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.3, theta=0.1),
+]
+RAGGED_CORPORA = {
+    # Lengths 1-6; the length-1 NOUN matches only through its root arc,
+    # which the default policy does not count, and DET VERB matches nothing.
+    "mixed": [
+        ("NOUN", "ADP", "VERB"),
+        ("NOUN",),
+        ("DET", "VERB"),
+        ("ADP", "NOUN", "DET", "NOUN", "VERB", "ADP"),
+        ("VERB", "NOUN", "ADP", "NOUN"),
+        ("ADP", "DET", "NOUN", "VERB", "DET"),
+    ],
+    "unmatched": [("DET",), ("VERB", "DET", "VERB"), ("DET", "VERB")],
+}
+
+
+class TestRaggedCorpus:
+    """The packed evaluator on sentences of mixed lengths, against the
+    enumeration oracle and central differences."""
+
+    @pytest.mark.parametrize("name", sorted(RAGGED_CORPORA))
+    def test_log_partition_and_gradient(self, name):
+        rng = np.random.default_rng(60)
+        corpus, dists, fi = ragged_problem(rng, RAGGED_CORPORA[name], RAGGED_CONSTRAINTS)
+        # One enumeration: the 6-token sentence alone has 6^6 assignments.
+        lam = rng.uniform(0.1, 2, 4)
+        value = cip.log_partition(corpus, dists, fi, lam)
+        oracle = enum_log_partition(corpus, dists, RAGGED_CONSTRAINTS, lam)
+        assert value == pytest.approx(oracle, abs=1e-9)
+        if name == "unmatched":
+            assert value == 0.0
+        for _ in range(3):
+            lam = rng.uniform(0.1, 2, 4)
+            grad = cip.grad_log_partition(corpus, dists, fi, lam)
+            step = 1e-6
+            for i in range(4):
+                up, down = lam.copy(), lam.copy()
+                up[i] += step
+                down[i] -= step
+                fd = (
+                    cip.log_partition(corpus, dists, fi, up)
+                    - cip.log_partition(corpus, dists, fi, down)
+                ) / (2 * step)
+                assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+            if name == "unmatched":
+                np.testing.assert_array_equal(grad, 0.0)
+
+    def test_batch_steps_use_subset_gradients(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        corpus, dists, fi = ragged_problem(
+            rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS
+        )
+        passes = []
+        evaluate = PackedColumns.evaluate
+
+        def counted(self, lambdas):
+            passes.append(1)
+            return evaluate(self, lambdas)
+
+        monkeypatch.setattr(PackedColumns, "evaluate", counted)
+        params = cip.PrParams(
+            batch_size=4, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
+        )
+        lam, trace = cip.solve_dual(corpus, dists, fi, params)
+        assert len(passes) == len(trace) == params.max_iter + 1
+        monkeypatch.undo()
+
+        # Replay the sampler: every step must be the rescaled subset
+        # gradient at the traced multipliers.
+        size = len(corpus)
+        sampler = np.random.default_rng(params.seed)
+        order = sampler.permutation(size)
+        cursor = 0
+        for before, after in zip(trace, trace[1:]):
+            if cursor + params.batch_size > size:
+                order = sampler.permutation(size)
+                cursor = 0
+            subset = order[cursor:cursor + params.batch_size]
+            cursor += params.batch_size
+            current = np.array(before.lambdas)
+            gradient = -cip.grad_log_partition(corpus, dists, fi, current, subset=subset)
+            rate = params.lr0 * params.decay**before.iteration
+            expected = np.maximum(current + rate * gradient * size / params.batch_size, 0.0)
+            np.testing.assert_allclose(after.lambdas, expected, rtol=0, atol=1e-12)
+            full = cip.log_partition(corpus, dists, fi, current)
+            assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
+        np.testing.assert_array_equal(lam, trace[-1].lambdas)
 
 
 class TestGradient:
@@ -282,6 +390,18 @@ class TestPrInfer:
         assert cip.is_satisfied(
             NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, pr_trees)
         )
+
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_large_score_gap(self, projective):
+        # exp(-900) underflows to 0, so log q is -inf at the losing heads;
+        # decoding from scores - lambda . phi keeps every score finite.
+        sentence = make_sentence(("DET", "NOUN", "VERB"))
+        scores = np.zeros((4, 3))
+        scores[0, 1] = 900.0
+        corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),))
+        (tree,), lam = cip.pr_infer(corpus, [NOUN_LEFT], projective=projective)
+        assert np.all(np.isfinite(lam))
+        assert len(tree) == 3 and tree.heads[1] == 0
 
     def test_projective_flag(self, noun_toy_corpus):
         trees, _ = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT], projective=True)

@@ -136,3 +136,32 @@ class TestGeneration:
         clean_ratio = cip.ratio(c, clean, cip.decode_corpus(clean))
         corrupt_ratio = cip.ratio(c, corrupt, cip.decode_corpus(corrupt))
         assert abs(corrupt_ratio - c.r) > abs(clean_ratio - c.r) + 0.2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_binary_flips_boost_the_mirrored_head(self, seed):
+        # A binary class does not say which side of the dependent the head
+        # is on; the competitor must still land inside the sentence, on the
+        # side opposite the gold head.
+        spec = cip.SyntheticSpec(
+            n_sentences=50,
+            min_len=5,
+            max_len=15,
+            pos_weights=POS,
+            planted=(
+                cip.Constraint(
+                    id="adj-noun", kind="binary", pos="ADJ", pos2="NOUN",
+                    r=0.8, theta=0.0,
+                ),
+            ),
+            flip_prob=1.0,
+            seed=seed,
+        )
+        corpus, _ = cip.generate_synthetic(spec)
+        flipped = 0
+        for sentence, matrix in corpus:
+            best = matrix.scores.argmax(axis=0)
+            for dep, (head, top) in enumerate(zip(sentence.gold_heads, best), start=1):
+                if top != head:
+                    flipped += 1
+                    assert head != 0 and (top - dep) * (head - dep) < 0
+        assert flipped > 0
