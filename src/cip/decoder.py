@@ -6,8 +6,12 @@ trees.  The brute-force functions enumerate candidate trees outright and
 exist as independent references for verifying the fast decoders and for
 solving the corpus-level constrained problem exactly on tiny inputs.
 
-All argmax steps resolve ties toward the lower head index, so decoding is
-deterministic.
+Decoding is deterministic.  Multi-root ties go to the lower head index:
+every argmax, including those over cycle members during contraction, takes
+the first maximum.  ``mst_decode(single_root=True)`` runs the same
+Chu-Liu/Edmonds on scores whose root arcs carry a penalty, so among tied
+single-root optima it returns the tree that decode selects, which is not
+always the one with the lowest root child.
 """
 
 from __future__ import annotations
@@ -57,52 +61,36 @@ def _max_arborescence(weights: np.ndarray) -> np.ndarray:
     """
     m = weights.shape[0]
     parent = np.zeros(m, dtype=int)
-    for d in range(1, m):
-        parent[d] = int(np.argmax(weights[:, d]))
+    parent[1:] = np.argmax(weights[:, 1:], axis=0)
     cycle = _find_cycle(parent, m)
     if cycle is None:
         return parent
 
+    # Cycle members and the other nodes both in ascending order, so every
+    # argmax below keeps the lowest-index tie-break.  The root is rest[0].
     in_cycle = np.zeros(m, dtype=bool)
     in_cycle[cycle] = True
-    rest = [v for v in range(m) if not in_cycle[v]]
-    index = {v: i for i, v in enumerate(rest)}
+    members = np.flatnonzero(in_cycle)
+    rest = np.flatnonzero(~in_cycle)
     c_id = len(rest)
     contracted = np.full((c_id + 1, c_id + 1), NEG_INF)
-    entering: dict[int, tuple[int, int]] = {}
-    leaving: dict[int, int] = {}
-    for h in range(m):
-        row = weights[h]
-        if in_cycle[h]:
-            for d in range(1, m):
-                if in_cycle[d] or row[d] == NEG_INF:
-                    continue
-                nd = index[d]
-                if row[d] > contracted[c_id, nd]:
-                    contracted[c_id, nd] = row[d]
-                    leaving[nd] = h
-        else:
-            nh = index[h]
-            for d in range(1, m):
-                if row[d] == NEG_INF:
-                    continue
-                if in_cycle[d]:
-                    gain = row[d] - weights[parent[d], d]
-                    if gain > contracted[nh, c_id]:
-                        contracted[nh, c_id] = gain
-                        entering[nh] = (h, d)
-                else:
-                    contracted[nh, index[d]] = row[d]
+    contracted[:c_id, :c_id] = weights[np.ix_(rest, rest)]
+    # Arcs leaving the cycle: the best member head of every outside node.
+    out_arcs = weights[np.ix_(members, rest)]
+    leaving = members[np.argmax(out_arcs, axis=0)]
+    contracted[c_id, :c_id] = out_arcs.max(axis=0)
+    # Arcs entering the cycle: the best gain over the member's greedy parent.
+    gains = weights[np.ix_(rest, members)] - weights[parent[members], members]
+    entering = members[np.argmax(gains, axis=1)]
+    contracted[:c_id, c_id] = gains.max(axis=1)
 
     sub_parent = _max_arborescence(contracted)
     result = parent.copy()
-    for v in rest:
-        if v == 0:
-            continue
-        p = int(sub_parent[index[v]])
-        result[v] = leaving[index[v]] if p == c_id else rest[p]
-    head, dep = entering[int(sub_parent[c_id])]
-    result[dep] = head
+    for i in range(1, c_id):
+        p = int(sub_parent[i])
+        result[rest[i]] = leaving[i] if p == c_id else rest[p]
+    head = int(sub_parent[c_id])
+    result[entering[head]] = rest[head]
     return result
 
 
@@ -117,27 +105,32 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     """Highest-scoring directed spanning tree over all head assignments.
 
     ``single_root`` restricts the root to exactly one child (off by
-    default; multi-root trees are legal).
+    default; multi-root trees are legal).  It costs one arborescence, like
+    the unrestricted decode: a penalty on every root arc makes a second
+    root child never pay.  Among tied single-root optima the decoder returns
+    the tree that Chu-Liu/Edmonds selects on the penalised scores, which is
+    deterministic but not always the one with the lowest root child.
     """
     n = matrix.n
     if n == 1:
         return ParseTree((0,))
     weights = _square_weights(matrix)
-    if not single_root:
-        parent = _max_arborescence(weights)
-        return ParseTree(tuple(int(parent[d]) for d in range(1, n + 1)))
-    best: tuple[float, ParseTree] | None = None
-    for child in range(1, n + 1):
-        forced = weights.copy()
-        forced[0, :] = NEG_INF
-        forced[0, child] = weights[0, child]
-        parent = _max_arborescence(forced)
-        tree = ParseTree(tuple(int(parent[d]) for d in range(1, n + 1)))
-        score = matrix.tree_score(tree.heads)
-        if best is None or score > best[0]:
-            best = (score, tree)
-    assert best is not None
-    return best[1]
+    if single_root:
+        # Subtract one penalty C from every root arc.  A tree with k > 1
+        # root children becomes a single-root tree by moving k - 1 of them
+        # under the first, which loses at most (k - 1) * (max - min) over
+        # the finite scores; with C above max - min each extra root child
+        # costs more than that, so the optimum has exactly one root child.
+        # Every single-root tree moves by the same C, so they rank as under
+        # the raw scores.
+        finite = matrix.scores[np.isfinite(matrix.scores)]
+        with np.errstate(over="ignore"):
+            penalty = 1.0 + (finite.max() - finite.min())
+        if not np.isfinite(penalty):
+            raise ValueError("score range too large for single-root decoding")
+        weights[0, 1:] -= penalty
+    parent = _max_arborescence(weights)
+    return ParseTree(tuple(int(h) for h in parent[1:]))
 
 
 # ---------------------------------------------------------------------------

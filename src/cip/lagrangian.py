@@ -59,14 +59,9 @@ class DualState:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def _coefficient_matrix(
-    constraint: Constraint, sentence: Sentence, *, root_counts_left: bool
-) -> np.ndarray:
-    classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-    coef = np.zeros(classes.shape, dtype=float)
-    coef[classes == 1] = 1.0 - constraint.r
-    coef[classes == -1] = -constraint.r
-    return coef
+def _coefficients(constraint: Constraint, classes: np.ndarray) -> np.ndarray:
+    """Per-arc coefficients of a class grid: ``1 - r`` on +1, ``-r`` on -1."""
+    return (classes == 1) - constraint.r * (classes != 0)
 
 
 def augment_scores(
@@ -84,9 +79,8 @@ def augment_scores(
     for constraint, lam in zip(constraints, lambdas):
         if lam == 0.0:
             continue
-        adjust += lam * _coefficient_matrix(
-            constraint, sentence, root_counts_left=root_counts_left
-        )
+        classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
+        adjust += lam * _coefficients(constraint, classes)
     return ScoreMatrix(matrix.scores + adjust, sent_id=matrix.sent_id)
 
 
@@ -117,19 +111,16 @@ def lr_infer(
     decode = projective_decode if projective else mst_decode
 
     n_constraints = len(constraints)
-    coefs = [
-        [
-            _coefficient_matrix(c, sentence, root_counts_left=root_counts_left)
-            for c in constraints
-        ]
-        for sentence, _ in corpus
-    ]
     classes = [
         [
             class_matrix(c, sentence, root_counts_left=root_counts_left)
             for c in constraints
         ]
         for sentence, _ in corpus
+    ]
+    coefs = [
+        [_coefficients(c, grid) for c, grid in zip(constraints, grids)]
+        for grids in classes
     ]
 
     lambdas = np.zeros(n_constraints)

@@ -4,13 +4,61 @@ import numpy as np
 import pytest
 
 import cip
-from cip.decoder import projective_tree_table, tree_table
+from cip.core import NEG_INF
+from cip.decoder import (
+    _find_cycle,
+    _max_arborescence,
+    _square_weights,
+    projective_tree_table,
+    tree_table,
+)
 
 from conftest import make_sentence
 
 
 def best_in_table(matrix, table):
     return max(matrix.tree_score(tuple(int(h) for h in row)) for row in table)
+
+
+def loop_max_arborescence(weights):
+    """Chu-Liu/Edmonds with the contraction written arc by arc: the
+    reference that ``_max_arborescence`` must match, ties included."""
+    m = weights.shape[0]
+    parent = np.zeros(m, dtype=int)
+    for d in range(1, m):
+        parent[d] = int(np.argmax(weights[:, d]))
+    cycle = _find_cycle(parent, m)
+    if cycle is None:
+        return parent
+    rest = [v for v in range(m) if v not in cycle]
+    index = {v: i for i, v in enumerate(rest)}
+    c_id = len(rest)
+    contracted = np.full((c_id + 1, c_id + 1), NEG_INF)
+    entering, leaving = {}, {}
+    for h in range(m):
+        for d in range(1, m):
+            w = weights[h, d]
+            if w == NEG_INF or (h in cycle and d in cycle):
+                continue
+            if h in cycle:
+                if w > contracted[c_id, index[d]]:
+                    contracted[c_id, index[d]] = w
+                    leaving[index[d]] = h
+            elif d in cycle:
+                gain = w - weights[parent[d], d]
+                if gain > contracted[index[h], c_id]:
+                    contracted[index[h], c_id] = gain
+                    entering[index[h]] = (h, d)
+            else:
+                contracted[index[h], index[d]] = w
+    sub_parent = loop_max_arborescence(contracted)
+    result = parent.copy()
+    for v in rest[1:]:
+        p = int(sub_parent[index[v]])
+        result[v] = leaving[index[v]] if p == c_id else rest[p]
+    head, dep = entering[int(sub_parent[c_id])]
+    result[dep] = head
+    return result
 
 
 class TestMstDecode:
@@ -43,6 +91,22 @@ class TestMstDecode:
             _, objective = cip.brute_force_decode(matrix)
             assert matrix.tree_score(tree.heads) == objective
 
+    def test_contraction_matches_loop_reference(self):
+        # Integer scores tie often, so equal parents check the tie-breaks
+        # of every contraction, with and without a root penalty.
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n = int(rng.integers(2, 21))
+            scores = rng.integers(-2, 3, (n + 1, n)).astype(float)
+            if trial % 2:
+                scores = scores + rng.normal(0, 1, scores.shape)
+            weights = _square_weights(cip.ScoreMatrix(scores))
+            for penalty in (0.0, 5.0):
+                weights[0, 1:] -= penalty
+                assert np.array_equal(
+                    _max_arborescence(weights), loop_max_arborescence(weights)
+                )
+
     def test_column_shift_leaves_tree_unchanged(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -59,6 +123,16 @@ class TestMstDecode:
             assert cip.mst_decode(matrix).heads == (0,) * n
             assert cip.brute_force_decode(matrix)[0].heads == (0,) * n
 
+    def test_contraction_ties_prefer_lower_index(self):
+        # Greedy picks the cycle 2->1, 1->2.  Both members tie as the entry
+        # point from the root and as the head of token 3; the lower member,
+        # 1, wins both.
+        matrix = cip.ScoreMatrix(
+            np.array([[0.0, 0.0, 0.0], [0, 5, 4], [5, 0, 4], [0, 0, 0]])
+        )
+        assert cip.mst_decode(matrix).heads == (0, 1, 1)
+        assert cip.brute_force_decode(matrix)[0].heads == (0, 1, 1)
+
     def test_single_root_flag(self):
         # Two strong root arcs: multi-root decode takes both, single-root
         # must keep exactly one root child.
@@ -71,6 +145,37 @@ class TestMstDecode:
             row for row in tree_table(2) if sum(1 for h in row if h == 0) == 1
         ]
         assert matrix.tree_score(single.heads) == best_in_table(matrix, table)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, shape: rng.normal(0, 3, shape),
+            lambda rng, shape: rng.normal(0, 900, shape),
+            lambda rng, shape: rng.integers(-2, 3, shape).astype(float),
+        ],
+        ids=["scale3", "scale900", "int-ties"],
+    )
+    def test_single_root_matches_enumeration(self, draw):
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            matrix = cip.ScoreMatrix(draw(rng, (n + 1, n)))
+            tree = cip.mst_decode(matrix, single_root=True)
+            assert sum(1 for h in tree.heads if h == 0) == 1
+            table = tree_table(n)
+            table = table[(table == 0).sum(axis=1) == 1]
+            best = matrix.scores[table, np.arange(n)].sum(axis=1).max()
+            assert matrix.tree_score(tree.heads) == pytest.approx(best, rel=1e-12)
+            assert cip.mst_decode(matrix, single_root=True).heads == tree.heads
+
+    def test_single_root_extreme_scores(self):
+        # A range of 2e300 still leaves a finite root penalty.
+        matrix = cip.ScoreMatrix(np.array([[1e300, 1e300], [0.0, -1e300], [0.0, 0.0]]))
+        assert cip.mst_decode(matrix, single_root=True).heads == (2, 0)
+        # A range near the float limit does not; the decoder says so.
+        huge = cip.ScoreMatrix(np.array([[1.5e308, 0.0], [0.0, -1.5e308], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="score range"):
+            cip.mst_decode(huge, single_root=True)
 
 
 class TestProjectiveDecode:
