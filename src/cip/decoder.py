@@ -11,7 +11,9 @@ every argmax, including those over cycle members during contraction, takes
 the first maximum.  ``mst_decode(single_root=True)`` runs the same
 Chu-Liu/Edmonds on scores whose root arcs carry a penalty, so among tied
 single-root optima it returns the tree that decode selects, which is not
-always the one with the lowest root child.
+always the one with the lowest root child.  ``projective_decode`` takes the
+first best split point in each span, and with ``single_root`` the lowest
+best root child.
 """
 
 from __future__ import annotations
@@ -138,99 +140,103 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
 # ---------------------------------------------------------------------------
 
 _LEFT, _RIGHT = 0, 1  # _LEFT: head at the right span end; _RIGHT: head at the left end
+_INCOMP = 2  # row of the incomplete spans (either head) in the chart sums
+_FIRST_SPLIT = np.array([[0], [1]])  # first k - i of a complete span: head j, head i
 
 
-def _eisner_chart(weights: np.ndarray, lo: int, hi: int, ban_into_lo: bool):
-    """Fill complete/incomplete span charts over the node range [lo, hi]."""
+def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
+    """Fill the Eisner charts over the node range [lo, hi], one step per width.
+
+    Every span [i, j] of width w is a left half that starts at i plus a
+    right half that ends at j, at each split point k.  Row r of ``left``
+    holds the left halves by start and row r of ``right`` the right halves
+    by end, both indexed by width, for the three sums:
+
+    - ``_LEFT`` (complete, head j): complete [i, k] with head k plus
+      incomplete [k, j] with head j, k = i .. j - 1;
+    - ``_RIGHT`` (complete, head i): incomplete [i, k] with head i plus
+      complete [k, j] with head k, k = i + 1 .. j;
+    - ``_INCOMP`` (incomplete, either head): complete [i, k] with head i
+      plus complete [k + 1, j] with head j, k = i .. j - 1.
+
+    Incomplete spans are never of width 0 and sit at width - 1, so the w
+    split points of all spans of width w are ``left[r, starts, :w] +
+    right[r, ends, w - 1::-1]``: one numpy sum over every start position.
+    ``split[r, i, w]`` is the split point of span [i, i + w], and each
+    ``argmax`` takes the first maximum, so it is the lowest best one.
+    Returns ``(left, right, split)``.
+    """
     size = hi + 1
-    comp = np.full((size, size, 2), NEG_INF)
-    incomp = np.full((size, size, 2), NEG_INF)
-    comp_bp = np.zeros((size, size, 2), dtype=int)
-    incomp_bp = np.zeros((size, size, 2), dtype=int)
-    for i in range(lo, hi + 1):
-        comp[i, i, :] = 0.0
-    for span in range(1, hi - lo + 1):
-        for i in range(lo, hi - span + 1):
-            j = i + span
-            split_best = NEG_INF
-            split_k = i
-            for k in range(i, j):
-                value = comp[i, k, _RIGHT] + comp[k + 1, j, _LEFT]
-                if value > split_best:
-                    split_best = value
-                    split_k = k
-            if not (ban_into_lo and i == lo):
-                incomp[i, j, _LEFT] = split_best + weights[j, i]
-                incomp_bp[i, j, _LEFT] = split_k
-            incomp[i, j, _RIGHT] = split_best + weights[i, j]
-            incomp_bp[i, j, _RIGHT] = split_k
-            best = NEG_INF
-            best_k = i
-            for k in range(i, j):
-                value = comp[i, k, _LEFT] + incomp[k, j, _LEFT]
-                if value > best:
-                    best = value
-                    best_k = k
-            comp[i, j, _LEFT] = best
-            comp_bp[i, j, _LEFT] = best_k
-            best = NEG_INF
-            best_k = i + 1
-            for k in range(i + 1, j + 1):
-                value = incomp[i, k, _RIGHT] + comp[k, j, _RIGHT]
-                if value > best:
-                    best = value
-                    best_k = k
-            comp[i, j, _RIGHT] = best
-            comp_bp[i, j, _RIGHT] = best_k
-    return comp, incomp, comp_bp, incomp_bp
+    left = np.full((3, size, size), NEG_INF)
+    right = np.full((3, size, size), NEG_INF)
+    left[_LEFT, lo:, 0] = left[_INCOMP, lo:, 0] = 0.0
+    right[_INCOMP, lo:, 0] = right[_RIGHT, lo:, 0] = 0.0
+    split = np.zeros((3, size, size), dtype=int)
+    nodes = np.arange(size)
+    for w in range(1, hi - lo + 1):
+        i, j = slice(lo, size - w), slice(lo + w, size)
+        halves = left[_INCOMP, i, :w] + right[_INCOMP, j, w - 1::-1]
+        split[_INCOMP, i, w] = nodes[i] + halves.argmax(axis=1)
+        best = halves.max(axis=1)
+        right[_LEFT, j, w - 1] = best + weights.diagonal(-w)[lo:]
+        left[_RIGHT, i, w - 1] = best + weights.diagonal(w)[lo:]
+        halves = left[:_INCOMP, i, :w] + right[:_INCOMP, j, w - 1::-1]
+        split[:_INCOMP, i, w] = nodes[i] + _FIRST_SPLIT + halves.argmax(axis=2)
+        comp_l, comp_r = halves.max(axis=2)
+        left[_LEFT, i, w] = right[_INCOMP, j, w] = comp_l
+        left[_INCOMP, i, w] = right[_RIGHT, j, w] = comp_r
+    return left, right, split
 
 
-def _eisner_backtrack(charts, i: int, j: int, direction: int, complete: bool,
-                      heads: list[int]) -> None:
-    _, _, comp_bp, incomp_bp = charts
+def _eisner_backtrack(split: np.ndarray, i: int, j: int, direction: int,
+                      complete: bool, heads: list[int]) -> None:
     if i == j:
         return
     if complete:
-        k = int(comp_bp[i, j, direction])
+        k = int(split[direction, i, j - i])
         if direction == _LEFT:
-            _eisner_backtrack(charts, i, k, _LEFT, True, heads)
-            _eisner_backtrack(charts, k, j, _LEFT, False, heads)
+            _eisner_backtrack(split, i, k, _LEFT, True, heads)
+            _eisner_backtrack(split, k, j, _LEFT, False, heads)
         else:
-            _eisner_backtrack(charts, i, k, _RIGHT, False, heads)
-            _eisner_backtrack(charts, k, j, _RIGHT, True, heads)
+            _eisner_backtrack(split, i, k, _RIGHT, False, heads)
+            _eisner_backtrack(split, k, j, _RIGHT, True, heads)
     else:
-        k = int(incomp_bp[i, j, direction])
+        k = int(split[_INCOMP, i, j - i])
         if direction == _LEFT:
             heads[i - 1] = j
         else:
             heads[j - 1] = i
-        _eisner_backtrack(charts, i, k, _RIGHT, True, heads)
-        _eisner_backtrack(charts, k + 1, j, _LEFT, True, heads)
+        _eisner_backtrack(split, i, k, _RIGHT, True, heads)
+        _eisner_backtrack(split, k + 1, j, _LEFT, True, heads)
 
 
 def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
-    """Highest-scoring projective tree (no crossing arcs)."""
+    """Highest-scoring projective tree (no crossing arcs).
+
+    Raises ``ValueError`` when ``n * max|score|`` over the finite scores
+    overflows: a chart cell sums at most ``n`` arc scores, so below that
+    bound no sum is infinite or NaN and the first best split is exact.
+    """
     n = matrix.n
     if n == 1:
         return ParseTree((0,))
+    with np.errstate(over="ignore"):
+        bound = n * np.abs(matrix.scores[np.isfinite(matrix.scores)]).max()
+    if not np.isfinite(bound):
+        raise ValueError("score range too large for projective decoding")
     weights = _square_weights(matrix)
     heads = [0] * n
     if not single_root:
-        charts = _eisner_chart(weights, 0, n, ban_into_lo=True)
-        _eisner_backtrack(charts, 0, n, _RIGHT, True, heads)
+        _, _, split = _eisner_chart(weights, 0, n)
+        _eisner_backtrack(split, 0, n, _RIGHT, True, heads)
     else:
-        charts = _eisner_chart(weights, 1, n, ban_into_lo=False)
-        comp = charts[0]
-        best = NEG_INF
-        best_m = 1
-        for m in range(1, n + 1):
-            value = weights[0, m] + comp[1, m, _LEFT] + comp[m, n, _RIGHT]
-            if value > best:
-                best = value
-                best_m = m
+        left, right, split = _eisner_chart(weights, 1, n)
+        # Root child m = 1 .. n heads the spans [1, m] and [m, n].
+        value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, n - 1::-1]
+        best_m = 1 + int(np.argmax(value))
         heads[best_m - 1] = 0
-        _eisner_backtrack(charts, 1, best_m, _LEFT, True, heads)
-        _eisner_backtrack(charts, best_m, n, _RIGHT, True, heads)
+        _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)
+        _eisner_backtrack(split, best_m, n, _RIGHT, True, heads)
     return ParseTree(tuple(heads))
 
 

@@ -6,6 +6,11 @@ import pytest
 import cip
 from cip.core import NEG_INF
 from cip.decoder import (
+    _INCOMP,
+    _LEFT,
+    _RIGHT,
+    _eisner_backtrack,
+    _eisner_chart,
     _find_cycle,
     _max_arborescence,
     _square_weights,
@@ -59,6 +64,92 @@ def loop_max_arborescence(weights):
     head, dep = entering[int(sub_parent[c_id])]
     result[dep] = head
     return result
+
+
+def loop_eisner_chart(weights, lo, hi):
+    """The Eisner charts filled span by span and split by split: the
+    reference that ``_eisner_chart`` must match, ties included.  Charts are
+    indexed ``[i, j, direction]``, direction 0 with the head at j."""
+    size = hi + 1
+    comp = np.full((size, size, 2), NEG_INF)
+    incomp = np.full((size, size, 2), NEG_INF)
+    comp_bp = np.zeros((size, size, 2), dtype=int)
+    incomp_bp = np.zeros((size, size, 2), dtype=int)
+    for i in range(lo, hi + 1):
+        comp[i, i, :] = 0.0
+    for span in range(1, hi - lo + 1):
+        for i in range(lo, hi - span + 1):
+            j = i + span
+            split_best, split_k = NEG_INF, i
+            for k in range(i, j):
+                value = comp[i, k, 1] + comp[k + 1, j, 0]
+                if value > split_best:
+                    split_best, split_k = value, k
+            incomp[i, j, 0] = split_best + weights[j, i]
+            incomp[i, j, 1] = split_best + weights[i, j]
+            incomp_bp[i, j, :] = split_k
+            best, best_k = NEG_INF, i
+            for k in range(i, j):
+                value = comp[i, k, 0] + incomp[k, j, 0]
+                if value > best:
+                    best, best_k = value, k
+            comp[i, j, 0], comp_bp[i, j, 0] = best, best_k
+            best, best_k = NEG_INF, i + 1
+            for k in range(i + 1, j + 1):
+                value = incomp[i, k, 1] + comp[k, j, 1]
+                if value > best:
+                    best, best_k = value, k
+            comp[i, j, 1], comp_bp[i, j, 1] = best, best_k
+    return comp, incomp, comp_bp, incomp_bp
+
+
+def chart_by_span(weights, lo, hi):
+    """``_eisner_chart`` laid out as ``loop_eisner_chart``'s four charts."""
+    left, right, split = _eisner_chart(weights, lo, hi)
+    size = hi + 1
+    i, j = np.triu_indices(size)
+    # Complete spans are kept twice: by start in ``left``, by end in ``right``.
+    comp_l, comp_r = left[_LEFT, i, j - i], left[_INCOMP, i, j - i]
+    assert np.array_equal(comp_l, right[_INCOMP, j, j - i])
+    assert np.array_equal(comp_r, right[_RIGHT, j, j - i])
+    comp = np.full((size, size, 2), NEG_INF)
+    comp[i, j, 0], comp[i, j, 1] = comp_l, comp_r
+    comp_bp = np.zeros((size, size, 2), dtype=int)
+    comp_bp[i, j, 0], comp_bp[i, j, 1] = split[_LEFT, i, j - i], split[_RIGHT, i, j - i]
+    incomp_bp = np.zeros((size, size, 2), dtype=int)
+    incomp_bp[i, j, 0] = incomp_bp[i, j, 1] = split[_INCOMP, i, j - i]
+    # Incomplete spans sit at width - 1: head j by end, head i by start.
+    i, j = np.triu_indices(size, 1)
+    incomp = np.full((size, size, 2), NEG_INF)
+    incomp[i, j, 0] = right[_LEFT, j, j - i - 1]
+    incomp[i, j, 1] = left[_RIGHT, i, j - i - 1]
+    return comp, incomp, comp_bp, incomp_bp
+
+
+def loop_projective_heads(matrix, single_root):
+    """Heads backtracked from ``loop_eisner_chart``, the root child of a
+    single-root tree chosen by a strict ``>`` loop."""
+    n = matrix.n
+    weights = _square_weights(matrix)
+    lo = 1 if single_root else 0
+    comp, _, comp_bp, incomp_bp = loop_eisner_chart(weights, lo, n)
+    split = np.zeros((3, n + 1, n + 1), dtype=int)
+    i, j = np.triu_indices(n + 1)
+    split[_LEFT, i, j - i] = comp_bp[i, j, 0]
+    split[_RIGHT, i, j - i] = comp_bp[i, j, 1]
+    split[_INCOMP, i, j - i] = incomp_bp[i, j, 1]
+    heads = [0] * n
+    if not single_root:
+        _eisner_backtrack(split, 0, n, _RIGHT, True, heads)
+        return tuple(heads)
+    best, best_m = NEG_INF, 1
+    for m in range(1, n + 1):
+        value = weights[0, m] + comp[1, m, 0] + comp[m, n, 1]
+        if value > best:
+            best, best_m = value, m
+    _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)
+    _eisner_backtrack(split, best_m, n, _RIGHT, True, heads)
+    return tuple(heads)
 
 
 class TestMstDecode:
@@ -241,6 +332,77 @@ class TestProjectiveDecode:
             assert matrix.tree_score(tree.heads) == pytest.approx(
                 best_in_table(matrix, table), abs=1e-12
             )
+
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, shape: rng.normal(0, 3, shape),
+            lambda rng, shape: rng.normal(0, 900, shape),
+            lambda rng, shape: rng.integers(-2, 3, shape).astype(float),
+        ],
+        ids=["scale3", "scale900", "int-ties"],
+    )
+    def test_single_root_matches_enumeration(self, draw):
+        rng = np.random.default_rng(18)
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            matrix = cip.ScoreMatrix(draw(rng, (n + 1, n)))
+            tree = cip.projective_decode(matrix, single_root=True)
+            assert sum(1 for h in tree.heads if h == 0) == 1
+            assert cip.is_projective(tree.heads)
+            table = projective_tree_table(n)
+            table = table[(table == 0).sum(axis=1) == 1]
+            best = matrix.scores[table, np.arange(n)].sum(axis=1).max()
+            assert matrix.tree_score(tree.heads) == pytest.approx(best, rel=1e-12)
+            assert cip.projective_decode(matrix, single_root=True).heads == tree.heads
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_extreme_scores(self, single_root):
+        # Scores up to 1e300 leave every chart sum finite: still optimal.
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            matrix = cip.ScoreMatrix(rng.uniform(-1e300, 1e300, (n + 1, n)))
+            tree = cip.projective_decode(matrix, single_root=single_root)
+            table = projective_tree_table(n)
+            if single_root:
+                table = table[(table == 0).sum(axis=1) == 1]
+            best = matrix.scores[table, np.arange(n)].sum(axis=1).max()
+            assert matrix.tree_score(tree.heads) == pytest.approx(
+                best, rel=1e-12, abs=1e-12 * n * 1e300
+            )
+        # Near the float limit a sum of n scores overflows; the decoder says so.
+        huge = np.zeros((4, 3))
+        huge[0, 0], huge[2, 1] = 1.5e308, -1.5e308
+        with pytest.raises(ValueError, match="score range"):
+            cip.projective_decode(cip.ScoreMatrix(huge), single_root=single_root)
+
+    def test_chart_matches_loop_reference(self):
+        # Integer scores tie often, so equal split points check the
+        # tie-break of every span; cells that stay -inf have no tree.
+        rng = np.random.default_rng(20)
+        draws = [
+            lambda shape: rng.integers(-2, 3, shape).astype(float),
+            lambda shape: rng.normal(0, 3, shape),
+            lambda shape: rng.normal(0, 900, shape),
+        ]
+        cases = [(int(rng.integers(1, 26)), draws[t % 3]) for t in range(300)]
+        cases.append((80, draws[1]))
+        for n, draw in cases:
+            matrix = cip.ScoreMatrix(draw((n + 1, n)))
+            weights = _square_weights(matrix)
+            for lo in (0, 1):
+                ref = loop_eisner_chart(weights, lo, n)
+                got = chart_by_span(weights, lo, n)
+                for values, pointers in ((0, 2), (1, 3)):
+                    assert np.array_equal(got[values], ref[values])
+                    finite = np.isfinite(ref[values])
+                    assert np.array_equal(got[pointers][finite], ref[pointers][finite])
+            for single_root in (False, True):
+                assert cip.projective_decode(
+                    matrix, single_root=single_root
+                ).heads == loop_projective_heads(matrix, single_root)
 
 
 class TestBruteForce:
