@@ -126,13 +126,12 @@ def chart_by_span(weights, lo, hi):
     return comp, incomp, comp_bp, incomp_bp
 
 
-def loop_projective_heads(matrix, single_root):
-    """Heads backtracked from ``loop_eisner_chart``, the root child of a
-    single-root tree chosen by a strict ``>`` loop."""
-    n = matrix.n
-    weights = _square_weights(matrix)
-    lo = 1 if single_root else 0
-    comp, _, comp_bp, incomp_bp = loop_eisner_chart(weights, lo, n)
+def loop_projective_heads(weights, chart, single_root):
+    """Heads backtracked from ``chart``, a ``loop_eisner_chart`` over
+    [1, n] when ``single_root`` is set (root child chosen by a strict
+    ``>`` loop) and over [0, n] otherwise."""
+    comp, _, comp_bp, incomp_bp = chart
+    n = comp.shape[0] - 1
     split = np.zeros((3, n + 1, n + 1), dtype=int)
     i, j = np.triu_indices(n + 1)
     split[_LEFT, i, j - i] = comp_bp[i, j, 0]
@@ -392,17 +391,17 @@ class TestProjectiveDecode:
         for n, draw in cases:
             matrix = cip.ScoreMatrix(draw((n + 1, n)))
             weights = _square_weights(matrix)
-            for lo in (0, 1):
+            for single_root in (False, True):
+                lo = 1 if single_root else 0
                 ref = loop_eisner_chart(weights, lo, n)
                 got = chart_by_span(weights, lo, n)
                 for values, pointers in ((0, 2), (1, 3)):
                     assert np.array_equal(got[values], ref[values])
                     finite = np.isfinite(ref[values])
                     assert np.array_equal(got[pointers][finite], ref[pointers][finite])
-            for single_root in (False, True):
                 assert cip.projective_decode(
                     matrix, single_root=single_root
-                ).heads == loop_projective_heads(matrix, single_root)
+                ).heads == loop_projective_heads(weights, ref, single_root)
 
 
 class TestBruteForce:
