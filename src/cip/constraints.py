@@ -114,18 +114,37 @@ def class_matrix(
     *,
     root_counts_left: bool = False,
 ) -> np.ndarray:
-    """(n+1) x n int8 grid of arc classes (+1 / -1 / 0), self positions 0."""
-    n = len(sentence)
-    grid = np.zeros((n + 1, n), dtype=np.int8)
-    for dep in range(1, n + 1):
-        for head in range(0, n + 1):
-            if head == dep:
-                continue
-            cls = classify_arc(
-                constraint, sentence, head, dep, root_counts_left=root_counts_left
-            )
-            grid[head, dep - 1] = cls.value
-    return grid
+    """(n+1) x n int8 grid of arc classes (+1 / -1 / 0), self positions 0.
+
+    ``grid[head, dep - 1]`` is ``classify_arc(...).value`` of the arc
+    head -> dep, computed for every arc at once from the sentence's tags.
+    """
+    return _arc_classes(constraint, np.asarray(sentence.upos), root_counts_left)
+
+
+def _arc_classes(
+    constraint: Constraint, upos: np.ndarray, root_counts_left: bool
+) -> np.ndarray:
+    """Class grids of tag arrays of shape ``(..., n)``: one ``class_matrix``
+    grid per row of ``upos``, in an int8 array of shape ``(..., n+1, n)``."""
+    n = upos.shape[-1]
+    # +1 where the head precedes the dependent, -1 where it follows, 0 on
+    # the self positions; the root (row 0) precedes every token.
+    order = np.sign(np.arange(1, n + 1) - np.arange(n + 1)[:, None]).astype(np.int8)
+    if constraint.kind == "unary":
+        grid = order * (upos == constraint.pos)[..., None, :]
+        if not root_counts_left:
+            grid[..., 0, :] = 0
+        return grid
+    # Tag masks over the head positions; the root carries no tag.
+    root = np.zeros(upos.shape[:-1] + (1,), dtype=bool)
+    first = np.concatenate((root, upos == constraint.pos), axis=-1)
+    second = np.concatenate((root, upos == constraint.pos2), axis=-1)
+    # A POS head over a POS2 dependent is positive when the head precedes;
+    # a POS2 head over a POS dependent when the dependent precedes.
+    return order * (first[..., :, None] & second[..., None, 1:]) - order * (
+        second[..., :, None] & first[..., None, 1:]
+    )
 
 
 def arc_counts(
@@ -136,15 +155,45 @@ def arc_counts(
     root_counts_left: bool = False,
 ) -> tuple[int, int]:
     """(positive, negative) arc counts of one head assignment."""
+    n = len(sentence)
+    idx = np.asarray(heads, dtype=int)
+    deps = np.arange(1, idx.size + 1)
+    if deps.size > n or np.any((idx < 0) | (idx > n) | (idx == deps)):
+        raise ValueError(f"invalid head assignment {tuple(heads)} for a {n}-token sentence")
+    grid = _arc_classes(constraint, np.asarray(sentence.upos), root_counts_left)
+    picked = grid[idx, deps - 1]
+    return int((picked == 1).sum()), int((picked == -1).sum())
+
+
+def _by_length(lengths: Sequence[int]) -> dict[int, list[int]]:
+    """Positions grouped by length, each group in ascending order."""
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(lengths):
+        groups.setdefault(n, []).append(k)
+    return groups
+
+
+def _tree_counts(
+    constraint: Constraint,
+    sentences: Sequence[Sentence],
+    heads: Sequence[Sequence[int]],
+    root_counts_left: bool,
+) -> tuple[int, int]:
+    """(positive, negative) arc counts over the trees ``heads`` of
+    ``sentences``, from one stack of class grids per sentence length."""
+    if len(heads) != len(sentences):
+        raise ValueError("trees and corpus differ in length")
+    for sentence, row in zip(sentences, heads):
+        if len(row) != len(sentence):
+            raise ValueError("tree and sentence lengths differ")
     plus = minus = 0
-    for dep, head in enumerate(heads, start=1):
-        cls = classify_arc(
-            constraint, sentence, head, dep, root_counts_left=root_counts_left
-        )
-        if cls is ArcClass.PLUS:
-            plus += 1
-        elif cls is ArcClass.MINUS:
-            minus += 1
+    for n, index in _by_length([len(row) for row in heads]).items():
+        upos = np.array([sentences[k].upos for k in index])
+        grids = _arc_classes(constraint, upos, root_counts_left)
+        rows = np.array([heads[k] for k in index])
+        picked = grids[np.arange(len(index))[:, None], rows, np.arange(n)]
+        plus += int((picked == 1).sum())
+        minus += int((picked == -1).sum())
     return plus, minus
 
 
@@ -157,17 +206,8 @@ def ratio(
 ) -> float | None:
     """Corpus-wide fraction of positive arcs among matched arcs, or None
     when the constraint matches no arc."""
-    if len(trees) != len(corpus):
-        raise ValueError("trees and corpus differ in length")
-    plus = minus = 0
-    for (sentence, _), tree in zip(corpus, trees):
-        if len(tree) != len(sentence):
-            raise ValueError("tree and sentence lengths differ")
-        p, m = arc_counts(
-            constraint, sentence, tree.heads, root_counts_left=root_counts_left
-        )
-        plus += p
-        minus += m
+    heads = [tree.heads for tree in trees]
+    plus, minus = _tree_counts(constraint, corpus.sentences, heads, root_counts_left)
     if plus + minus == 0:
         return None
     return plus / (plus + minus)
@@ -203,17 +243,10 @@ def coverage(
     root_counts_left: bool = False,
 ) -> float:
     """Fraction of arcs the constraint matches among all arcs of the trees."""
-    if len(trees) != len(corpus):
-        raise ValueError("trees and corpus differ in length")
-    matched = 0
-    total = 0
-    for (sentence, _), tree in zip(corpus, trees):
-        p, m = arc_counts(
-            constraint, sentence, tree.heads, root_counts_left=root_counts_left
-        )
-        matched += p + m
-        total += len(sentence)
-    return matched / total if total else 0.0
+    heads = [tree.heads for tree in trees]
+    plus, minus = _tree_counts(constraint, corpus.sentences, heads, root_counts_left)
+    total = sum(len(sentence) for sentence, _ in corpus)
+    return (plus + minus) / total if total else 0.0
 
 
 def phi(
@@ -247,6 +280,16 @@ def _phi_value(constraint: Constraint, direction: Direction, cls: ArcClass) -> f
     return -(1.0 - eff) if cls is ArcClass.PLUS else eff
 
 
+def phi_grid(
+    constraint: Constraint, direction: Direction, classes: np.ndarray
+) -> np.ndarray:
+    """Grid of phi values for one constraint row, from its class grid."""
+    grid = np.zeros(classes.shape, dtype=float)
+    grid[classes == 1] = _phi_value(constraint, direction, ArcClass.PLUS)
+    grid[classes == -1] = _phi_value(constraint, direction, ArcClass.MINUS)
+    return grid
+
+
 def phi_matrix(
     constraint: Constraint,
     direction: Direction,
@@ -256,10 +299,7 @@ def phi_matrix(
 ) -> np.ndarray:
     """(n+1) x n grid of phi values for one constraint row."""
     classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-    grid = np.zeros(classes.shape, dtype=float)
-    grid[classes == 1] = _phi_value(constraint, direction, ArcClass.PLUS)
-    grid[classes == -1] = _phi_value(constraint, direction, ArcClass.MINUS)
-    return grid
+    return phi_grid(constraint, direction, classes)
 
 
 def is_satisfied(constraint: Constraint, measured: float | None) -> bool:

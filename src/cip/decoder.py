@@ -36,7 +36,7 @@ class InfeasibleError(RuntimeError):
 # Chu-Liu/Edmonds maximum spanning arborescence
 # ---------------------------------------------------------------------------
 
-def _find_cycle(parent: np.ndarray, m: int) -> list[int] | None:
+def _find_cycle(parent: Sequence[int], m: int) -> list[int] | None:
     color = [0] * m  # 0 unvisited, 1 on current path, 2 finished
     color[0] = 2
     for start in range(1, m):
@@ -47,7 +47,7 @@ def _find_cycle(parent: np.ndarray, m: int) -> list[int] | None:
         while color[v] == 0:
             color[v] = 1
             path.append(v)
-            v = int(parent[v])
+            v = parent[v]
         if color[v] == 1:
             return path[path.index(v):]
         for u in path:
@@ -62,9 +62,8 @@ def _max_arborescence(weights: np.ndarray) -> np.ndarray:
     node; entry 0 is unused.
     """
     m = weights.shape[0]
-    parent = np.zeros(m, dtype=int)
-    parent[1:] = np.argmax(weights[:, 1:], axis=0)
-    cycle = _find_cycle(parent, m)
+    parent = weights.argmax(axis=0)
+    cycle = _find_cycle(parent.tolist(), m)
     if cycle is None:
         return parent
 
@@ -72,35 +71,72 @@ def _max_arborescence(weights: np.ndarray) -> np.ndarray:
     # argmax below keeps the lowest-index tie-break.  The root is rest[0].
     in_cycle = np.zeros(m, dtype=bool)
     in_cycle[cycle] = True
-    members = np.flatnonzero(in_cycle)
-    rest = np.flatnonzero(~in_cycle)
+    members = in_cycle.nonzero()[0]
+    rest = (~in_cycle).nonzero()[0]
     c_id = len(rest)
-    contracted = np.full((c_id + 1, c_id + 1), NEG_INF)
-    contracted[:c_id, :c_id] = weights[np.ix_(rest, rest)]
+    from_rest = weights.take(rest, axis=0)
+    from_members = weights.take(members, axis=0)
+    contracted = np.empty((c_id + 1, c_id + 1))
+    contracted[c_id, c_id] = NEG_INF
+    contracted[:c_id, :c_id] = from_rest.take(rest, axis=1)
     # Arcs leaving the cycle: the best member head of every outside node.
-    out_arcs = weights[np.ix_(members, rest)]
-    leaving = members[np.argmax(out_arcs, axis=0)]
+    out_arcs = from_members.take(rest, axis=1)
+    leaving = members[out_arcs.argmax(axis=0)]
     contracted[c_id, :c_id] = out_arcs.max(axis=0)
     # Arcs entering the cycle: the best gain over the member's greedy parent.
-    gains = weights[np.ix_(rest, members)] - weights[parent[members], members]
-    entering = members[np.argmax(gains, axis=1)]
+    gains = from_rest.take(members, axis=1) - weights[parent[members], members]
+    entering = members[gains.argmax(axis=1)]
     contracted[:c_id, c_id] = gains.max(axis=1)
 
     sub_parent = _max_arborescence(contracted)
     result = parent.copy()
-    for i in range(1, c_id):
-        p = int(sub_parent[i])
-        result[rest[i]] = leaving[i] if p == c_id else rest[p]
+    # An outside node headed by the contracted node takes its best member
+    # head; the clip only keeps rest.take in range for those nodes.
+    inner = sub_parent[1:c_id]
+    result[rest[1:]] = np.where(
+        inner == c_id, leaving[1:], rest.take(inner, mode="clip")
+    )
     head = int(sub_parent[c_id])
     result[entering[head]] = rest[head]
     return result
 
 
-def _square_weights(matrix: ScoreMatrix) -> np.ndarray:
-    n = matrix.n
+def _square(scores: np.ndarray) -> np.ndarray:
+    """The ``(n+1) x (n+1)`` weights of an ``(n+1) x n`` score array: column
+    0 (arcs into the root) is -inf."""
+    n = scores.shape[1]
     weights = np.full((n + 1, n + 1), NEG_INF)
-    weights[:, 1:] = matrix.scores
+    weights[:, 1:] = scores
     return weights
+
+
+def _square_weights(matrix: ScoreMatrix) -> np.ndarray:
+    """``_square`` of a score matrix, as the decoder tests build weights."""
+    return _square(matrix.scores)
+
+
+def _mst_heads(scores: np.ndarray, single_root: bool = False) -> np.ndarray:
+    """Heads of the best spanning tree over an ``(n+1) x n`` score array
+    whose off-diagonal entries are finite (see ``mst_decode``)."""
+    n = scores.shape[1]
+    if n == 1:
+        return np.zeros(1, dtype=int)
+    weights = _square(scores)
+    if single_root:
+        # Subtract one penalty C from every root arc.  A tree with k > 1
+        # root children becomes a single-root tree by moving k - 1 of them
+        # under the first, which loses at most (k - 1) * (max - min) over
+        # the finite scores; with C above max - min each extra root child
+        # costs more than that, so the optimum has exactly one root child.
+        # Every single-root tree moves by the same C, so they rank as under
+        # the raw scores.
+        finite = scores[np.isfinite(scores)]
+        with np.errstate(over="ignore"):
+            penalty = 1.0 + (finite.max() - finite.min())
+        if not np.isfinite(penalty):
+            raise ValueError("score range too large for single-root decoding")
+        weights[0, 1:] -= penalty
+    return _max_arborescence(weights)[1:]
 
 
 def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
@@ -113,26 +149,7 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     the tree that Chu-Liu/Edmonds selects on the penalised scores, which is
     deterministic but not always the one with the lowest root child.
     """
-    n = matrix.n
-    if n == 1:
-        return ParseTree((0,))
-    weights = _square_weights(matrix)
-    if single_root:
-        # Subtract one penalty C from every root arc.  A tree with k > 1
-        # root children becomes a single-root tree by moving k - 1 of them
-        # under the first, which loses at most (k - 1) * (max - min) over
-        # the finite scores; with C above max - min each extra root child
-        # costs more than that, so the optimum has exactly one root child.
-        # Every single-root tree moves by the same C, so they rank as under
-        # the raw scores.
-        finite = matrix.scores[np.isfinite(matrix.scores)]
-        with np.errstate(over="ignore"):
-            penalty = 1.0 + (finite.max() - finite.min())
-        if not np.isfinite(penalty):
-            raise ValueError("score range too large for single-root decoding")
-        weights[0, 1:] -= penalty
-    parent = _max_arborescence(weights)
-    return ParseTree(tuple(int(h) for h in parent[1:]))
+    return ParseTree(tuple(_mst_heads(matrix.scores, single_root).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +227,17 @@ def _eisner_backtrack(split: np.ndarray, i: int, j: int, direction: int,
         _eisner_backtrack(split, k + 1, j, _LEFT, True, heads)
 
 
-def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
-    """Highest-scoring projective tree (no crossing arcs).
-
-    Raises ``ValueError`` when ``n * max|score|`` over the finite scores
-    overflows: a chart cell sums at most ``n`` arc scores, so below that
-    bound no sum is infinite or NaN and the first best split is exact.
-    """
-    n = matrix.n
+def _projective_heads(scores: np.ndarray, single_root: bool = False) -> list[int]:
+    """Heads of the best projective tree over an ``(n+1) x n`` score array
+    whose off-diagonal entries are finite (see ``projective_decode``)."""
+    n = scores.shape[1]
     if n == 1:
-        return ParseTree((0,))
+        return [0]
     with np.errstate(over="ignore"):
-        bound = n * np.abs(matrix.scores[np.isfinite(matrix.scores)]).max()
+        bound = n * np.abs(scores[np.isfinite(scores)]).max()
     if not np.isfinite(bound):
         raise ValueError("score range too large for projective decoding")
-    weights = _square_weights(matrix)
+    weights = _square(scores)
     heads = [0] * n
     if not single_root:
         _, _, split = _eisner_chart(weights, 0, n)
@@ -237,7 +250,17 @@ def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> Pars
         heads[best_m - 1] = 0
         _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)
         _eisner_backtrack(split, best_m, n, _RIGHT, True, heads)
-    return ParseTree(tuple(heads))
+    return heads
+
+
+def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
+    """Highest-scoring projective tree (no crossing arcs).
+
+    Raises ``ValueError`` when ``n * max|score|`` over the finite scores
+    overflows: a chart cell sums at most ``n`` arc scores, so below that
+    bound no sum is infinite or NaN and the first best split is exact.
+    """
+    return ParseTree(tuple(_projective_heads(matrix.scores, single_root)))
 
 
 def is_projective(heads: Sequence[int]) -> bool:

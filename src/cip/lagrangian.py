@@ -7,6 +7,13 @@ problem decouples and each sentence is decoded independently per iteration.
 Multipliers move by the measured-ratio error, ``lambda += alpha * (r - r_hat)``,
 with a geometrically decaying step size; the loop stops early once every
 measured ratio sits within its margin.
+
+``lr_infer`` groups the sentences by length once per call.  Each bucket
+stacks its scores into a ``(B, n+1, n)`` array and its class grids into a
+``(C, B, n+1, n)`` array, so every iteration augments, checks, scores and
+counts a bucket in a few array steps and decodes its sentences from raw
+arrays.  Per-sentence sums are added in corpus order, so the trace is the
+same as a sentence-by-sentence loop would give.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, class_matrix
+from .constraints import Constraint, _arc_classes, _by_length, class_matrix
 from .core import Corpus, ParseTree, ScoreMatrix, Sentence
-from .decoder import mst_decode, projective_decode
+from .decoder import _mst_heads, _projective_heads
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,26 @@ class DualState:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def _coefficients(constraint: Constraint, classes: np.ndarray) -> np.ndarray:
-    """Per-arc coefficients of a class grid: ``1 - r`` on +1, ``-r`` on -1."""
-    return (classes == 1) - constraint.r * (classes != 0)
+def _adjustment(
+    constraints: Sequence[Constraint], lambdas: Sequence[float], classes: Sequence[np.ndarray]
+) -> np.ndarray | float:
+    """``0.0 + sum(lambda * coef)`` over the nonzero multipliers, in
+    constraint order; 0.0 when every multiplier is 0.
+
+    The coefficient of an arc is ``1 - r`` on class +1, ``-r`` on -1 and 0
+    otherwise, so ``lambda * coef`` is looked up in the three products
+    ``lambda * (0, 1 - r, -r)``, indexed by the class (-1 is the last).
+    ``classes[c]`` may stack the grids of any number of sentences of one
+    length.  Each term is added in place; float addition commutes, so
+    ``term += total`` equals ``total + term``.
+    """
+    total: np.ndarray | float = 0.0
+    for c, lam, grid in zip(constraints, lambdas, classes):
+        if lam != 0.0:
+            term = (lam * np.array([0.0, 1.0 - c.r, -c.r])).take(grid)
+            term += total
+            total = term
+    return total
 
 
 def augment_scores(
@@ -75,13 +99,36 @@ def augment_scores(
     """Add every constraint's multiplier-weighted coefficients to the scores."""
     if len(constraints) != len(lambdas):
         raise ValueError("constraints and lambdas differ in length")
-    adjust = np.zeros_like(matrix.scores)
-    for constraint, lam in zip(constraints, lambdas):
-        if lam == 0.0:
-            continue
-        classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-        adjust += lam * _coefficients(constraint, classes)
+    classes = [class_matrix(c, sentence, root_counts_left=root_counts_left) for c in constraints]
+    adjust = _adjustment(constraints, lambdas, classes)
     return ScoreMatrix(matrix.scores + adjust, sent_id=matrix.sent_id)
+
+
+@dataclass(frozen=True, eq=False)
+class _Bucket:
+    """The corpus sentences of one length n, stacked in corpus order.
+
+    ``index`` holds their corpus positions, ``scores`` is ``(B, n+1, n)``
+    and ``classes`` is ``(C, B, n+1, n)``: constraint first.
+    """
+
+    index: list[int]
+    scores: np.ndarray
+    classes: np.ndarray
+
+
+def _buckets(
+    corpus: Corpus, constraints: Sequence[Constraint], root_counts_left: bool
+) -> list[_Bucket]:
+    buckets = []
+    for n, index in _by_length([matrix.n for matrix in corpus.matrices]).items():
+        upos = np.array([corpus[k][0].upos for k in index])
+        classes = np.zeros((len(constraints), len(index), n + 1, n), dtype=np.int8)
+        for c, constraint in enumerate(constraints):
+            classes[c] = _arc_classes(constraint, upos, root_counts_left)
+        scores = np.stack([corpus[k][1].scores for k in index])
+        buckets.append(_Bucket(index, scores, classes))
+    return buckets
 
 
 def lr_infer(
@@ -103,25 +150,18 @@ def lr_infer(
     ``update_rule`` selects between the accumulating update
     ``lambda += alpha * (r - r_hat)`` (default) and a non-accumulating
     variant ``lambda = alpha * (r_hat - r)`` kept for comparison runs.
+
+    Raises ``ValueError`` when an augmented score overflows, as
+    ``ScoreMatrix`` does for a non-finite score.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     if update_rule not in ("accumulate", "reset"):
         raise ValueError(f"unknown update rule {update_rule!r}")
-    decode = projective_decode if projective else mst_decode
+    decode = _projective_heads if projective else _mst_heads
 
     n_constraints = len(constraints)
-    classes = [
-        [
-            class_matrix(c, sentence, root_counts_left=root_counts_left)
-            for c in constraints
-        ]
-        for sentence, _ in corpus
-    ]
-    coefs = [
-        [_coefficients(c, grid) for c, grid in zip(constraints, grids)]
-        for grids in classes
-    ]
+    buckets = _buckets(corpus, constraints, root_counts_left)
 
     lambdas = np.zeros(n_constraints)
     alpha = params.alpha0
@@ -129,28 +169,38 @@ def lr_infer(
     best: tuple[float, float, list[ParseTree]] | None = None  # (violation, -objective, trees)
 
     for iteration in range(1, params.max_iter + 1):
-        trees: list[ParseTree] = []
-        objective = 0.0
-        dual_value = 0.0
+        all_heads: list[list[int]] = [[]] * len(corpus)
+        objectives = np.zeros(len(corpus))
+        duals = np.zeros(len(corpus))
         plus = np.zeros(n_constraints)
         minus = np.zeros(n_constraints)
-        for k, (sentence, matrix) in enumerate(corpus):
-            if n_constraints and np.any(lambdas != 0.0):
-                adjust = sum(
-                    lam * coef for lam, coef in zip(lambdas, coefs[k]) if lam != 0.0
-                )
-                augmented = ScoreMatrix(matrix.scores + adjust)
-            else:
-                augmented = matrix
-            tree = decode(augmented, single_root=single_root)
-            trees.append(tree)
-            objective += matrix.tree_score(tree.heads)
-            dual_value += augmented.tree_score(tree.heads)
-            cols = np.arange(matrix.n)
-            for c in range(n_constraints):
-                picked = classes[k][c][list(tree.heads), cols]
-                plus[c] += int((picked == 1).sum())
-                minus[c] += int((picked == -1).sum())
+        active = bool(np.any(lambdas != 0.0))
+        for bucket in buckets:
+            augmented = bucket.scores
+            if active:
+                augmented = _adjustment(constraints, lambdas, bucket.classes)
+                augmented += bucket.scores
+                # The n self positions of each sentence are -inf or NaN, so
+                # every other entry is finite iff B * n * n entries are.
+                size, _, n = augmented.shape
+                if np.count_nonzero(np.isfinite(augmented)) != size * n * n:
+                    raise ValueError("non-finite score at a non-self position")
+            heads = np.array([decode(x, single_root) for x in augmented])
+            arcs = (np.arange(len(heads))[:, None], heads, np.arange(heads.shape[1]))
+            objectives[bucket.index] = bucket.scores[arcs].sum(axis=1)
+            duals[bucket.index] = augmented[arcs].sum(axis=1)
+            picked = bucket.classes[(slice(None), *arcs)]
+            plus += (picked == 1).sum(axis=(1, 2))
+            minus += (picked == -1).sum(axis=(1, 2))
+            for k, row in zip(bucket.index, heads.tolist()):
+                all_heads[k] = row
+        trees = [ParseTree(tuple(row)) for row in all_heads]
+        # Sentence by sentence in corpus order, as the sums were first defined.
+        objective = 0.0
+        dual_value = 0.0
+        for value, dual in zip(objectives.tolist(), duals.tolist()):
+            objective += value
+            dual_value += dual
 
         ratios: list[float | None] = []
         violation = 0.0

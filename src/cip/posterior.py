@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, Direction, phi_matrix
+from .constraints import Constraint, Direction, class_matrix, phi_grid
 from .core import ArcDistribution, Corpus, ParseTree, ScoreMatrix, to_distribution
 from .decoder import mst_decode, projective_decode
 
@@ -99,10 +99,9 @@ def build_feature_index(
     for sentence, _ in corpus:
         rows = []
         for c in constraints:
+            classes = class_matrix(c, sentence, root_counts_left=root_counts_left)
             for direction in (Direction.UPPER, Direction.LOWER):
-                grid = phi_matrix(
-                    c, direction, sentence, root_counts_left=root_counts_left
-                )
+                grid = phi_grid(c, direction, classes)
                 heads, cols = np.nonzero(grid)
                 rows.append((heads, cols, grid[heads, cols]))
         entries.append(tuple(rows))

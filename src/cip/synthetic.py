@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import ArcClass, Constraint, classify_arc, ratio
+from .constraints import Constraint, class_matrix, ratio
 from .core import Corpus, ParseTree, ScoreMatrix, Sentence
 
 
@@ -246,11 +246,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, float | N
         for constraint in spec.planted:
             if spec.flip_prob == 0.0:
                 continue
+            classes = class_matrix(constraint, sentence)
             for dep, head in enumerate(heads, start=1):
                 if head == 0:
                     continue
-                cls = classify_arc(constraint, sentence, head, dep)
-                if cls is ArcClass.NEITHER or rng.random() >= spec.flip_prob:
+                if classes[head, dep - 1] == 0 or rng.random() >= spec.flip_prob:
                     continue
                 # Mirror the gold head across the dependent, clipped to the
                 # sentence; for a binary constraint the class does not say

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, classify_arc, ArcClass
+from .constraints import Constraint, _tree_counts
 from .core import Sentence
 
 logger = logging.getLogger(__name__)
@@ -174,18 +174,11 @@ def estimate_ratio(
         chosen = [sentences[int(i)] for i in sorted(picked)]
     else:
         chosen = list(sentences)
-    plus = minus = 0
     for sentence in chosen:
         if sentence.gold_heads is None:
             raise ValueError(f"sentence {sentence.sent_id!r} has no gold heads")
-        for dep, head in enumerate(sentence.gold_heads, start=1):
-            cls = classify_arc(
-                constraint, sentence, head, dep, root_counts_left=root_counts_left
-            )
-            if cls is ArcClass.PLUS:
-                plus += 1
-            elif cls is ArcClass.MINUS:
-                minus += 1
+    heads = [sentence.gold_heads for sentence in chosen]
+    plus, minus = _tree_counts(constraint, chosen, heads, root_counts_left)
     count = plus + minus
     if count == 0:
         return None, 0

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import ArcClass, Direction, arc_counts, phi_matrix
+from cip.constraints import (
+    ArcClass,
+    Direction,
+    _arc_classes,
+    arc_counts,
+    class_matrix,
+    phi_matrix,
+)
 
 from conftest import make_sentence, random_corpus
 
@@ -90,6 +97,74 @@ class TestClassifyArc:
             a = cip.classify_arc(BINARY, s, int(head), int(dep))
             b = cip.classify_arc(BINARY, s, int(dep), int(head))
             assert a is b
+
+
+def loop_class_matrix(constraint, sentence, root_counts_left):
+    """The class grid built arc by arc with ``classify_arc``: the reference
+    that the vectorized ``class_matrix`` must match."""
+    n = len(sentence)
+    grid = np.zeros((n + 1, n), dtype=np.int8)
+    for dep in range(1, n + 1):
+        for head in range(n + 1):
+            if head != dep:
+                cls = cip.classify_arc(
+                    constraint, sentence, head, dep, root_counts_left=root_counts_left
+                )
+                grid[head, dep - 1] = cls.value
+    return grid
+
+
+class TestClassMatrix:
+    def test_matches_classify_arc(self):
+        # "X" is in no sentence, so those constraints match no arc.
+        cons = [
+            UNARY,
+            BINARY,
+            cip.Constraint(id="rev", kind="binary", pos="ADP", pos2="NOUN", r=0.5, theta=0.1),
+            cip.Constraint(id="none", kind="unary", pos="X", r=0.5, theta=0.1),
+            cip.Constraint(id="none2", kind="binary", pos="X", pos2="NOUN", r=0.5, theta=0.1),
+        ]
+        rng = np.random.default_rng(8)
+        corpus = random_corpus(rng, 60, [1, 1, 2, 3, 5, 8, 13], ("NOUN", "ADP", "VERB"))
+        for sentence, _ in corpus:
+            for c in cons:
+                for root_counts_left in (False, True):
+                    got = class_matrix(c, sentence, root_counts_left=root_counts_left)
+                    want = loop_class_matrix(c, sentence, root_counts_left)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+        # Stacked sentences of one length give the stacked grids.
+        for n in (1, 5, 13):
+            group = [s for s, _ in corpus if len(s) == n]
+            upos = np.array([s.upos for s in group])
+            for c in cons:
+                np.testing.assert_array_equal(
+                    _arc_classes(c, upos, True),
+                    np.stack([loop_class_matrix(c, s, True) for s in group]),
+                )
+
+    def test_ratio_and_coverage_match_classify_arc(self):
+        rng = np.random.default_rng(9)
+        corpus = random_corpus(rng, 40, [1, 2, 4, 7, 9], ("NOUN", "ADP", "VERB"))
+        trees = cip.decode_corpus(corpus)
+        for c in (UNARY, BINARY):
+            for root_counts_left in (False, True):
+                classes = [
+                    cip.classify_arc(c, s, h, d, root_counts_left=root_counts_left)
+                    for (s, _), t in zip(corpus, trees)
+                    for h, d in t.arcs()
+                ]
+                plus = classes.count(ArcClass.PLUS)
+                minus = classes.count(ArcClass.MINUS)
+                kw = dict(root_counts_left=root_counts_left)
+                assert cip.ratio(c, corpus, trees, **kw) == plus / (plus + minus)
+                assert cip.coverage(c, corpus, trees, **kw) == (plus + minus) / len(classes)
+
+    def test_arc_counts_rejects_invalid_heads(self):
+        s = make_sentence(("DET", "NOUN"))
+        for heads in ((0, 2), (3, 0), (-1, 0), (2, 0, 1)):
+            with pytest.raises(ValueError):
+                arc_counts(UNARY, s, heads)
 
 
 class TestRatio:

@@ -7,11 +7,97 @@ import pytest
 
 import cip
 from cip.core import NEG_INF
-from cip.lagrangian import write_lr_trace
+from cip.lagrangian import DualState, IterationRecord, write_lr_trace
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
 
 NOUN_LEFT = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=1.0, theta=0.01)
+
+
+def loop_lr_infer(
+    corpus,
+    constraints,
+    params=cip.LrParams(),
+    *,
+    projective=False,
+    single_root=False,
+    root_counts_left=False,
+    update_rule="accumulate",
+):
+    """``lr_infer`` written sentence by sentence, with a ``ScoreMatrix`` and
+    a public decode per sentence and iteration: the reference that the
+    length-bucketed loop must match, floats included."""
+    decode = cip.projective_decode if projective else cip.mst_decode
+    n_constraints = len(constraints)
+    classes = [
+        [cip.constraints.class_matrix(c, s, root_counts_left=root_counts_left) for c in constraints]
+        for s, _ in corpus
+    ]
+    coefs = [
+        [(grid == 1) - c.r * (grid != 0) for c, grid in zip(constraints, grids)]
+        for grids in classes
+    ]
+    lambdas = np.zeros(n_constraints)
+    alpha = params.alpha0
+    state = DualState(lambdas=lambdas)
+    best = None
+    for iteration in range(1, params.max_iter + 1):
+        trees = []
+        objective = 0.0
+        dual_value = 0.0
+        plus = np.zeros(n_constraints)
+        minus = np.zeros(n_constraints)
+        for k, (sentence, matrix) in enumerate(corpus):
+            if n_constraints and np.any(lambdas != 0.0):
+                adjust = sum(
+                    lam * coef for lam, coef in zip(lambdas, coefs[k]) if lam != 0.0
+                )
+                augmented = cip.ScoreMatrix(matrix.scores + adjust)
+            else:
+                augmented = matrix
+            tree = decode(augmented, single_root=single_root)
+            trees.append(tree)
+            objective += matrix.tree_score(tree.heads)
+            dual_value += augmented.tree_score(tree.heads)
+            cols = np.arange(matrix.n)
+            for c in range(n_constraints):
+                picked = classes[k][c][list(tree.heads), cols]
+                plus[c] += int((picked == 1).sum())
+                minus[c] += int((picked == -1).sum())
+        ratios = []
+        violation = 0.0
+        errors = np.zeros(n_constraints)
+        for c, constraint in enumerate(constraints):
+            denom = plus[c] + minus[c]
+            if denom == 0:
+                ratios.append(None)
+                continue
+            measured = plus[c] / denom
+            ratios.append(measured)
+            errors[c] = constraint.r - measured
+            violation = max(violation, abs(errors[c]) - constraint.theta)
+        state.trace.append(
+            IterationRecord(
+                iteration=iteration,
+                alpha=alpha,
+                lambdas=tuple(float(v) for v in lambdas),
+                ratios=tuple(ratios),
+                objective=objective,
+                dual_value=dual_value,
+            )
+        )
+        if violation <= 1e-12:
+            state.lambdas = lambdas
+            return trees, state, True
+        if best is None or (violation, -objective) < (best[0], best[1]):
+            best = (violation, -objective, trees)
+        if update_rule == "accumulate":
+            lambdas = lambdas + alpha * errors
+        else:
+            lambdas = alpha * -errors
+        alpha *= params.eta
+    state.lambdas = lambdas
+    return best[2], state, False
 
 
 class TestParams:
@@ -156,6 +242,61 @@ class TestLrInfer:
             if r.ratios[0] is not None
         )
         assert abs(c.r - measured) - c.theta == pytest.approx(best_excess)
+
+    @pytest.mark.parametrize("update_rule", ["accumulate", "reset"])
+    @pytest.mark.parametrize("projective", [False, True])
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_matches_sentence_loop(self, update_rule, projective, single_root):
+        # Mixed lengths, length-1 sentences, and an ADJ constraint that
+        # matches no arc of these ADJ-free corpora.  Equal traces compare
+        # every float with ==.
+        cons = [
+            cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.8, theta=0.02),
+            cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.3, theta=0.02),
+            cip.Constraint(id="none", kind="unary", pos="ADJ", r=0.5, theta=0.0),
+        ]
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for trial in range(6):
+            corpus = random_corpus(rng, 12, [1, 2, 3, 5, 8, 12])
+            params = cip.LrParams(alpha0=float(rng.choice([2.0, 20.0])), max_iter=12)
+            root_counts_left = bool(trial % 2)
+            kwargs = dict(
+                projective=projective,
+                single_root=single_root,
+                root_counts_left=root_counts_left,
+                update_rule=update_rule,
+            )
+            trees, state, converged = cip.lr_infer(corpus, cons, params, **kwargs)
+            ref_trees, ref_state, ref_converged = loop_lr_infer(corpus, cons, params, **kwargs)
+            assert [t.heads for t in trees] == [t.heads for t in ref_trees]
+            assert state.trace == ref_state.trace
+            assert np.array_equal(state.lambdas, ref_state.lambdas)
+            assert converged == ref_converged
+            assert all(r.ratios[2] is None for r in state.trace)
+            outcomes.add(converged)
+        # A loose band converges at once; check both outcomes are covered.
+        loose = [cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.5, theta=0.5)]
+        trees, state, converged = cip.lr_infer(corpus, loose, **kwargs)
+        ref_trees, ref_state, _ = loop_lr_infer(corpus, loose, **kwargs)
+        assert converged and (trees, state.trace) == (ref_trees, ref_state.trace)
+        outcomes.add(converged)
+        assert outcomes == {True, False}
+
+    def test_overflowing_augmentation_raises(self):
+        # The NOUN heads right, so the first update sets lambda to 1e308;
+        # with coefficient -1 on minus arcs, the -1.5e308 score of the other
+        # minus arc overflows.
+        sentence = make_sentence(("DET", "NOUN", "VERB", "ADV"))
+        scores = np.zeros((5, 4))
+        scores[3, 1] = 2.0
+        scores[4, 1] = -1.5e308
+        corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),) * 3)
+        c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=1.0, theta=0.0)
+        params = cip.LrParams(alpha0=1e308)
+        for infer in (cip.lr_infer, loop_lr_infer):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite score"):
+                infer(corpus, [c], params)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
