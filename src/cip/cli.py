@@ -15,9 +15,12 @@ import sys
 import tempfile
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import constraints as cns
-from . import core, decoder, lagrangian, posterior, synthetic, typology
+from . import core, lagrangian, posterior, synthetic, typology
 from .config import InferenceConfig
+from .view import CorpusView, InferenceResult
 
 
 def _atomic_write(path: str, render: Callable) -> None:
@@ -57,30 +60,6 @@ def _load_constraints(path: str) -> list[cns.Constraint]:
         return cns.load_constraints(handle)
 
 
-def _constraint_report(
-    constraint_list: Sequence[cns.Constraint],
-    corpus: core.Corpus,
-    baseline: Sequence[core.ParseTree],
-    final: Sequence[core.ParseTree],
-    root_counts_left: bool,
-) -> list[dict]:
-    rows = []
-    for constraint in constraint_list:
-        before = cns.ratio(constraint, corpus, baseline, root_counts_left=root_counts_left)
-        after = cns.ratio(constraint, corpus, final, root_counts_left=root_counts_left)
-        rows.append(
-            {
-                "id": constraint.id,
-                "r": constraint.r,
-                "theta": constraint.theta,
-                "ratio_baseline": before,
-                "ratio_final": after,
-                "satisfied": cns.is_satisfied(constraint, after),
-            }
-        )
-    return rows
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.conllu, args.scores)
     config = _load_config(args.config)
@@ -89,70 +68,48 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print("decode: --method lr/pr requires --constraints", file=sys.stderr)
         return 2
 
-    baseline = decoder.decode_corpus(
-        corpus, projective=args.projective, single_root=config.single_root
-    )
-    iterations = 0
-    converged = True
-    if args.method == "baseline":
-        trees = baseline
-    elif args.method == "lr":
-        trees, state, converged = lagrangian.lr_infer(
-            corpus,
-            constraint_list,
-            config.lr,
-            projective=args.projective,
-            single_root=config.single_root,
-            root_counts_left=config.root_counts_left,
-        )
-        iterations = len(state.trace)
-        if args.trace:
-            _atomic_write(
-                args.trace, lambda h: lagrangian.write_lr_trace(state, constraint_list, h)
-            )
+    view = CorpusView.of(corpus, constraint_list, config.root_counts_left)
+    decode = {"projective": args.projective, "single_root": config.single_root}
+    baseline = view.decode(**decode)
+    write_trace = None
+    if args.method == "lr":
+        result = lagrangian.lr_decode(view, config.lr, **decode)
+        write_trace = lambda h: lagrangian.write_lr_trace(result, constraint_list, h)
+    elif args.method == "pr":
+        result = posterior.pr_decode(view, config.pr, **decode)
+        write_trace = lambda h: posterior.write_pr_trace(result.trace, result.labels, h)
     else:
-        result = posterior.pr_decode(
-            corpus,
-            constraint_list,
-            config.pr,
-            projective=args.projective,
-            single_root=config.single_root,
-            root_counts_left=config.root_counts_left,
-        )
-        trees = result.trees
-        iterations = len(result.trace)
-        converged = result.converged
-        if args.trace:
-            _atomic_write(
-                args.trace,
-                lambda h: posterior.write_pr_trace(result.trace, result.labels, h),
-            )
+        result = InferenceResult(view.trees(baseline), np.zeros(0), (), [], True)
+    if args.trace and write_trace:
+        _atomic_write(args.trace, write_trace)
 
-    _atomic_write(args.out, lambda h: core.write_conllu(corpus.sentences, h, trees))
+    _atomic_write(args.out, lambda h: core.write_conllu(corpus.sentences, h, result.trees))
 
+    _, _, ratios_before = view.gather(baseline)
+    objective, _, ratios_after = view.gather(view.stack(result.trees))
+    rows = [
+        {
+            "id": constraint.id,
+            "r": constraint.r,
+            "theta": constraint.theta,
+            "ratio_baseline": before,
+            "ratio_final": after,
+            "satisfied": cns.is_satisfied(constraint, after),
+        }
+        for constraint, before, after in zip(constraint_list, ratios_before, ratios_after)
+    ]
     if args.report:
-        objective = sum(
-            matrix.tree_score(tree.heads) for (_, matrix), tree in zip(corpus, trees)
-        )
         has_gold = all(s.gold_heads is not None for s in corpus.sentences)
         report = {
-            "constraints": _constraint_report(
-                constraint_list, corpus, baseline, trees, config.root_counts_left
-            ),
-            "uas": core.uas(trees, corpus.sentences) if has_gold else None,
+            "constraints": rows,
+            "uas": core.uas(result.trees, corpus.sentences) if has_gold else None,
             "objective": objective,
-            "iterations": iterations,
-            "converged": converged,
+            "iterations": len(result.trace),
+            "converged": result.converged,
         }
         _write_json(args.report, report)
 
-    unsatisfied = [
-        c.id
-        for c in constraint_list
-        if not cns.is_satisfied(
-            c, cns.ratio(c, corpus, trees, root_counts_left=config.root_counts_left)
-        )
-    ]
+    unsatisfied = [row["id"] for row in rows if not row["satisfied"]]
     if unsatisfied:
         print(
             f"warning: constraints not satisfied: {', '.join(unsatisfied)}",

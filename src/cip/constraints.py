@@ -267,27 +267,17 @@ def phi(
     corresponding bound holds.
     """
     cls = classify_arc(constraint, sentence, head, dep, root_counts_left=root_counts_left)
-    return _phi_value(constraint, direction, cls)
+    return float(_phi_table(constraint, direction)[cls.value])
 
 
-def _phi_value(constraint: Constraint, direction: Direction, cls: ArcClass) -> float:
-    if cls is ArcClass.NEITHER:
-        return 0.0
+def _phi_table(constraint: Constraint, direction: Direction) -> np.ndarray:
+    """Values of one constraint row on arcs of class 0, +1 and -1 (the
+    last), so a class grid indexes it directly."""
     if direction is Direction.UPPER:
         eff = constraint.upper
-        return 1.0 - eff if cls is ArcClass.PLUS else -eff
+        return np.array([0.0, 1.0 - eff, -eff])
     eff = constraint.lower
-    return -(1.0 - eff) if cls is ArcClass.PLUS else eff
-
-
-def phi_grid(
-    constraint: Constraint, direction: Direction, classes: np.ndarray
-) -> np.ndarray:
-    """Grid of phi values for one constraint row, from its class grid."""
-    grid = np.zeros(classes.shape, dtype=float)
-    grid[classes == 1] = _phi_value(constraint, direction, ArcClass.PLUS)
-    grid[classes == -1] = _phi_value(constraint, direction, ArcClass.MINUS)
-    return grid
+    return np.array([0.0, -(1.0 - eff), eff])
 
 
 def phi_matrix(
@@ -299,7 +289,7 @@ def phi_matrix(
 ) -> np.ndarray:
     """(n+1) x n grid of phi values for one constraint row."""
     classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-    return phi_grid(constraint, direction, classes)
+    return _phi_table(constraint, direction).take(classes)
 
 
 def is_satisfied(constraint: Constraint, measured: float | None) -> bool:

@@ -110,11 +110,6 @@ def _square(scores: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _square_weights(matrix: ScoreMatrix) -> np.ndarray:
-    """``_square`` of a score matrix, as the decoder tests build weights."""
-    return _square(matrix.scores)
-
-
 def _mst_heads(scores: np.ndarray, single_root: bool = False) -> np.ndarray:
     """Heads of the best spanning tree over an ``(n+1) x n`` score array
     whose off-diagonal entries are finite (see ``mst_decode``)."""

@@ -14,10 +14,13 @@ restores the tree constraint.  ``-log Z`` is concave, so projected
 (stochastic) gradient ascent finds the optimum; each constraint contributes
 an upper and a lower feature row (margins folded into effective ratios).
 
-The dual works in log space on the columns some feature row touches, packed
-once per solve into padded arrays (``PackedColumns``): one vectorized pass
-per step gives every sentence's log Z and gradient.  Trees are decoded from
-``scores - lambda . phi``, which has the same argmax as ``log q``.
+A feature row is a function of the arc class, so ``phi`` is a lookup in a
+three-entry table per row, indexed by the constraint's class grid
+(``FeatureIndex``).  The dual works in log space on the columns some feature
+row touches, packed once per solve into padded arrays (``PackedColumns``):
+one vectorized pass per step gives every sentence's log Z and gradient.
+Trees are decoded from ``scores - lambda . phi``, which has the same argmax
+as ``log q``, with the same table lookups on the ``CorpusView`` buckets.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, Direction, class_matrix, phi_grid
-from .core import ArcDistribution, Corpus, ParseTree, ScoreMatrix, to_distribution
-from .decoder import mst_decode, projective_decode
+from .constraints import Constraint, Direction, _phi_table
+from .core import ArcDistribution, Corpus, ParseTree, to_distribution
+from .view import CorpusView, InferenceResult, _lookup
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -62,28 +65,22 @@ class PrParams:
 
 @dataclass(frozen=True, eq=False)
 class FeatureIndex:
-    """Sparse per-arc feature values, two rows per constraint.
+    """Per-arc feature values as class-table lookups, two rows per constraint.
 
     Row ``2i`` is the upper-bound feature of constraint ``i`` and row
-    ``2i + 1`` the lower-bound feature.  For sentence ``k`` and feature
-    ``f``, ``entries[k][f]`` holds parallel (heads, columns, values) arrays
-    covering exactly the arcs the constraint matches.
+    ``2i + 1`` the lower-bound feature.  ``table[f]`` holds the value of row
+    ``f`` on an arc of class 0, +1 and -1 (the last), and ``classes[k]``
+    the ``(C, n+1, n)`` class grids of sentence ``k``, so row ``f`` on
+    sentence ``k`` is ``table[f].take(classes[k][f // 2])``.
     """
 
     labels: tuple[str, ...]
-    entries: tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]
+    table: np.ndarray
+    classes: tuple[np.ndarray, ...]
 
     @property
     def n_features(self) -> int:
         return len(self.labels)
-
-    def exponent(self, k: int, lambdas: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-        """Per-arc value of ``lambda . phi`` for sentence ``k``."""
-        out = np.zeros(shape)
-        for f, (heads, cols, values) in enumerate(self.entries[k]):
-            if lambdas[f] != 0.0 and heads.size:
-                np.add.at(out, (heads, cols), lambdas[f] * values)
-        return out
 
 
 def build_feature_index(
@@ -92,20 +89,19 @@ def build_feature_index(
     *,
     root_counts_left: bool = False,
 ) -> FeatureIndex:
-    labels = []
-    for c in constraints:
-        labels.extend([f"{c.id}:upper", f"{c.id}:lower"])
-    entries = []
-    for sentence, _ in corpus:
-        rows = []
-        for c in constraints:
-            classes = class_matrix(c, sentence, root_counts_left=root_counts_left)
-            for direction in (Direction.UPPER, Direction.LOWER):
-                grid = phi_grid(c, direction, classes)
-                heads, cols = np.nonzero(grid)
-                rows.append((heads, cols, grid[heads, cols]))
-        entries.append(tuple(rows))
-    return FeatureIndex(labels=tuple(labels), entries=tuple(entries))
+    return _feature_index(CorpusView.of(corpus, constraints, root_counts_left))
+
+
+def _feature_index(view: CorpusView) -> FeatureIndex:
+    """The feature index of ``view``, reading its class grids in place."""
+    rows = [(c, d) for c in view.constraints for d in (Direction.UPPER, Direction.LOWER)]
+    labels = tuple(f"{c.id}:{d.value}" for c, d in rows)
+    table = np.array([_phi_table(c, d) for c, d in rows]).reshape(-1, 3)
+    classes: list[np.ndarray] = [None] * len(view.corpus)  # type: ignore[list-item]
+    for bucket in view.buckets:
+        for b, k in enumerate(bucket.index):
+            classes[k] = bucket.classes[:, b]
+    return FeatureIndex(labels, table, tuple(classes))
 
 
 def log_probs(dist: ArcDistribution) -> np.ndarray:
@@ -156,7 +152,7 @@ class PackedColumns:
 
 def pack_columns(dists: Sequence[ArcDistribution], fi: FeatureIndex) -> PackedColumns:
     """Pack the columns of ``dists`` that ``fi`` touches (see PackedColumns)."""
-    if len(dists) != len(fi.entries):
+    if len(dists) != len(fi.classes):
         raise ValueError("distributions and feature index differ in length")
     width = max((dist.n for dist in dists), default=0) + 1
     none = np.empty(0, dtype=int)
@@ -165,18 +161,17 @@ def pack_columns(dists: Sequence[ArcDistribution], fi: FeatureIndex) -> PackedCo
     sentence, column = [none], [none]
     log_p = [np.empty((0, width))]
     phi = [np.empty((fi.n_features, 0, width))]
-    for k, (dist, rows) in enumerate(zip(dists, fi.entries)):
-        touched = np.unique(np.concatenate([none, *(cols for _, cols, _ in rows)]))
+    rows = np.arange(fi.n_features)
+    for k, (dist, grids) in enumerate(zip(dists, fi.classes)):
+        values = fi.table[rows[:, None, None], grids[rows // 2]]
+        touched = np.flatnonzero(values.any(axis=(0, 1)))
         if touched.size == 0:
             continue
         slots = dist.n + 1
-        grid = np.zeros((fi.n_features, slots, dist.n))
-        for f, (heads, cols, values) in enumerate(rows):
-            grid[f, heads, cols] = values
         packed_log_p = np.full((touched.size, width), -np.inf)
         packed_log_p[:, :slots] = log_probs(dist)[:, touched].T
         packed_phi = np.zeros((fi.n_features, touched.size, width))
-        packed_phi[:, :, :slots] = grid[:, :, touched].transpose(0, 2, 1)
+        packed_phi[:, :, :slots] = values[:, :, touched].transpose(0, 2, 1)
         sentence.append(np.full(touched.size, k))
         column.append(touched)
         log_p.append(packed_log_p)
@@ -344,51 +339,32 @@ def kl_divergence(
     return total
 
 
-@dataclass(frozen=True)
-class PrResult:
-    """Trees decoded under the solved duals, with the dual trace."""
-
-    trees: list[ParseTree]
-    lambdas: np.ndarray
-    trace: list[DualTraceRecord]
-    labels: tuple[str, ...]
-    converged: bool
-
-
 def pr_decode(
-    corpus: Corpus,
-    constraints: Sequence[Constraint],
+    view: CorpusView,
     params: PrParams = PrParams(),
     *,
     projective: bool = False,
     single_root: bool = False,
-    root_counts_left: bool = False,
-) -> PrResult:
-    """Full pipeline: normalize scores, solve the dual, decode.
+) -> InferenceResult:
+    """Full pipeline on ``view``: normalize scores, solve the dual, decode.
 
     Trees are decoded from ``scores - lambda . phi``.  That differs from
     ``log q`` by a constant per dependent column, which shifts every tree's
     score equally, so the argmax is the MAP tree of the reweighted
     distributions; the scores stay finite where ``q`` underflows.
     """
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
-    dists = [to_distribution(matrix) for _, matrix in corpus]
-    fi = build_feature_index(corpus, constraints, root_counts_left=root_counts_left)
-    lambdas, trace = solve_dual(corpus, dists, fi, params)
-    decode = projective_decode if projective else mst_decode
-    trees = []
-    for k, (_, matrix) in enumerate(corpus):
-        shape = matrix.scores.shape
-        reweighted = ScoreMatrix(matrix.scores - fi.exponent(k, lambdas, shape))
-        trees.append(decode(reweighted, single_root=single_root))
-    return PrResult(
-        trees=trees,
-        lambdas=lambdas,
-        trace=trace,
-        labels=fi.labels,
-        converged=bool(trace) and trace[-1].grad_norm < params.grad_tol,
+    dists = [to_distribution(matrix) for _, matrix in view.corpus]
+    fi = _feature_index(view)
+    lambdas, trace = solve_dual(view.corpus, dists, fi, params)
+    # One term per feature row, in row order; row f reads the grid of
+    # constraint f // 2.
+    reweighted = (
+        b.scores - _lookup(lambdas, fi.table, [b.classes[f // 2] for f in range(len(lambdas))])
+        for b in view.buckets
     )
+    heads = view.decode(reweighted, projective=projective, single_root=single_root)
+    converged = bool(trace) and trace[-1].grad_norm < params.grad_tol
+    return InferenceResult(view.trees(heads), lambdas, fi.labels, trace, converged)
 
 
 def pr_infer(
@@ -400,15 +376,9 @@ def pr_infer(
     single_root: bool = False,
     root_counts_left: bool = False,
 ) -> tuple[list[ParseTree], np.ndarray]:
-    """``pr_decode`` reduced to its trees and duals."""
-    result = pr_decode(
-        corpus,
-        constraints,
-        params,
-        projective=projective,
-        single_root=single_root,
-        root_counts_left=root_counts_left,
-    )
+    """``pr_decode`` on the corpus, reduced to its trees and duals."""
+    view = CorpusView.of(corpus, constraints, root_counts_left)
+    result = pr_decode(view, params, projective=projective, single_root=single_root)
     return result.trees, result.lambdas
 
 

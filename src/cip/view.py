@@ -1,0 +1,156 @@
+"""The corpus stacked by sentence length, shared by LR, PR and the report.
+
+LR and PR decode the same way: each constraint gives every arc a +1/-1/0
+class, a weighted three-entry table indexed by that class is added to the
+arc scores, and an ordinary decoder runs on the result.  ``CorpusView``
+groups the sentences by length once per job.  Each bucket stacks its scores
+into a ``(B, n+1, n)`` array and its class grids into a ``(C, B, n+1, n)``
+int8 array, so the table lookup, the finite check and the gather of the
+decoded arcs take a few array steps per bucket, and each sentence is decoded
+from raw arrays.  Per-sentence sums are added in corpus order, so totals are
+the same as a sentence-by-sentence loop gives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .constraints import Constraint, _arc_classes, _by_length
+from .core import Corpus, ParseTree
+from .decoder import _mst_heads, _projective_heads
+
+
+@dataclass(frozen=True)
+class InferenceResult:
+    """Trees decoded under the final multipliers, with the per-iteration
+    trace: ``IterationRecord``s for LR, ``DualTraceRecord``s for PR.
+    ``labels`` names the entries of ``lambdas``."""
+
+    trees: list[ParseTree]
+    lambdas: np.ndarray
+    labels: tuple[str, ...]
+    trace: list
+    converged: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _Bucket:
+    """The corpus sentences of one length n, stacked in corpus order.
+
+    ``index`` holds their corpus positions, ``scores`` is ``(B, n+1, n)``
+    and ``classes`` is ``(C, B, n+1, n)``: constraint first.
+    """
+
+    index: list[int]
+    scores: np.ndarray
+    classes: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusView:
+    """A corpus with its scores and class grids stacked per sentence length.
+
+    Heads travel as one ``(B, n)`` array per bucket, and so do score arrays
+    that stand in for the bucket scores.
+    """
+
+    corpus: Corpus
+    constraints: tuple[Constraint, ...]
+    buckets: tuple[_Bucket, ...]
+
+    @classmethod
+    def of(
+        cls, corpus: Corpus, constraints: Sequence[Constraint], root_counts_left: bool = False
+    ) -> CorpusView:
+        if len(corpus) == 0:
+            raise ValueError("corpus is empty")
+        buckets = []
+        for n, index in _by_length([matrix.n for matrix in corpus.matrices]).items():
+            upos = np.array([corpus[k][0].upos for k in index])
+            classes = np.zeros((len(constraints), len(index), n + 1, n), dtype=np.int8)
+            for c, constraint in enumerate(constraints):
+                classes[c] = _arc_classes(constraint, upos, root_counts_left)
+            scores = np.stack([corpus[k][1].scores for k in index])
+            buckets.append(_Bucket(index, scores, classes))
+        return cls(corpus, tuple(constraints), tuple(buckets))
+
+    def decode(
+        self,
+        scores: Iterable[np.ndarray] | None = None,
+        *,
+        projective: bool = False,
+        single_root: bool = False,
+    ) -> list[np.ndarray]:
+        """Heads of every bucket, decoded from ``scores`` (default: the
+        bucket scores).  Raises ``ValueError`` for a non-finite score at a
+        non-self position, as ``ScoreMatrix`` does."""
+        decode = _projective_heads if projective else _mst_heads
+        heads = []
+        for x in scores or [b.scores for b in self.buckets]:
+            # The n self positions of each sentence are -inf or NaN, so
+            # every other entry is finite iff B * n * n entries are.
+            size, _, n = x.shape
+            if np.count_nonzero(np.isfinite(x)) != size * n * n:
+                raise ValueError("non-finite score at a non-self position")
+            heads.append(np.array([decode(row, single_root) for row in x]))
+        return heads
+
+    def gather(
+        self,
+        heads: Sequence[np.ndarray],
+        weights: Sequence[float] = (),
+        tables: Sequence[np.ndarray] = (),
+    ) -> tuple[float, float, list[float | None]]:
+        """What ``heads`` pick: the picked scores and the picked scores plus
+        ``_lookup(weights, tables, classes)``, each summed sentence by
+        sentence in corpus order (the lookup is elementwise, so no augmented
+        array need be kept), and per constraint the fraction of +1 arcs
+        among its picked matched arcs (None when it matches none)."""
+        sums = np.zeros((2, len(self.corpus)))
+        counts = np.zeros((2, len(self.constraints)))  # +1 arcs, -1 arcs
+        for bucket, rows in zip(self.buckets, heads):
+            arcs = (np.arange(len(rows))[:, None], rows, np.arange(rows.shape[1]))
+            picked = bucket.classes[(slice(None), *arcs)]
+            scores = bucket.scores[arcs]
+            sums[0, bucket.index] = scores.sum(axis=1)
+            sums[1, bucket.index] = (scores + _lookup(weights, tables, picked)).sum(axis=1)
+            counts += [(picked == 1).sum(axis=(1, 2)), (picked == -1).sum(axis=(1, 2))]
+        totals = [0.0, 0.0]
+        for i, row in enumerate(sums):
+            for value in row.tolist():
+                totals[i] += value
+        ratios = [float(p / (p + m)) if p + m else None for p, m in zip(*counts)]
+        return totals[0], totals[1], ratios
+
+    def trees(self, heads: Sequence[np.ndarray]) -> list[ParseTree]:
+        """The trees of ``heads``, in corpus order."""
+        order = [k for bucket in self.buckets for k in bucket.index]
+        rows = [row for block in heads for row in block.tolist()]
+        return [ParseTree(tuple(row)) for _, row in sorted(zip(order, rows))]
+
+    def stack(self, trees: Sequence[ParseTree]) -> list[np.ndarray]:
+        """Corpus-order ``trees`` as heads."""
+        return [np.array([trees[k].heads for k in b.index]) for b in self.buckets]
+
+
+def _lookup(
+    weights: Sequence[float], tables: Sequence[np.ndarray], grids: Sequence[np.ndarray]
+) -> np.ndarray | float:
+    """``0.0 + sum(weight * table[grid])`` over the nonzero weights, in
+    order; 0.0 when every weight is 0.
+
+    Each table has three entries, indexed by the arc class of its grid: 0,
+    +1, and -1 (the last).  A grid may stack the class grids of any number
+    of sentences of one length.  Each term is added in place; float
+    addition commutes, so ``term += total`` equals ``total + term``.
+    """
+    total: np.ndarray | float = 0.0
+    for weight, table, grid in zip(weights, tables, grids):
+        if weight != 0.0:
+            term = (weight * table).take(grid)
+            term += total
+            total = term
+    return total

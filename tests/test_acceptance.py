@@ -13,7 +13,7 @@ and enforces its stated tolerance and runtime budget:
    ratio gap >= 0.3 under oracle constraints, theta = 0.01 (< 5 min)
 7. typology compilation values and byte-stable constraint files
 8. positive correlation (> 0.5) between ratio gap and UAS improvement
-9. shipped defaults: LR 50 / 0.9 / 60 / full batch, PR 1 / 0.98 / 100 / 128
+9. shipped defaults: LR 50 / 0.9 / 60, PR 1 / 0.98 / 100 / 128
 """
 
 import io
@@ -323,7 +323,7 @@ def test_criterion_9_defaults_fidelity():
     pr = cip.PrParams()
     config = cip.InferenceConfig()
     ok = (
-        (lr.alpha0, lr.eta, lr.max_iter, lr.batch) == (50.0, 0.9, 60, "full")
+        (lr.alpha0, lr.eta, lr.max_iter) == (50.0, 0.9, 60)
         and (pr.lr0, pr.decay, pr.max_iter, pr.batch_size) == (1.0, 0.98, 100, 128)
         and config.lr == lr
         and config.pr == pr

@@ -141,6 +141,70 @@ def test_decode_requires_constraints_for_lr(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("report", [False, True], ids=["no-report", "report"])
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+def test_empty_corpus_is_a_clean_error(tmp_path, capsys, method, report):
+    gold = tmp_path / "empty.conllu"
+    scores = tmp_path / "empty.jsonl"
+    constraints = tmp_path / "constraints.json"
+    out = tmp_path / "out.conllu"
+    gold.write_text("")
+    scores.write_text("")
+    constraint = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=0.9, theta=0.01)
+    with open(constraints, "w", encoding="utf-8") as handle:
+        cip.save_constraints([constraint], handle)
+    argv = [
+        "decode",
+        "--conllu", str(gold),
+        "--scores", str(scores),
+        "--constraints", str(constraints),
+        "--method", method,
+        "--out", str(out),
+    ]
+    if report:
+        argv += ["--report", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "cip: corpus is empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+def test_warning_names_exactly_the_unsatisfied_rows(workspace, tmp_path, capsys, method):
+    with open(workspace["constraints"], encoding="utf-8") as handle:
+        (oracle,) = cip.load_constraints(handle)
+    constraints = [
+        oracle,
+        # Always satisfied: the widest band, and a tag that never occurs.
+        cip.Constraint(id="verb-any", kind="unary", pos="VERB", r=0.5, theta=0.5),
+        cip.Constraint(id="pron-none", kind="unary", pos="PRON", r=0.5, theta=0.0),
+        # Not met by the corrupted baseline, which heads some DET tokens left.
+        cip.Constraint(id="det-never-left", kind="unary", pos="DET", r=0.0, theta=0.0),
+    ]
+    path = tmp_path / "four.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        cip.save_constraints(constraints, handle)
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(path),
+            "--method", method,
+            "--out", str(workspace["out"]),
+            "--report", str(workspace["report"]),
+        ]
+    )
+    assert code == 0
+    rows = json.loads(workspace["report"].read_text())["constraints"]
+    assert [row["id"] for row in rows] == [c.id for c in constraints]
+    unsatisfied = [row["id"] for row in rows if not row["satisfied"]]
+    assert not {"verb-any", "pron-none"} & set(unsatisfied)
+    if method == "baseline":
+        assert unsatisfied == ["noun-left", "det-never-left"]
+    warning = f"warning: constraints not satisfied: {', '.join(unsatisfied)}\n"
+    assert capsys.readouterr().err == (warning if unsatisfied else "")
+
+
 def test_estimate_ratios_and_gap(workspace, tmp_path):
     target_report = tmp_path / "target_ratios.json"
     code = main(

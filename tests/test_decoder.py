@@ -13,7 +13,7 @@ from cip.decoder import (
     _eisner_chart,
     _find_cycle,
     _max_arborescence,
-    _square_weights,
+    _square,
     projective_tree_table,
     tree_table,
 )
@@ -190,7 +190,7 @@ class TestMstDecode:
             scores = rng.integers(-2, 3, (n + 1, n)).astype(float)
             if trial % 2:
                 scores = scores + rng.normal(0, 1, scores.shape)
-            weights = _square_weights(cip.ScoreMatrix(scores))
+            weights = _square(cip.ScoreMatrix(scores).scores)
             for penalty in (0.0, 5.0):
                 weights[0, 1:] -= penalty
                 assert np.array_equal(
@@ -390,7 +390,7 @@ class TestProjectiveDecode:
         cases.append((80, draws[1]))
         for n, draw in cases:
             matrix = cip.ScoreMatrix(draw((n + 1, n)))
-            weights = _square_weights(matrix)
+            weights = _square(matrix.scores)
             for single_root in (False, True):
                 lo = 1 if single_root else 0
                 ref = loop_eisner_chart(weights, lo, n)

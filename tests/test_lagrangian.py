@@ -108,7 +108,7 @@ class TestParams:
             cip.LrParams(eta=0)
         with pytest.raises(ValueError):
             cip.LrParams(max_iter=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             cip.LrParams(batch="minibatch")
 
 

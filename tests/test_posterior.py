@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import Direction, phi
+from cip.constraints import Direction, phi, phi_matrix
 from cip.posterior import (
     DualTraceRecord,
     PackedColumns,
     kl_divergence,
     log_probs,
+    pr_decode,
     write_pr_trace,
 )
+from cip.view import CorpusView
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
 
@@ -64,18 +66,27 @@ class TestParams:
             cip.PrParams(optimizer="sgd++")
 
 
+def every_arc(n):
+    """(head, dep) of every arc over n tokens, dependents 1-based."""
+    return [(head, dep) for dep in range(1, n + 1) for head in range(n + 1) if head != dep]
+
+
+FEATURE_ROWS = ((Direction.UPPER, 0), (Direction.LOWER, 1))
+
+
 class TestFeatureIndex:
     def test_labels_and_pointwise_values(self):
         rng = np.random.default_rng(40)
         corpus, _, cons, fi = small_problem(rng)
         assert fi.labels == ("u:upper", "u:lower", "b:upper", "b:lower")
+        assert fi.table.shape == (4, 3)
         for k, (sentence, _) in enumerate(corpus):
             for i, c in enumerate(cons):
-                for f, direction in ((2 * i, Direction.UPPER), (2 * i + 1, Direction.LOWER)):
-                    heads, cols, values = fi.entries[k][f]
-                    for h, j, v in zip(heads, cols, values):
-                        assert v == phi(c, direction, sentence, int(h), int(j) + 1)
-                        assert v != 0.0
+                for direction, offset in FEATURE_ROWS:
+                    f = 2 * i + offset
+                    for head, dep in every_arc(len(sentence)):
+                        value = fi.table[f, fi.classes[k][i][head, dep - 1]]
+                        assert value == phi(c, direction, sentence, head, dep)
 
 
 class TestLogPartition:
@@ -252,9 +263,11 @@ class TestGradient:
         grad = cip.grad_log_partition(corpus, dists, fi, np.zeros(4))
         expected = np.zeros(4)
         for k, (sentence, _) in enumerate(corpus):
-            for f, (heads, cols, values) in enumerate(fi.entries[k]):
-                for h, j, v in zip(heads, cols, values):
-                    expected[f] -= v * dists[k].probs[h, j]
+            for i, c in enumerate(cons):
+                for direction, offset in FEATURE_ROWS:
+                    for head, dep in every_arc(len(sentence)):
+                        value = phi(c, direction, sentence, head, dep)
+                        expected[2 * i + offset] -= value * dists[k].probs[head, dep - 1]
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
     def test_neg_log_partition_concave_along_segments(self):
@@ -415,3 +428,44 @@ def test_trace_csv():
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "iter,grad_norm,neg_log_Z,lambda_c:upper,lambda_c:lower"
     assert len(lines) == 3
+
+
+def loop_pr_trees(corpus, constraints, lambdas, *, projective, single_root):
+    """PR's final decode sentence by sentence: a ``ScoreMatrix`` of
+    ``scores - sum_f lambda_f * phi_matrix`` (feature rows in order,
+    skipping lambda_f = 0), then the public decoder."""
+    decode = cip.projective_decode if projective else cip.mst_decode
+    rows = [(c, direction) for c in constraints for direction, _ in FEATURE_ROWS]
+    trees = []
+    for sentence, matrix in corpus:
+        exponent = np.zeros(matrix.scores.shape)
+        for lam, (c, direction) in zip(lambdas, rows):
+            if lam != 0.0:
+                exponent = exponent + lam * phi_matrix(c, direction, sentence)
+        reweighted = cip.ScoreMatrix(matrix.scores - exponent)
+        trees.append(decode(reweighted, single_root=single_root))
+    return trees
+
+
+@pytest.mark.parametrize("single_root", [False, True])
+@pytest.mark.parametrize("projective", [False, True])
+def test_pr_decode_matches_per_sentence_reference(projective, single_root):
+    # Mixed lengths with a length-1 sentence, a unary + binary pair whose
+    # bands bind, and a constraint that matches no arc.
+    rng = np.random.default_rng(62)
+    constraints = [
+        cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.95, theta=0.01),
+        cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.05, theta=0.01),
+        cip.Constraint(id="none", kind="unary", pos="PRON", r=0.5, theta=0.1),
+    ]
+    corpus, _, _ = ragged_problem(rng, RAGGED_CORPORA["mixed"] * 3, constraints)
+    view = CorpusView.of(corpus, constraints)
+    result = pr_decode(
+        view, cip.PrParams(max_iter=30), projective=projective, single_root=single_root
+    )
+    assert np.all(result.lambdas[:4] > 0)
+    np.testing.assert_array_equal(result.lambdas[4:], 0.0)
+    reference = loop_pr_trees(
+        corpus, constraints, result.lambdas, projective=projective, single_root=single_root
+    )
+    assert [t.heads for t in result.trees] == [t.heads for t in reference]
