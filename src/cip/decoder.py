@@ -8,19 +8,21 @@ solving the corpus-level constrained problem exactly on tiny inputs.
 
 Decoding is deterministic.  Multi-root ties go to the lower head index:
 every argmax, including those over cycle members during contraction, takes
-the first maximum.  ``mst_decode(single_root=True)`` runs the same
-Chu-Liu/Edmonds on scores whose root arcs carry a penalty, so among tied
-single-root optima it returns the tree that decode selects, which is not
-always the one with the lowest root child.  ``projective_decode`` takes the
-first best split point in each span, and with ``single_root`` the lowest
-best root child.
+the first maximum.  ``mst_decode(single_root=True)`` first decodes over all
+trees and keeps that tree when it has exactly one root child, so it then
+returns what the multi-root decode returns.  Otherwise it runs the same
+Chu-Liu/Edmonds again on scores whose root arcs carry a penalty, and among
+tied single-root optima it returns the tree that decode selects, which is
+not always the one with the lowest root child.  ``projective_decode`` takes
+the first best split point in each span, and with ``single_root`` the
+lowest best root child.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,20 +119,23 @@ def _mst_heads(scores: np.ndarray, single_root: bool = False) -> np.ndarray:
     if n == 1:
         return np.zeros(1, dtype=int)
     weights = _square(scores)
-    if single_root:
-        # Subtract one penalty C from every root arc.  A tree with k > 1
-        # root children becomes a single-root tree by moving k - 1 of them
-        # under the first, which loses at most (k - 1) * (max - min) over
-        # the finite scores; with C above max - min each extra root child
-        # costs more than that, so the optimum has exactly one root child.
-        # Every single-root tree moves by the same C, so they rank as under
-        # the raw scores.
-        finite = scores[np.isfinite(scores)]
-        with np.errstate(over="ignore"):
-            penalty = 1.0 + (finite.max() - finite.min())
-        if not np.isfinite(penalty):
-            raise ValueError("score range too large for single-root decoding")
-        weights[0, 1:] -= penalty
+    parent = _max_arborescence(weights)
+    if not single_root or np.count_nonzero(parent[1:] == 0) == 1:
+        # An optimum over all trees that is single-rooted is also optimal
+        # among the single-root trees, which are a subset.
+        return parent[1:]
+    # Subtract one penalty C from every root arc.  A tree with k > 1 root
+    # children becomes a single-root tree by moving k - 1 of them under the
+    # first, which loses at most (k - 1) * (max - min) over the finite
+    # scores; with C above max - min each extra root child costs more than
+    # that, so the optimum has exactly one root child.  Every single-root
+    # tree moves by the same C, so they rank as under the raw scores.
+    finite = scores[np.isfinite(scores)]
+    with np.errstate(over="ignore"):
+        penalty = 1.0 + (finite.max() - finite.min())
+    if not np.isfinite(penalty):
+        raise ValueError("score range too large for single-root decoding")
+    weights[0, 1:] -= penalty
     return _max_arborescence(weights)[1:]
 
 
@@ -138,11 +143,14 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     """Highest-scoring directed spanning tree over all head assignments.
 
     ``single_root`` restricts the root to exactly one child (off by
-    default; multi-root trees are legal).  It costs one arborescence, like
-    the unrestricted decode: a penalty on every root arc makes a second
-    root child never pay.  Among tied single-root optima the decoder returns
-    the tree that Chu-Liu/Edmonds selects on the penalised scores, which is
-    deterministic but not always the one with the lowest root child.
+    default; multi-root trees are legal).  When the best tree over all trees
+    has one root child, that tree is returned, at the cost of the
+    unrestricted decode.  Otherwise a second Chu-Liu/Edmonds runs with a
+    penalty on every root arc, so that a second root child never pays;
+    among tied single-root optima it returns the tree that Chu-Liu/Edmonds
+    selects on the penalised scores, which is deterministic but not always
+    the one with the lowest root child.  That second decode raises
+    ``ValueError`` when the range of the finite scores overflows.
     """
     return ParseTree(tuple(_mst_heads(matrix.scores, single_root).tolist()))
 
@@ -296,33 +304,15 @@ def projective_tree_table(n: int) -> np.ndarray:
     return table[keep]
 
 
-def _iter_trees(n: int) -> Iterator[tuple[int, ...]]:
-    choices = [[h for h in range(n + 1) if h != d] for d in range(1, n + 1)]
-    for heads in product(*choices):
-        if is_tree(heads):
-            yield heads
-
-
 def brute_force_decode(matrix: ScoreMatrix) -> tuple[ParseTree, float]:
-    """Exact optimum by enumeration; guards against n > 8."""
+    """Exact optimum by enumeration of ``tree_table``; guards against n > 6."""
     n = matrix.n
-    if n > 8:
-        raise ValueError(f"brute force limited to n <= 8, got {n}")
-    if n <= _TABLE_MAX_N:
-        table = tree_table(n)
-        totals = matrix.scores[table, np.arange(n)].sum(axis=1)
-        best = int(np.argmax(totals))
-        heads = tuple(int(h) for h in table[best])
-        return ParseTree(heads), matrix.tree_score(heads)
-    best_heads: tuple[int, ...] | None = None
-    best_score = NEG_INF
-    for heads in _iter_trees(n):
-        score = matrix.tree_score(heads)
-        if score > best_score:
-            best_score = score
-            best_heads = heads
-    assert best_heads is not None
-    return ParseTree(best_heads), best_score
+    if n > _TABLE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {_TABLE_MAX_N}, got {n}")
+    table = tree_table(n)
+    totals = matrix.scores[table, np.arange(n)].sum(axis=1)
+    heads = tuple(int(h) for h in table[int(np.argmax(totals))])
+    return ParseTree(heads), matrix.tree_score(heads)
 
 
 def brute_force_constrained(

@@ -105,7 +105,13 @@ def lr_decode(
     best: tuple[float, float, list[np.ndarray]] | None = None  # (violation, -objective, heads)
 
     for iteration in range(1, params.max_iter + 1):
-        augmented = (b.scores + _lookup(lambdas, coefs, b.classes) for b in view.buckets)
+        # While every multiplier is 0 the augmented scores are the bucket
+        # scores (x + 0.0 == x, -inf included), which the view decodes once.
+        augmented = (
+            (b.scores + _lookup(lambdas, coefs, b.classes) for b in view.buckets)
+            if lambdas.any()
+            else None
+        )
         heads = view.decode(augmented, projective=projective, single_root=single_root)
         objective, dual_value, ratios = view.gather(heads, lambdas, coefs)
         violation = 0.0

@@ -357,10 +357,16 @@ def pr_decode(
     fi = _feature_index(view)
     lambdas, trace = solve_dual(view.corpus, dists, fi, params)
     # One term per feature row, in row order; row f reads the grid of
-    # constraint f // 2.
+    # constraint f // 2.  With every dual 0 the scores are unchanged, and
+    # the view decodes them once per job.
     reweighted = (
-        b.scores - _lookup(lambdas, fi.table, [b.classes[f // 2] for f in range(len(lambdas))])
-        for b in view.buckets
+        (
+            b.scores
+            - _lookup(lambdas, fi.table, [b.classes[f // 2] for f in range(len(lambdas))])
+            for b in view.buckets
+        )
+        if lambdas.any()
+        else None
     )
     heads = view.decode(reweighted, projective=projective, single_root=single_root)
     converged = bool(trace) and trace[-1].grad_norm < params.grad_tol

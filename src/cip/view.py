@@ -13,7 +13,7 @@ the same as a sentence-by-sentence loop gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +60,8 @@ class CorpusView:
     corpus: Corpus
     constraints: tuple[Constraint, ...]
     buckets: tuple[_Bucket, ...]
+    # The heads of ``decode()`` without ``scores``, by (projective, single_root).
+    _plain: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(
@@ -85,11 +87,23 @@ class CorpusView:
         single_root: bool = False,
     ) -> list[np.ndarray]:
         """Heads of every bucket, decoded from ``scores`` (default: the
-        bucket scores).  Raises ``ValueError`` for a non-finite score at a
-        non-self position, as ``ScoreMatrix`` does."""
+        bucket scores).  The bucket scores are decoded once per
+        ``(projective, single_root)``; later calls without ``scores`` return
+        the same arrays, which callers must not modify.  Raises
+        ``ValueError`` for a non-finite score at a non-self position, as
+        ``ScoreMatrix`` does."""
+        if scores is None:
+            key = (projective, single_root)
+            if key not in self._plain:
+                self._plain[key] = self.decode(
+                    [b.scores for b in self.buckets],
+                    projective=projective,
+                    single_root=single_root,
+                )
+            return self._plain[key]
         decode = _projective_heads if projective else _mst_heads
         heads = []
-        for x in scores or [b.scores for b in self.buckets]:
+        for x in scores:
             # The n self positions of each sentence are -inf or NaN, so
             # every other entry is finite iff B * n * n entries are.
             size, _, n = x.shape

@@ -8,6 +8,7 @@ import pytest
 
 import cip
 from cip.cli import main
+from cip.core import is_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -458,3 +459,108 @@ def test_missing_file_is_a_clean_error(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkeypatch):
+    # The baseline decode also serves LR's first iteration, whose
+    # multipliers are all 0.
+    calls = []
+    real = cip.view._mst_heads
+    monkeypatch.setattr(
+        cip.view,
+        "_mst_heads",
+        lambda scores, single_root: calls.append(1) or real(scores, single_root),
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lr": {"max_iter": 3, "alpha0": 1e-6}}))
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(workspace["constraints"]),
+            "--method", "lr",
+            "--config", str(config),
+            "--out", str(workspace["out"]),
+            "--report", str(workspace["report"]),
+        ]
+    )
+    assert code == 0
+    iterations = json.loads(workspace["report"].read_text())["iterations"]
+    assert iterations == 3
+    assert len(calls) == SPEC["n_sentences"] * iterations
+
+
+def _extreme_case(name):
+    """Sentences, score grids and constraints of one extreme input."""
+    rng = np.random.default_rng(5)
+    lengths = {"length-1": [1] * 6, "long": [80, 79]}.get(name, [4, 6, 7, 5])
+    pool = ("NOUN", "VERB", "DET", "ADJ")
+    sentences, grids = [], []
+    for k, n in enumerate(lengths):
+        upos = tuple(str(rng.choice(pool)) for _ in range(n))
+        sentences.append(
+            cip.Sentence(
+                forms=tuple(f"w{i}" for i in range(n)),
+                upos=upos,
+                sent_id=f"s{k}",
+                gold_heads=tuple(range(n)),  # a chain from the root
+            )
+        )
+        grids.append(rng.normal(0, 1e6 if name == "scale-1e6" else 2, (n + 1, n)))
+    constraints = [cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=0.9, theta=0.01)]
+    if name == "no-match":
+        constraints = [cip.Constraint(id="pron-left", kind="unary", pos="PRON", r=0.5, theta=0.0)]
+    elif name == "infeasible":
+        constraints = [
+            cip.Constraint(id="noun-never-left", kind="unary", pos="NOUN", r=0.0, theta=0.0),
+            cip.Constraint(id="noun-always-left", kind="unary", pos="NOUN", r=1.0, theta=0.0),
+        ]
+    return sentences, grids, constraints
+
+
+@pytest.mark.parametrize("single_root", [False, True], ids=["multi-root", "single-root"])
+@pytest.mark.parametrize("projective", [False, True], ids=["mst", "eisner"])
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+@pytest.mark.parametrize(
+    "case", ["length-1", "long", "no-match", "infeasible", "scale-1e6"]
+)
+def test_extreme_inputs_end_to_end(tmp_path, capsys, case, method, projective, single_root):
+    sentences, grids, constraints = _extreme_case(case)
+    paths = {name: tmp_path / name for name in ("gold", "scores", "cons", "config", "out")}
+    with open(paths["gold"], "w", encoding="utf-8") as handle:
+        cip.write_conllu(sentences, handle)
+    with open(paths["scores"], "w", encoding="utf-8") as handle:
+        cip.write_scores([cip.ScoreMatrix(grid) for grid in grids], handle)
+    with open(paths["cons"], "w", encoding="utf-8") as handle:
+        cip.save_constraints(constraints, handle)
+    paths["config"].write_text(
+        json.dumps({"single_root": single_root, "lr": {"max_iter": 4}, "pr": {"max_iter": 4}})
+    )
+    argv = [
+        "decode",
+        "--conllu", str(paths["gold"]),
+        "--scores", str(paths["scores"]),
+        "--constraints", str(paths["cons"]),
+        "--config", str(paths["config"]),
+        "--method", method,
+        "--out", str(paths["out"]),
+        "--report", str(tmp_path / "report.json"),
+    ]
+    if projective:
+        argv.append("--projective")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("cip: ")
+        return
+    with open(paths["out"], encoding="utf-8") as handle:
+        decoded = cip.read_conllu(handle)
+    assert [len(s) for s in decoded] == [len(s) for s in sentences]
+    for sentence in decoded:
+        assert is_tree(sentence.gold_heads)
+        if single_root:
+            assert sentence.gold_heads.count(0) == 1
+        if projective:
+            assert cip.is_projective(sentence.gold_heads)

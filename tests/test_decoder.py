@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cip
+from cip import decoder
 from cip.core import NEG_INF
 from cip.decoder import (
     _INCOMP,
@@ -267,6 +268,27 @@ class TestMstDecode:
         with pytest.raises(ValueError, match="score range"):
             cip.mst_decode(huge, single_root=True)
 
+    def test_single_root_huge_range_keeps_single_root_optimum(self):
+        # The range overflows the root penalty, but the best tree over all
+        # trees already has one root child, so it is returned.
+        matrix = cip.ScoreMatrix(np.array([[1.5e308, -1.5e308], [0.0, 0.0], [0.0, 0.0]]))
+        assert cip.mst_decode(matrix, single_root=True).heads == (0, 1)
+
+    def test_single_root_optimum_costs_one_arborescence(self, monkeypatch):
+        calls = []
+        real = decoder._max_arborescence
+        monkeypatch.setattr(
+            decoder, "_max_arborescence", lambda weights: calls.append(1) or real(weights)
+        )
+        one_root = cip.ScoreMatrix(np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
+        assert cip.mst_decode(one_root, single_root=True).heads == (0, 1)
+        assert len(calls) == 1
+        # Two root children: the penalised decode runs as well, and its
+        # greedy heads form the cycle 1 <-> 2, contracted once.
+        two_roots = cip.ScoreMatrix(np.array([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]))
+        assert cip.mst_decode(two_roots, single_root=True).heads == (0, 1)
+        assert len(calls) == 1 + 1 + 2
+
 
 class TestProjectiveDecode:
     def test_single_token(self):
@@ -418,8 +440,8 @@ class TestBruteForce:
         assert objective == pytest.approx(manual, abs=1e-12)
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="n <= 8"):
-            cip.brute_force_decode(cip.ScoreMatrix(np.zeros((10, 9))))
+        with pytest.raises(ValueError, match="n <= 6"):
+            cip.brute_force_decode(cip.ScoreMatrix(np.zeros((8, 7))))
 
     def test_tree_counts(self):
         # Cayley: (n+1)^(n-1) spanning trees over n tokens plus the root.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cip
 from cip.core import is_tree
-from cip.decoder import projective_tree_table, tree_table
+from cip.decoder import _max_arborescence, _square, projective_tree_table, tree_table
 
 VALUES = st.one_of(
     st.integers(-2, 2).map(float),  # ties everywhere
@@ -58,3 +58,19 @@ def test_projective_decode_matches_oracle(matrix, single_root):
         cip.projective_decode, matrix, projective_tree_table(matrix.n), single_root
     )
     assert cip.is_projective(tree.heads)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix=score_matrices())
+def test_single_root_mst_keeps_a_single_root_optimum(matrix):
+    # The multi-root tree when it has one root child, ties included;
+    # otherwise Chu-Liu/Edmonds on the root-penalised weights.
+    tree = cip.mst_decode(matrix, single_root=True)
+    free = cip.mst_decode(matrix)
+    if root_children(free.heads) == 1:
+        assert tree.heads == free.heads
+    else:
+        finite = matrix.scores[np.isfinite(matrix.scores)]
+        weights = _square(matrix.scores)
+        weights[0, 1:] -= 1.0 + (finite.max() - finite.min())
+        assert tree.heads == tuple(_max_arborescence(weights)[1:].tolist())
