@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 NEG_INF = float("-inf")
+# JSON numbers parse to int or float; null (None) is accepted only on self
+# positions: elsewhere it becomes NaN, which ScoreMatrix rejects.
+_SCORE_TYPES = frozenset({int, float, type(None)})
 
 
 class FormatError(ValueError):
@@ -278,7 +283,7 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
             raise FormatError(f"line {lineno}: expected >= 8 tab-separated columns")
         if "-" in cols[0] or "." in cols[0]:
             continue
-        if not cols[0].isdigit():
+        if not cols[0].isdecimal():  # isdigit() also takes "¹", which int() rejects
             raise FormatError(f"line {lineno}: malformed ID {cols[0]!r}")
         rows.append((lineno, cols))
     flush(lineno + 1)
@@ -314,11 +319,62 @@ def write_conllu(
 # Score files (JSON lines)
 # ---------------------------------------------------------------------------
 
+def _load_json_line(line: str, lineno: int) -> Any:
+    """Parse one JSON line: orjson for RFC 8259 text, ``json`` for the rest.
+
+    orjson rejects ``NaN``, ``±Infinity``, numbers that overflow a double and
+    lone surrogates, all of which ``json`` takes; a line that neither takes
+    raises with ``json``'s message.
+    """
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+
+
+def _score_matrix(obj: Any, lineno: int) -> ScoreMatrix:
+    """Check one parsed score line and build its matrix."""
+    try:
+        n = obj["n"]
+        rows = obj["scores"]
+    except (KeyError, TypeError):
+        raise FormatError(f"line {lineno}: expected object with 'n' and 'scores'") from None
+    if type(n) is not int:
+        raise FormatError(f"line {lineno}: 'n' is not an integer")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise FormatError(f"line {lineno}: 'scores' is not a list of rows")
+    if len(rows) != n + 1:
+        raise FormatError(f"line {lineno}: expected {n + 1} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise FormatError(
+                f"line {lineno}: row {i} has {len(row)} entries, expected {n}"
+            )
+    if not _SCORE_TYPES.issuperset(map(type, chain.from_iterable(rows))):
+        raise FormatError(f"line {lineno}: non-numeric score entry")
+    # Self positions go before conversion, so any number may stand there.
+    for dep in range(1, n + 1):
+        rows[dep][dep - 1] = NEG_INF
+    try:
+        scores = np.asarray(rows, dtype=float)
+    except OverflowError:
+        raise FormatError(f"line {lineno}: score entry out of double range") from None
+    try:
+        return ScoreMatrix(scores, sent_id=str(obj.get("sent_id", "")))
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+
+
 def read_scores(stream: IO[str] | Iterable[str]) -> list[ScoreMatrix]:
     """Parse a JSON-lines score file: one object per sentence with keys
-    ``sent_id``, ``n`` and ``scores`` ((n+1) rows of n entries).
+    ``sent_id``, ``n`` (an integer) and ``scores`` ((n+1) rows of n numbers).
 
-    Self positions are overwritten with ``-inf`` regardless of file content.
+    Self positions may hold any number, ``null``, ``NaN`` or ``±Infinity``;
+    they are overwritten with ``-inf`` regardless of file content.
     """
     matrices: list[ScoreMatrix] = []
     for lineno, raw in enumerate(stream, start=1):
@@ -326,34 +382,10 @@ def read_scores(stream: IO[str] | Iterable[str]) -> list[ScoreMatrix]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        try:
-            n = int(obj["n"])
-            rows = obj["scores"]
-        except (KeyError, TypeError, ValueError):
-            raise FormatError(f"line {lineno}: expected object with 'n' and 'scores'") from None
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise FormatError(f"line {lineno}: 'scores' is not a list of rows")
-        if len(rows) != n + 1:
-            raise FormatError(f"line {lineno}: expected {n + 1} rows, got {len(rows)}")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise FormatError(
-                    f"line {lineno}: row {i} has {len(row)} entries, expected {n}"
-                )
-        try:
-            scores = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError):
-            raise FormatError(f"line {lineno}: non-numeric score entry") from None
-        deps = np.arange(1, n + 1)
-        scores[deps, deps - 1] = NEG_INF
-        try:
-            matrix = ScoreMatrix(scores, sent_id=str(obj.get("sent_id", "")))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        matrices.append(matrix)
+            matrices.append(_score_matrix(_load_json_line(line, lineno), lineno))
+        except RecursionError:
+            # json.loads, or str() of a deeply nested sent_id
+            raise FormatError(f"line {lineno}: JSON nested too deeply") from None
     return matrices
 
 

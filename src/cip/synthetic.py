@@ -149,6 +149,18 @@ def _plant_binary(
 ) -> None:
     count = round(weight * total_tokens)
     n_plus = round(constraint.r * count)
+    neighbours: dict[tuple[int, int], list[int]] = {}
+    for k, head, dep in arcs:
+        neighbours.setdefault((k, head), []).append(dep)
+        neighbours.setdefault((k, dep), []).append(head)
+    partner = {constraint.pos: constraint.pos2, constraint.pos2: constraint.pos}
+
+    def joins_another(k: int, token: int, pos: str, other: int) -> bool:
+        # Tagging ``token`` with ``pos`` would make a second gold arc match.
+        return any(
+            tags[k][x - 1] == partner[pos] for x in neighbours[(k, token)] if x != other
+        )
+
     order = rng.permutation(len(arcs))
     placed_plus = placed_minus = 0
     for i in order:
@@ -158,13 +170,17 @@ def _plant_binary(
         if tags[k][head - 1] is not None or tags[k][dep - 1] is not None:
             continue
         left, right = min(head, dep), max(head, dep)
-        if placed_plus < n_plus:
-            tags[k][left - 1] = constraint.pos
-            tags[k][right - 1] = constraint.pos2
+        plus = placed_plus < n_plus
+        first, second = (
+            (constraint.pos, constraint.pos2) if plus else (constraint.pos2, constraint.pos)
+        )
+        if joins_another(k, left, first, right) or joins_another(k, right, second, left):
+            continue
+        tags[k][left - 1] = first
+        tags[k][right - 1] = second
+        if plus:
             placed_plus += 1
         else:
-            tags[k][left - 1] = constraint.pos2
-            tags[k][right - 1] = constraint.pos
             placed_minus += 1
     if placed_plus + placed_minus < count:
         raise ValueError(

@@ -73,6 +73,15 @@ class TestReadConllu:
         (sentence,) = cip.read_conllu(io.StringIO(text))
         assert sentence.forms == ("a", "b")
 
+    def test_superscript_id_is_a_format_error(self):
+        # "¹".isdigit() is true, but int("¹") raises a bare ValueError.
+        text = (
+            "1\ta\t_\tDET\t_\t_\t2\tdet\t_\t_\n"
+            "\u00b9\tb\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+        )
+        with pytest.raises(cip.FormatError, match=r"line 2: malformed ID"):
+            cip.read_conllu(io.StringIO(text))
+
     def test_roundtrip_preserves_consumed_fields(self):
         first = cip.read_conllu(io.StringIO(CONLLU_TWO))
         out = io.StringIO()
@@ -104,6 +113,55 @@ class TestScoreFile:
         line = '{"n": 2, "scores": [[1, 2], [0, 3], [Infinity, 0]]}\n'
         with pytest.raises(cip.FormatError, match=r"line 1.*non-finite"):
             cip.read_scores(io.StringIO(line))
+
+    def test_bool_score_rejected(self):
+        line = '{"n": 2, "scores": [[true, 1.5], [0, 3], [4, 0]]}\n'
+        with pytest.raises(cip.FormatError, match=r"line 1: non-numeric score entry"):
+            cip.read_scores(io.StringIO(line))
+
+    def test_string_score_rejected(self):
+        line = '{"n": 2, "scores": [[1, "1.5"], [0, 3], [4, 0]]}\n'
+        with pytest.raises(cip.FormatError, match=r"line 1: non-numeric score entry"):
+            cip.read_scores(io.StringIO(line))
+
+    def test_string_on_self_position_rejected(self):
+        line = '{"n": 2, "scores": [[1, 2], ["x", 3], [4, 0]]}\n'
+        with pytest.raises(cip.FormatError, match=r"line 1: non-numeric score entry"):
+            cip.read_scores(io.StringIO(line))
+
+    @pytest.mark.parametrize("n", ["2.7", '"2"', "true", "2.0", "null"])
+    def test_non_integer_n_rejected(self, n):
+        line = '{"n": %s, "scores": [[1, 2], [0, 3], [4, 0]]}\n' % n
+        with pytest.raises(cip.FormatError, match=r"line 1: 'n' is not an integer"):
+            cip.read_scores(io.StringIO(line))
+
+    def test_self_positions_take_any_number(self):
+        line = '{"n": 3, "scores": [[1, 2, 3], [null, 4, 5], [6, NaN, 7], [8, 9, %s]]}\n' % (
+            "9" * 400
+        )
+        (matrix,) = cip.read_scores(io.StringIO(line))
+        assert matrix.scores[0, 0] == 1.0
+        assert (matrix.scores[[1, 2, 3], [0, 1, 2]] == NEG_INF).all()
+        line = line.replace("NaN", "-Infinity").replace("null", "1e400")
+        (again,) = cip.read_scores(io.StringIO(line))
+        np.testing.assert_array_equal(again.scores, matrix.scores)
+
+    def test_null_off_diagonal_is_non_finite(self):
+        line = '{"n": 2, "scores": [[1, null], [0, 3], [4, 0]]}\n'
+        with pytest.raises(cip.FormatError, match=r"line 1: non-finite"):
+            cip.read_scores(io.StringIO(line))
+
+    def test_integer_past_double_range_off_diagonal(self):
+        line = '{"n": 1, "scores": [[%s], [0]]}\n' % ("9" * 400)
+        with pytest.raises(cip.FormatError, match=r"line 1: score entry out of double range"):
+            cip.read_scores(io.StringIO(line))
+
+    def test_invalid_json_message_kept(self):
+        lines = ['{"n": 1, "scores": [[1], [0]]}\n', '{"n": 1, "scores": [[1], [0]]\n']
+        with pytest.raises(
+            cip.FormatError, match=r"^line 2: invalid JSON \(Expecting ',' delimiter\)$"
+        ):
+            cip.read_scores(lines)
 
     def test_roundtrip_full_precision(self):
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cip
+from cip.constraints import arc_counts
 
 
 POS = (("NOUN", 0.3), ("VERB", 0.25), ("DET", 0.25), ("ADJ", 0.2))
@@ -98,6 +99,34 @@ class TestGeneration:
         )
         corpus, true_ratios = cip.generate_synthetic(spec)
         assert abs(true_ratios["noun-adp"] - 0.8) <= 0.05
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_binary_ratio_is_exact(self, seed):
+        # Planting skips arcs whose tags would make a neighbouring gold arc
+        # match as well, so the gold trees match exactly the placed arcs.
+        spec = cip.SyntheticSpec(
+            n_sentences=50,
+            min_len=5,
+            max_len=15,
+            pos_weights=POS,
+            planted=(
+                cip.Constraint(
+                    id="adj-noun", kind="binary", pos="ADJ", pos2="NOUN",
+                    r=0.8, theta=0.0,
+                ),
+            ),
+            seed=seed,
+        )
+        corpus, true_ratios = cip.generate_synthetic(spec)
+        tokens = sum(len(s) for s in corpus.sentences)
+        count = round(dict(POS)["ADJ"] * tokens)
+        placed_plus = round(0.8 * count)
+        matched = [
+            arc_counts(spec.planted[0], s, s.gold_heads) for s in corpus.sentences
+        ]
+        assert sum(p for p, _ in matched) == placed_plus
+        assert sum(m for _, m in matched) == count - placed_plus
+        assert true_ratios["adj-noun"] == placed_plus / count
 
     def test_infeasible_planting(self):
         # Length-2 sentences have at most one non-root arc, half of them
