@@ -212,6 +212,13 @@ def pair_corpus(sentences: Sequence[Sentence], matrices: Sequence[ScoreMatrix]) 
 # CoNLL-U
 # ---------------------------------------------------------------------------
 
+def _is_ascii_number(text: str) -> bool:
+    """True iff ``text`` is nonempty and all ASCII digits.  ``int`` also
+    takes signs, underscores, surrounding spaces and other scripts' digits
+    (such as "١"), and ``str.isdecimal`` takes those digits too."""
+    return text.isascii() and text.isdecimal()
+
+
 def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
     """Parse CoNLL-U text into sentences.
 
@@ -241,11 +248,10 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
             if cols[6] == "_":
                 annotated = False
                 heads.append(0)
+            elif _is_ascii_number(cols[6]):
+                heads.append(int(cols[6]))
             else:
-                try:
-                    heads.append(int(cols[6]))
-                except ValueError:
-                    raise FormatError(f"line {lineno}: HEAD {cols[6]!r} is not an integer") from None
+                raise FormatError(f"line {lineno}: HEAD {cols[6]!r} is not a nonnegative integer")
             labels.append(cols[7])
         n = len(rows)
         if annotated:
@@ -283,7 +289,7 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
             raise FormatError(f"line {lineno}: expected >= 8 tab-separated columns")
         if "-" in cols[0] or "." in cols[0]:
             continue
-        if not cols[0].isdecimal():  # isdigit() also takes "¹", which int() rejects
+        if not _is_ascii_number(cols[0]):
             raise FormatError(f"line {lineno}: malformed ID {cols[0]!r}")
         rows.append((lineno, cols))
     flush(lineno + 1)

@@ -18,13 +18,13 @@ returned iterate.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .constraints import Constraint, class_matrix
-from .core import Corpus, ParseTree, ScoreMatrix, Sentence
+from .core import Corpus, ScoreMatrix, Sentence
 from .view import CorpusView, InferenceResult, _lookup
 
 
@@ -56,12 +56,6 @@ class IterationRecord:
     dual_value: float
 
 
-@dataclass
-class DualState:
-    lambdas: np.ndarray
-    trace: list[IterationRecord] = field(default_factory=list)
-
-
 def _coefficients(constraints: Sequence[Constraint]) -> np.ndarray:
     """One ``(0, 1 - r, -r)`` row per constraint: the coefficient of an arc
     of class 0, +1 and -1, so ``lambda * coef`` is a table lookup."""
@@ -90,12 +84,9 @@ def lr_decode(
     *,
     projective: bool = False,
     single_root: bool = False,
-    update_rule: str = "accumulate",
 ) -> InferenceResult:
     """Iterate augmented decoding over ``view`` until all ratio constraints
     hold (see ``lr_infer``).  ``labels`` are the constraint ids."""
-    if update_rule not in ("accumulate", "reset"):
-        raise ValueError(f"unknown update rule {update_rule!r}")
     constraints = view.constraints
     labels = tuple(c.id for c in constraints)
     coefs = _coefficients(constraints)
@@ -138,10 +129,7 @@ def lr_decode(
         if best is None or (violation, -objective) < (best[0], best[1]):
             best = (violation, -objective, heads)
 
-        if update_rule == "accumulate":
-            lambdas = lambdas + alpha * errors
-        else:
-            lambdas = alpha * -errors
+        lambdas = lambdas + alpha * errors
         alpha *= params.eta
 
     assert best is not None
@@ -156,37 +144,29 @@ def lr_infer(
     projective: bool = False,
     single_root: bool = False,
     root_counts_left: bool = False,
-    update_rule: str = "accumulate",
-) -> tuple[list[ParseTree], DualState, bool]:
+) -> InferenceResult:
     """Iterate augmented decoding until all ratio constraints hold.
 
-    Returns the decoded trees, the multiplier state with its per-iteration
-    trace, and whether the loop converged.  At the iteration cap the
+    Returns an ``InferenceResult``: the decoded trees, the final
+    multipliers, the per-iteration trace, and whether the loop converged.  At the iteration cap the
     least-violating iterate is returned (ties broken by higher objective).
-
-    ``update_rule`` selects between the accumulating update
-    ``lambda += alpha * (r - r_hat)`` (default) and a non-accumulating
-    variant ``lambda = alpha * (r_hat - r)`` kept for comparison runs.
 
     Raises ``ValueError`` when an augmented score overflows, as
     ``ScoreMatrix`` does for a non-finite score.
     """
     view = CorpusView.of(corpus, constraints, root_counts_left)
-    result = lr_decode(
-        view, params, projective=projective, single_root=single_root, update_rule=update_rule
-    )
-    return result.trees, DualState(result.lambdas, result.trace), result.converged
+    return lr_decode(view, params, projective=projective, single_root=single_root)
 
 
 def write_lr_trace(
-    state: DualState | InferenceResult, constraints: Sequence[Constraint], stream: IO[str]
+    result: InferenceResult, constraints: Sequence[Constraint], stream: IO[str]
 ) -> None:
-    """One CSV row per (iteration, constraint) of ``state.trace``."""
+    """One CSV row per (iteration, constraint) of ``result.trace``."""
     writer = csv.writer(stream)
     writer.writerow(
         ["iter", "constraint_id", "r_target", "r_measured", "lambda", "alpha", "objective"]
     )
-    for record in state.trace:
+    for record in result.trace:
         for c, constraint in enumerate(constraints):
             measured = record.ratios[c]
             writer.writerow(

@@ -15,24 +15,25 @@ restores the tree constraint.  ``-log Z`` is concave, so projected
 an upper and a lower feature row (margins folded into effective ratios).
 
 A feature row is a function of the arc class, so ``phi`` is a lookup in a
-three-entry table per row, indexed by the constraint's class grid
-(``FeatureIndex``).  The dual works in log space on the columns some feature
-row touches, packed once per solve into padded arrays (``PackedColumns``):
-one vectorized pass per step gives every sentence's log Z and gradient.
-Trees are decoded from ``scores - lambda . phi``, which has the same argmax
-as ``log q``, with the same table lookups on the ``CorpusView`` buckets.
+three-entry table per row, indexed by the constraint's class grid in the
+``CorpusView`` buckets.  The dual works in log space on the columns some
+feature row touches, packed once per solve straight from the buckets into
+padded arrays (``PackedColumns``): one vectorized pass per step gives every
+sentence's log Z and gradient.  Trees are decoded from
+``scores - lambda . phi``, which has the same argmax as ``log q``, with the
+same table lookups on the buckets.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .constraints import Constraint, Direction, _phi_table
-from .core import ArcDistribution, Corpus, ParseTree, to_distribution
+from .core import ArcDistribution, Corpus
 from .view import CorpusView, InferenceResult, _lookup
 
 _ADAM_BETA1 = 0.9
@@ -64,63 +65,22 @@ class PrParams:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureIndex:
-    """Per-arc feature values as class-table lookups, two rows per constraint.
-
-    Row ``2i`` is the upper-bound feature of constraint ``i`` and row
-    ``2i + 1`` the lower-bound feature.  ``table[f]`` holds the value of row
-    ``f`` on an arc of class 0, +1 and -1 (the last), and ``classes[k]``
-    the ``(C, n+1, n)`` class grids of sentence ``k``, so row ``f`` on
-    sentence ``k`` is ``table[f].take(classes[k][f // 2])``.
-    """
-
-    labels: tuple[str, ...]
-    table: np.ndarray
-    classes: tuple[np.ndarray, ...]
-
-    @property
-    def n_features(self) -> int:
-        return len(self.labels)
-
-
-def build_feature_index(
-    corpus: Corpus,
-    constraints: Sequence[Constraint],
-    *,
-    root_counts_left: bool = False,
-) -> FeatureIndex:
-    return _feature_index(CorpusView.of(corpus, constraints, root_counts_left))
-
-
-def _feature_index(view: CorpusView) -> FeatureIndex:
-    """The feature index of ``view``, reading its class grids in place."""
-    rows = [(c, d) for c in view.constraints for d in (Direction.UPPER, Direction.LOWER)]
-    labels = tuple(f"{c.id}:{d.value}" for c, d in rows)
-    table = np.array([_phi_table(c, d) for c, d in rows]).reshape(-1, 3)
-    classes: list[np.ndarray] = [None] * len(view.corpus)  # type: ignore[list-item]
-    for bucket in view.buckets:
-        for b, k in enumerate(bucket.index):
-            classes[k] = bucket.classes[:, b]
-    return FeatureIndex(labels, table, tuple(classes))
-
-
-def log_probs(dist: ArcDistribution) -> np.ndarray:
-    p = dist.probs
-    out = np.full_like(p, -np.inf)
-    np.log(p, out=out, where=p > 0)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
 class PackedColumns:
     """The dependent columns that some feature row touches, packed once.
 
     Packed column ``t`` is dependent ``column[t]`` (0-based) of sentence
-    ``sentence[t]``.  ``log_p[t]`` holds its ``log p(head | dep)`` over
-    ``n_max + 1`` head slots, padded with ``-inf``, and ``phi[f, t]`` the
-    values of feature row ``f`` on the same slots, 0 on padding.  Columns no
-    row touches are left out: ``lambda`` does not reweight them, so their
-    share of log Z is exactly ``log 1 = 0`` and of the gradient 0.
+    ``sentence[t]``, in corpus order.  ``log_p[t]`` holds its
+    ``log p(head | dep)`` over ``n_max + 1`` head slots, padded with
+    ``-inf``, and ``phi[f, t]`` the values of feature row ``f`` on the same
+    slots, 0 on padding.  Columns no row touches are left out: ``lambda``
+    does not reweight them, so their share of log Z is exactly
+    ``log 1 = 0`` and of the gradient 0.
+
+    Row ``2i`` is the upper-bound feature of constraint ``i`` and row
+    ``2i + 1`` the lower-bound feature; ``labels`` names them.
+    ``table[f]`` holds the value of row ``f`` on an arc of class 0, +1 and
+    -1 (the last), so row ``f`` is ``table[f]`` indexed by the class grid
+    of constraint ``f // 2``.
     """
 
     log_p: np.ndarray
@@ -128,6 +88,8 @@ class PackedColumns:
     sentence: np.ndarray
     column: np.ndarray
     n_sentences: int
+    labels: tuple[str, ...]
+    table: np.ndarray
 
     def evaluate(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pass over all packed columns at ``lambdas``.
@@ -150,79 +112,62 @@ class PackedColumns:
         return log_z, grads, q
 
 
-def pack_columns(dists: Sequence[ArcDistribution], fi: FeatureIndex) -> PackedColumns:
-    """Pack the columns of ``dists`` that ``fi`` touches (see PackedColumns)."""
-    if len(dists) != len(fi.classes):
-        raise ValueError("distributions and feature index differ in length")
-    width = max((dist.n for dist in dists), default=0) + 1
+def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The labels and ``(F, 3)`` value table of the feature rows (see
+    PackedColumns)."""
+    rows = [(c, d) for c in constraints for d in (Direction.UPPER, Direction.LOWER)]
+    labels = tuple(f"{c.id}:{d.value}" for c, d in rows)
+    return labels, np.array([_phi_table(c, d) for c, d in rows]).reshape(-1, 3)
+
+
+def _head_probs(scores: np.ndarray) -> np.ndarray:
+    """Softmax of a ``(B, n+1, n)`` score stack over its head axis, in the
+    steps of ``core.to_distribution``, so each sentence's slice equals its
+    ``ArcDistribution`` bit for bit."""
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def pack_columns(view: CorpusView) -> PackedColumns:
+    """Pack the columns of ``view`` that some feature row touches (see
+    PackedColumns), one length bucket at a time."""
+    labels, table = _feature_rows(view.constraints)
+    features = np.arange(len(labels))
+    width = max(bucket.scores.shape[2] for bucket in view.buckets) + 1
     none = np.empty(0, dtype=int)
     # Each list starts with an empty block so that concatenation works when
     # nothing is touched.
     sentence, column = [none], [none]
     log_p = [np.empty((0, width))]
-    phi = [np.empty((fi.n_features, 0, width))]
-    rows = np.arange(fi.n_features)
-    for k, (dist, grids) in enumerate(zip(dists, fi.classes)):
-        values = fi.table[rows[:, None, None], grids[rows // 2]]
-        touched = np.flatnonzero(values.any(axis=(0, 1)))
-        if touched.size == 0:
+    phi = [np.empty((len(labels), 0, width))]
+    for bucket in view.buckets:
+        values = table[features[:, None, None, None], bucket.classes[features // 2]]
+        b, j = np.nonzero(values.any(axis=(0, 2)))
+        if b.size == 0:
             continue
-        slots = dist.n + 1
-        packed_log_p = np.full((touched.size, width), -np.inf)
-        packed_log_p[:, :slots] = log_probs(dist)[:, touched].T
-        packed_phi = np.zeros((fi.n_features, touched.size, width))
-        packed_phi[:, :, :slots] = values[:, :, touched].transpose(0, 2, 1)
-        sentence.append(np.full(touched.size, k))
-        column.append(touched)
+        slots = bucket.scores.shape[1]
+        probs = _head_probs(bucket.scores).transpose(0, 2, 1)[b, j]
+        packed_log_p = np.full((b.size, width), -np.inf)
+        np.log(probs, out=packed_log_p[:, :slots], where=probs > 0)
+        packed_phi = np.zeros((len(labels), b.size, width))
+        packed_phi[:, :, :slots] = values.transpose(0, 1, 3, 2)[:, b, j]
+        sentence.append(np.asarray(bucket.index)[b])
+        column.append(j)
         log_p.append(packed_log_p)
         phi.append(packed_phi)
+    # Buckets run by length; a stable sort by sentence restores corpus order
+    # and keeps each sentence's columns ascending.
+    order = np.argsort(np.concatenate(sentence), kind="stable")
+    phi = np.concatenate(phi, axis=1)  # frees the blocks before the sorted copy
     return PackedColumns(
-        log_p=np.concatenate(log_p),
-        phi=np.concatenate(phi, axis=1),
-        sentence=np.concatenate(sentence),
-        column=np.concatenate(column),
-        n_sentences=len(dists),
+        log_p=np.concatenate(log_p)[order],
+        phi=phi[:, order],
+        sentence=np.concatenate(sentence)[order],
+        column=np.concatenate(column)[order],
+        n_sentences=len(view.corpus),
+        labels=labels,
+        table=table,
     )
-
-
-def _corpus_sums(
-    corpus: Corpus,
-    dists: Sequence[ArcDistribution],
-    fi: FeatureIndex,
-    lambdas: np.ndarray,
-    subset: Sequence[int] | None,
-) -> tuple[float, np.ndarray]:
-    """log Z and its gradient, summed over ``subset`` (default: all)."""
-    log_z, grads, _ = pack_columns(dists, fi).evaluate(np.asarray(lambdas, dtype=float))
-    if subset is not None:
-        picked = np.asarray(subset, dtype=int)
-        log_z, grads = log_z[picked], grads[picked]
-    return float(log_z.sum()), grads.sum(axis=0)
-
-
-def log_partition(
-    corpus: Corpus,
-    dists: Sequence[ArcDistribution],
-    fi: FeatureIndex,
-    lambdas: np.ndarray,
-    *,
-    subset: Sequence[int] | None = None,
-) -> float:
-    """Factorized log normalizer of the reweighted head distributions."""
-    return _corpus_sums(corpus, dists, fi, lambdas, subset)[0]
-
-
-def grad_log_partition(
-    corpus: Corpus,
-    dists: Sequence[ArcDistribution],
-    fi: FeatureIndex,
-    lambdas: np.ndarray,
-    *,
-    subset: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Gradient of ``log_partition``: the per-dependent expectation of
-    ``-phi`` under the reweighted head distributions."""
-    return _corpus_sums(corpus, dists, fi, lambdas, subset)[1]
 
 
 @dataclass(frozen=True)
@@ -234,10 +179,7 @@ class DualTraceRecord:
 
 
 def solve_dual(
-    corpus: Corpus,
-    dists: Sequence[ArcDistribution],
-    fi: FeatureIndex,
-    params: PrParams = PrParams(),
+    packed: PackedColumns, params: PrParams = PrParams()
 ) -> tuple[np.ndarray, list[DualTraceRecord]]:
     """Projected stochastic ascent on ``-log Z`` over the nonnegative orthant.
 
@@ -248,16 +190,13 @@ def solve_dual(
     pass over the packed columns: the trace record takes the full sums, the
     batch step the sums over its sentences, both at the same ``lambda``.
     """
-    d = fi.n_features
+    d = len(packed.labels)
     lambdas = np.zeros(d)
     trace: list[DualTraceRecord] = []
     if d == 0:
         return lambdas, trace
-    if len(dists) != len(corpus):
-        raise ValueError("distributions and corpus differ in length")
-    packed = pack_columns(dists, fi)
 
-    size = len(corpus)
+    size = packed.n_sentences
     batch = min(params.batch_size, size)
     rng = np.random.default_rng(params.seed)
     order = rng.permutation(size)
@@ -310,20 +249,24 @@ def solve_dual(
     return lambdas, trace
 
 
-def posterior_arc_probs(
-    corpus: Corpus,
-    dists: Sequence[ArcDistribution],
-    fi: FeatureIndex,
-    lambdas: np.ndarray,
-) -> list[ArcDistribution]:
-    """Reweight each head distribution by ``exp(-lambda . phi)`` and
-    renormalize per dependent."""
-    packed = pack_columns(dists, fi)
-    _, _, q = packed.evaluate(np.asarray(lambdas, dtype=float))
-    probs = [np.array(dist.probs) for dist in dists]
-    for t, (k, j) in enumerate(zip(packed.sentence, packed.column)):
-        probs[k][:, j] = q[t, :dists[k].n + 1]
-    return [ArcDistribution(p) for p in probs]
+def _reweighted(view: CorpusView, lambdas: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
+    """``scores - lambda . phi`` per bucket: one term per feature row, in row
+    order; row f reads the grid of constraint f // 2."""
+    for bucket in view.buckets:
+        grids = [bucket.classes[f // 2] for f in range(len(lambdas))]
+        yield bucket.scores - _lookup(lambdas, table, grids)
+
+
+def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[ArcDistribution]:
+    """The reweighted head distributions ``q ~ p * exp(-lambda . phi)`` of
+    every sentence, in corpus order: the per-dependent softmax of
+    ``scores - lambda . phi``, since ``p`` is the softmax of the scores."""
+    _, table = _feature_rows(view.constraints)
+    probs: list[ArcDistribution] = [None] * len(view.corpus)  # type: ignore[list-item]
+    for bucket, scores in zip(view.buckets, _reweighted(view, lambdas, table)):
+        for k, q in zip(bucket.index, _head_probs(scores)):
+            probs[k] = ArcDistribution(q)
+    return probs
 
 
 def kl_divergence(
@@ -346,31 +289,22 @@ def pr_decode(
     projective: bool = False,
     single_root: bool = False,
 ) -> InferenceResult:
-    """Full pipeline on ``view``: normalize scores, solve the dual, decode.
+    """Full pipeline on ``view``: pack the touched columns, solve the dual,
+    decode.
 
     Trees are decoded from ``scores - lambda . phi``.  That differs from
     ``log q`` by a constant per dependent column, which shifts every tree's
     score equally, so the argmax is the MAP tree of the reweighted
     distributions; the scores stay finite where ``q`` underflows.
     """
-    dists = [to_distribution(matrix) for _, matrix in view.corpus]
-    fi = _feature_index(view)
-    lambdas, trace = solve_dual(view.corpus, dists, fi, params)
-    # One term per feature row, in row order; row f reads the grid of
-    # constraint f // 2.  With every dual 0 the scores are unchanged, and
-    # the view decodes them once per job.
-    reweighted = (
-        (
-            b.scores
-            - _lookup(lambdas, fi.table, [b.classes[f // 2] for f in range(len(lambdas))])
-            for b in view.buckets
-        )
-        if lambdas.any()
-        else None
-    )
+    packed = pack_columns(view)
+    lambdas, trace = solve_dual(packed, params)
+    # With every dual 0 the scores are unchanged, and the view decodes them
+    # once per job.
+    reweighted = _reweighted(view, lambdas, packed.table) if lambdas.any() else None
     heads = view.decode(reweighted, projective=projective, single_root=single_root)
     converged = bool(trace) and trace[-1].grad_norm < params.grad_tol
-    return InferenceResult(view.trees(heads), lambdas, fi.labels, trace, converged)
+    return InferenceResult(view.trees(heads), lambdas, packed.labels, trace, converged)
 
 
 def pr_infer(
@@ -381,11 +315,10 @@ def pr_infer(
     projective: bool = False,
     single_root: bool = False,
     root_counts_left: bool = False,
-) -> tuple[list[ParseTree], np.ndarray]:
-    """``pr_decode`` on the corpus, reduced to its trees and duals."""
+) -> InferenceResult:
+    """``pr_decode`` on a view of ``corpus``."""
     view = CorpusView.of(corpus, constraints, root_counts_left)
-    result = pr_decode(view, params, projective=projective, single_root=single_root)
-    return result.trees, result.lambdas
+    return pr_decode(view, params, projective=projective, single_root=single_root)
 
 
 def write_pr_trace(

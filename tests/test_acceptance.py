@@ -26,7 +26,10 @@ import cip
 from cip.decoder import projective_tree_table, tree_table
 
 from conftest import make_sentence
-from test_posterior import enum_log_partition, small_problem
+from cip.posterior import pack_columns
+from cip.view import CorpusView
+
+from test_posterior import corpus_sums, enum_log_partition, small_problem
 
 
 def _verdict(label, ok):
@@ -121,12 +124,12 @@ def test_criterion_2_weak_duality():
             continue
         checked += 1
         _, optimum = cip.brute_force_constrained(corpus, constraints)
-        trees, state, converged = cip.lr_infer(corpus, constraints)
-        for record in state.trace:
+        result = cip.lr_infer(corpus, constraints)
+        for record in result.trace:
             duality_ok &= record.dual_value >= optimum - 1e-9
-        if converged:
+        if result.converged:
             for constraint in constraints:
-                measured = cip.ratio(constraint, corpus, trees)
+                measured = cip.ratio(constraint, corpus, result.trees)
                 converged_ok &= cip.is_satisfied(constraint, measured)
     elapsed = time.monotonic() - start
     _verdict(
@@ -140,28 +143,27 @@ def test_criterion_3_partition_function_and_gradient():
     rng = np.random.default_rng(1003)
     partition_ok = True
     for _ in range(30):
-        corpus, dists, cons, fi = small_problem(
+        corpus, dists, cons, view = small_problem(
             rng, n_sentences=int(rng.integers(1, 3)), lengths=(2, 3, 4)
         )
-        lam = rng.uniform(0, 2, fi.n_features)
-        value = cip.log_partition(corpus, dists, fi, lam)
+        packed = pack_columns(view)
+        lam = rng.uniform(0, 2, len(packed.labels))
+        value, _ = corpus_sums(packed, lam)
         oracle = enum_log_partition(corpus, dists, cons, lam)
         partition_ok &= abs(value - oracle) <= 1e-9
     gradient_ok = True
     probes = 0
     while probes < 100:
-        corpus, dists, _, fi = small_problem(rng, n_sentences=2, lengths=(2, 3, 4))
-        lam = rng.uniform(0.1, 2, fi.n_features)
-        grad = cip.grad_log_partition(corpus, dists, fi, lam)
+        _, _, _, view = small_problem(rng, n_sentences=2, lengths=(2, 3, 4))
+        packed = pack_columns(view)
+        lam = rng.uniform(0.1, 2, len(packed.labels))
+        _, grad = corpus_sums(packed, lam)
         step = 1e-6
-        for i in range(fi.n_features):
+        for i in range(len(packed.labels)):
             up, down = lam.copy(), lam.copy()
             up[i] += step
             down[i] -= step
-            fd = (
-                cip.log_partition(corpus, dists, fi, up)
-                - cip.log_partition(corpus, dists, fi, down)
-            ) / (2 * step)
+            fd = (corpus_sums(packed, up)[0] - corpus_sums(packed, down)[0]) / (2 * step)
             gradient_ok &= abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
         probes += 1
     elapsed = time.monotonic() - start
@@ -181,15 +183,14 @@ def test_criterion_4_posterior_identity():
             ((make_sentence(upos), cip.ScoreMatrix(rng.normal(0, 2, (n + 1, n)))),)
         )
         baseline = [cip.mst_decode(m) for _, m in corpus]
-        empty_trees, empty_lam = cip.pr_infer(corpus, [])
-        ok &= empty_lam.size == 0
-        ok &= [t.heads for t in empty_trees] == [t.heads for t in baseline]
+        empty = cip.pr_infer(corpus, [])
+        ok &= empty.lambdas.size == 0
+        ok &= [t.heads for t in empty.trees] == [t.heads for t in baseline]
         # A slack band around the baseline expectation keeps lambda* at 0.
-        dists = [cip.to_distribution(m) for _, m in corpus]
         loose = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.5)
-        trees, lam = cip.pr_infer(corpus, [loose])
-        ok &= np.all(lam == 0.0)
-        ok &= [t.heads for t in trees] == [t.heads for t in baseline]
+        result = cip.pr_infer(corpus, [loose])
+        ok &= np.all(result.lambdas == 0.0)
+        ok &= [t.heads for t in result.trees] == [t.heads for t in baseline]
     _verdict("criterion 4: posterior identity at lambda = 0", bool(ok))
 
 
@@ -206,13 +207,12 @@ def test_criterion_5_monotone_steering():
         seed=1005,
     )
     corpus, _ = cip.generate_synthetic(spec)
-    dists = [cip.to_distribution(m) for _, m in corpus]
     constraint = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.3, theta=0.1)
-    fi = cip.build_feature_index(corpus, [constraint])
+    view = CorpusView.of(corpus, [constraint])
     ok = True
     previous = None
     for lam in np.linspace(0.0, 5.0, 20):
-        posteriors = cip.posterior_arc_probs(corpus, dists, fi, np.array([lam, 0.0]))
+        posteriors = cip.posterior_arc_probs(view, np.array([lam, 0.0]))
         measured = cip.expected_ratio(constraint, corpus, posteriors)
         if previous is not None:
             ok &= measured <= previous
@@ -258,8 +258,8 @@ def transfer_suite():
         base_ratio = cip.ratio(oracle, corpus, baseline)
         cov = cip.coverage(oracle, corpus, baseline)
         gap = cip.ratio_gap([oracle], [base_ratio], [oracle.r], [cov])
-        lr_trees, _, _ = cip.lr_infer(corpus, [oracle])
-        pr_trees, _ = cip.pr_infer(corpus, [oracle])
+        lr_trees = cip.lr_infer(corpus, [oracle]).trees
+        pr_trees = cip.pr_infer(corpus, [oracle]).trees
         rows.append(
             {
                 "gap": gap,

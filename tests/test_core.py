@@ -302,3 +302,12 @@ class TestTypeInvariants:
     def test_arc_distribution_validates_columns(self):
         with pytest.raises(ValueError, match="sum"):
             cip.ArcDistribution(np.array([[0.5], [0.0]]))
+
+
+def test_public_names_resolve():
+    # A name left in __all__ after its definition is gone breaks star imports.
+    missing = [name for name in cip.__all__ if not hasattr(cip, name)]
+    assert missing == []
+    namespace = {}
+    exec("from cip import *", namespace)
+    assert set(cip.__all__) <= set(namespace)

@@ -7,7 +7,8 @@ import pytest
 
 import cip
 from cip.core import NEG_INF
-from cip.lagrangian import DualState, IterationRecord, write_lr_trace
+from cip.lagrangian import IterationRecord, write_lr_trace
+from cip.view import InferenceResult
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
 
@@ -22,13 +23,13 @@ def loop_lr_infer(
     projective=False,
     single_root=False,
     root_counts_left=False,
-    update_rule="accumulate",
 ):
     """``lr_infer`` written sentence by sentence, with a ``ScoreMatrix`` and
     a public decode per sentence and iteration: the reference that the
     length-bucketed loop must match, floats included."""
     decode = cip.projective_decode if projective else cip.mst_decode
     n_constraints = len(constraints)
+    labels = tuple(c.id for c in constraints)
     classes = [
         [cip.constraints.class_matrix(c, s, root_counts_left=root_counts_left) for c in constraints]
         for s, _ in corpus
@@ -39,7 +40,7 @@ def loop_lr_infer(
     ]
     lambdas = np.zeros(n_constraints)
     alpha = params.alpha0
-    state = DualState(lambdas=lambdas)
+    trace = []
     best = None
     for iteration in range(1, params.max_iter + 1):
         trees = []
@@ -76,7 +77,7 @@ def loop_lr_infer(
             ratios.append(measured)
             errors[c] = constraint.r - measured
             violation = max(violation, abs(errors[c]) - constraint.theta)
-        state.trace.append(
+        trace.append(
             IterationRecord(
                 iteration=iteration,
                 alpha=alpha,
@@ -87,17 +88,12 @@ def loop_lr_infer(
             )
         )
         if violation <= 1e-12:
-            state.lambdas = lambdas
-            return trees, state, True
+            return InferenceResult(trees, lambdas, labels, trace, True)
         if best is None or (violation, -objective) < (best[0], best[1]):
             best = (violation, -objective, trees)
-        if update_rule == "accumulate":
-            lambdas = lambdas + alpha * errors
-        else:
-            lambdas = alpha * -errors
+        lambdas = lambdas + alpha * errors
         alpha *= params.eta
-    state.lambdas = lambdas
-    return best[2], state, False
+    return InferenceResult(best[2], lambdas, labels, trace, False)
 
 
 class TestParams:
@@ -141,31 +137,31 @@ class TestLrInfer:
     def test_already_satisfied_returns_baseline(self, noun_toy_corpus):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=1 / 3, theta=0.01)
         baseline = cip.decode_corpus(noun_toy_corpus)
-        trees, state, converged = cip.lr_infer(noun_toy_corpus, [c])
-        assert converged
-        assert len(state.trace) == 1
-        assert state.trace[0].lambdas == (0.0,)
-        assert [t.heads for t in trees] == [t.heads for t in baseline]
+        result = cip.lr_infer(noun_toy_corpus, [c])
+        assert result.converged
+        assert len(result.trace) == 1
+        assert result.trace[0].lambdas == (0.0,)
+        assert [t.heads for t in result.trees] == [t.heads for t in baseline]
 
     def test_empty_constraints_match_mst(self, noun_toy_corpus):
         baseline = cip.decode_corpus(noun_toy_corpus)
-        trees, _, converged = cip.lr_infer(noun_toy_corpus, [])
-        assert converged
-        assert [t.heads for t in trees] == [t.heads for t in baseline]
+        result = cip.lr_infer(noun_toy_corpus, [])
+        assert result.converged
+        assert [t.heads for t in result.trees] == [t.heads for t in baseline]
 
     def test_toy_corpus_converges_to_all_left(self, noun_toy_corpus):
         baseline = cip.decode_corpus(noun_toy_corpus)
         assert cip.ratio(NOUN_LEFT, noun_toy_corpus, baseline) == pytest.approx(1 / 3)
-        trees, state, converged = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-        assert converged
-        assert cip.ratio(NOUN_LEFT, noun_toy_corpus, trees) == 1.0
+        result = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
+        assert result.converged
+        assert cip.ratio(NOUN_LEFT, noun_toy_corpus, result.trees) == 1.0
 
         reference, best = cip.brute_force_constrained(noun_toy_corpus, [NOUN_LEFT])
         objective = sum(
-            m.tree_score(t.heads) for (_, m), t in zip(noun_toy_corpus, trees)
+            m.tree_score(t.heads) for (_, m), t in zip(noun_toy_corpus, result.trees)
         )
         assert objective <= best + 1e-9
-        for record in state.trace:
+        for record in result.trace:
             assert record.dual_value >= best - 1e-9
 
     def test_single_update_reduces_lambda_and_plus_arcs(self):
@@ -174,8 +170,8 @@ class TestLrInfer:
         entries = tuple(noun_toy_entry(-0.2 - 0.1 * i) for i in range(5))
         corpus = cip.Corpus(entries)
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.0, theta=0.0)
-        trees, state, _ = cip.lr_infer(corpus, [c], cip.LrParams(max_iter=2))
-        first, second = state.trace[0], state.trace[1]
+        trace = cip.lr_infer(corpus, [c], cip.LrParams(max_iter=2)).trace
+        first, second = trace[0], trace[1]
         assert first.ratios[0] > c.r
         assert second.lambdas[0] < first.lambdas[0]
 
@@ -213,16 +209,8 @@ class TestLrInfer:
     def test_deterministic(self, noun_toy_corpus):
         a = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
         b = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-        assert a[1].trace == b[1].trace
-        assert [t.heads for t in a[0]] == [t.heads for t in b[0]]
-
-    def test_reset_update_rule_runs(self, noun_toy_corpus):
-        trees, state, _ = cip.lr_infer(
-            noun_toy_corpus, [NOUN_LEFT], update_rule="reset"
-        )
-        assert len(trees) == len(noun_toy_corpus)
-        with pytest.raises(ValueError):
-            cip.lr_infer(noun_toy_corpus, [NOUN_LEFT], update_rule="bogus")
+        assert a.trace == b.trace
+        assert [t.heads for t in a.trees] == [t.heads for t in b.trees]
 
     def test_cap_returns_least_violating(self):
         # Oscillation-prone setup: a tight infeasible band never converges,
@@ -231,22 +219,19 @@ class TestLrInfer:
         entries = tuple(noun_toy_entry(0.3) for _ in range(2))
         corpus = cip.Corpus(entries)
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.0)
-        trees, state, converged = cip.lr_infer(
-            corpus, [c], cip.LrParams(max_iter=8)
-        )
-        assert not converged
-        measured = cip.ratio(c, corpus, trees)
+        result = cip.lr_infer(corpus, [c], cip.LrParams(max_iter=8))
+        assert not result.converged
+        measured = cip.ratio(c, corpus, result.trees)
         best_excess = min(
             abs(c.r - r.ratios[0]) - c.theta
-            for r in state.trace
+            for r in result.trace
             if r.ratios[0] is not None
         )
         assert abs(c.r - measured) - c.theta == pytest.approx(best_excess)
 
-    @pytest.mark.parametrize("update_rule", ["accumulate", "reset"])
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("single_root", [False, True])
-    def test_matches_sentence_loop(self, update_rule, projective, single_root):
+    def test_matches_sentence_loop(self, projective, single_root):
         # Mixed lengths, length-1 sentences, and an ADJ constraint that
         # matches no arc of these ADJ-free corpora.  Equal traces compare
         # every float with ==.
@@ -265,22 +250,23 @@ class TestLrInfer:
                 projective=projective,
                 single_root=single_root,
                 root_counts_left=root_counts_left,
-                update_rule=update_rule,
             )
-            trees, state, converged = cip.lr_infer(corpus, cons, params, **kwargs)
-            ref_trees, ref_state, ref_converged = loop_lr_infer(corpus, cons, params, **kwargs)
-            assert [t.heads for t in trees] == [t.heads for t in ref_trees]
-            assert state.trace == ref_state.trace
-            assert np.array_equal(state.lambdas, ref_state.lambdas)
-            assert converged == ref_converged
-            assert all(r.ratios[2] is None for r in state.trace)
-            outcomes.add(converged)
+            result = cip.lr_infer(corpus, cons, params, **kwargs)
+            reference = loop_lr_infer(corpus, cons, params, **kwargs)
+            assert [t.heads for t in result.trees] == [t.heads for t in reference.trees]
+            assert result.trace == reference.trace
+            assert np.array_equal(result.lambdas, reference.lambdas)
+            assert result.labels == reference.labels
+            assert result.converged == reference.converged
+            assert all(r.ratios[2] is None for r in result.trace)
+            outcomes.add(result.converged)
         # A loose band converges at once; check both outcomes are covered.
         loose = [cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.5, theta=0.5)]
-        trees, state, converged = cip.lr_infer(corpus, loose, **kwargs)
-        ref_trees, ref_state, _ = loop_lr_infer(corpus, loose, **kwargs)
-        assert converged and (trees, state.trace) == (ref_trees, ref_state.trace)
-        outcomes.add(converged)
+        result = cip.lr_infer(corpus, loose, **kwargs)
+        reference = loop_lr_infer(corpus, loose, **kwargs)
+        assert result.converged
+        assert (result.trees, result.trace) == (reference.trees, reference.trace)
+        outcomes.add(result.converged)
         assert outcomes == {True, False}
 
     def test_overflowing_augmentation_raises(self):
@@ -304,9 +290,9 @@ class TestLrInfer:
 
 
 def test_trace_csv(noun_toy_corpus):
-    _, state, _ = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
+    result = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
     out = io.StringIO()
-    write_lr_trace(state, [NOUN_LEFT], out)
+    write_lr_trace(result, [NOUN_LEFT], out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "iter,constraint_id,r_target,r_measured,lambda,alpha,objective"
-    assert len(lines) == 1 + len(state.trace)
+    assert len(lines) == 1 + len(result.trace)

@@ -12,7 +12,7 @@ from cip.posterior import (
     DualTraceRecord,
     PackedColumns,
     kl_divergence,
-    log_probs,
+    pack_columns,
     pr_decode,
     write_pr_trace,
 )
@@ -43,15 +43,67 @@ def enum_log_partition(corpus, dists, constraints, lambdas):
     return float(np.log(total))
 
 
+def corpus_sums(packed, lambdas, subset=None):
+    """log Z and its gradient at ``lambdas`` from one ``packed.evaluate``
+    pass, summed over the sentences of ``subset`` (default: all)."""
+    log_z, grads, _ = packed.evaluate(np.asarray(lambdas, dtype=float))
+    if subset is not None:
+        log_z, grads = log_z[subset], grads[subset]
+    return float(log_z.sum()), grads.sum(axis=0)
+
+
 def small_problem(rng, constraints=None, n_sentences=2, lengths=(2, 3, 4)):
+    """A random corpus, its head distributions (the enumeration oracle's
+    input), its constraints and its corpus view."""
     corpus = random_corpus(rng, n_sentences, list(lengths))
     dists = [cip.to_distribution(m) for _, m in corpus]
     cons = constraints or [
         cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.7, theta=0.05),
         cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.3, theta=0.1),
     ]
-    fi = cip.build_feature_index(corpus, cons)
-    return corpus, dists, cons, fi
+    return corpus, dists, cons, CorpusView.of(corpus, cons)
+
+
+def log_probs(dist):
+    p = dist.probs
+    out = np.full_like(p, -np.inf)
+    np.log(p, out=out, where=p > 0)
+    return out
+
+
+def loop_pack_columns(corpus, constraints, root_counts_left=False):
+    """``pack_columns`` sentence by sentence, from each sentence's
+    ``to_distribution`` and ``phi_matrix`` grids: the reference that the
+    bucketed packer must match array for array.  Returns ``log_p``,
+    ``phi``, ``sentence`` and ``column``."""
+    rows = [(c, direction) for c in constraints for direction, _ in FEATURE_ROWS]
+    width = max(matrix.n for _, matrix in corpus) + 1
+    none = np.empty(0, dtype=int)
+    sentence, column = [none], [none]
+    log_p = [np.empty((0, width))]
+    phi = [np.empty((len(rows), 0, width))]
+    for k, (s, matrix) in enumerate(corpus):
+        values = np.array(
+            [phi_matrix(c, d, s, root_counts_left=root_counts_left) for c, d in rows]
+        ).reshape(len(rows), matrix.n + 1, matrix.n)
+        touched = np.flatnonzero(values.any(axis=(0, 1)))
+        if touched.size == 0:
+            continue
+        slots = matrix.n + 1
+        packed_log_p = np.full((touched.size, width), -np.inf)
+        packed_log_p[:, :slots] = log_probs(cip.to_distribution(matrix))[:, touched].T
+        packed_phi = np.zeros((len(rows), touched.size, width))
+        packed_phi[:, :, :slots] = values[:, :, touched].transpose(0, 2, 1)
+        sentence.append(np.full(touched.size, k))
+        column.append(touched)
+        log_p.append(packed_log_p)
+        phi.append(packed_phi)
+    return (
+        np.concatenate(log_p),
+        np.concatenate(phi, axis=1),
+        np.concatenate(sentence),
+        np.concatenate(column),
+    )
 
 
 class TestParams:
@@ -77,32 +129,80 @@ FEATURE_ROWS = ((Direction.UPPER, 0), (Direction.LOWER, 1))
 class TestFeatureIndex:
     def test_labels_and_pointwise_values(self):
         rng = np.random.default_rng(40)
-        corpus, _, cons, fi = small_problem(rng)
-        assert fi.labels == ("u:upper", "u:lower", "b:upper", "b:lower")
-        assert fi.table.shape == (4, 3)
-        for k, (sentence, _) in enumerate(corpus):
-            for i, c in enumerate(cons):
-                for direction, offset in FEATURE_ROWS:
-                    f = 2 * i + offset
-                    for head, dep in every_arc(len(sentence)):
-                        value = fi.table[f, fi.classes[k][i][head, dep - 1]]
-                        assert value == phi(c, direction, sentence, head, dep)
+        corpus, _, cons, view = small_problem(rng)
+        packed = pack_columns(view)
+        assert packed.labels == ("u:upper", "u:lower", "b:upper", "b:lower")
+        assert packed.table.shape == (4, 3)
+        for bucket in view.buckets:
+            for b, k in enumerate(bucket.index):
+                sentence = corpus[k][0]
+                for i, c in enumerate(cons):
+                    for direction, offset in FEATURE_ROWS:
+                        f = 2 * i + offset
+                        for head, dep in every_arc(len(sentence)):
+                            value = packed.table[f, bucket.classes[i, b, head, dep - 1]]
+                            assert value == phi(c, direction, sentence, head, dep)
+
+
+PACK_CONSTRAINTS = {
+    "mixed": [
+        cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.7, theta=0.05),
+        cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.3, theta=0.1),
+        cip.Constraint(id="none", kind="unary", pos="PRON", r=0.5, theta=0.1),
+    ],
+    "unmatched": [cip.Constraint(id="none", kind="unary", pos="PRON", r=0.5, theta=0.1)],
+    "no-constraints": [],
+    # Both rows are 0 on +1 arcs, so a sentence-final NOUN, whose heads all
+    # lie to its left, is matched but stays unpacked.
+    "r1-theta0": [cip.Constraint(id="u", kind="unary", pos="NOUN", r=1.0, theta=0.0)],
+}
+
+
+@pytest.mark.parametrize("root_counts_left", [False, True])
+@pytest.mark.parametrize("name", sorted(PACK_CONSTRAINTS))
+def test_pack_columns_matches_sentence_loop(name, root_counts_left):
+    # Mixed lengths with length-1 sentences; scale 900 underflows p to 0.
+    constraints = PACK_CONSTRAINTS[name]
+    rng = np.random.default_rng(63)
+    for scale in (0.1, 3.0, 900.0):
+        corpus = random_corpus(rng, 20, [1, 2, 3, 5, 8, 13])
+        corpus = cip.Corpus(
+            tuple((s, cip.ScoreMatrix(m.scores * scale)) for s, m in corpus)
+        )
+        packed = pack_columns(CorpusView.of(corpus, constraints, root_counts_left))
+        log_p, phi_values, sentence, column = loop_pack_columns(
+            corpus, constraints, root_counts_left
+        )
+        assert np.array_equal(packed.log_p, log_p)
+        assert np.array_equal(packed.phi, phi_values)
+        assert np.array_equal(packed.sentence, sentence)
+        assert np.array_equal(packed.column, column)
+        assert packed.n_sentences == len(corpus)
+        if name in ("unmatched", "no-constraints"):
+            assert packed.sentence.size == 0
+        if name == "r1-theta0":
+            packed_pairs = set(zip(packed.sentence.tolist(), packed.column.tolist()))
+            last_nouns = [
+                (k, len(s) - 1) for k, (s, _) in enumerate(corpus) if s.upos[-1] == "NOUN"
+            ]
+            assert last_nouns and not packed_pairs & set(last_nouns)
+            assert packed_pairs
 
 
 class TestLogPartition:
     def test_zero_lambda_is_zero(self):
         rng = np.random.default_rng(41)
-        corpus, dists, _, fi = small_problem(rng)
-        assert cip.log_partition(corpus, dists, fi, np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
+        _, _, _, view = small_problem(rng)
+        log_z, _ = corpus_sums(pack_columns(view), np.zeros(4))
+        assert log_z == pytest.approx(0.0, abs=1e-12)
 
     def test_no_matching_arcs(self):
         sentence = make_sentence(("DET", "VERB"))
         matrix = cip.ScoreMatrix(np.random.default_rng(0).normal(0, 1, (3, 2)))
         corpus = cip.Corpus(((sentence, matrix),))
-        dists = [cip.to_distribution(matrix)]
-        fi = cip.build_feature_index(corpus, [NOUN_LEFT])
+        packed = pack_columns(CorpusView.of(corpus, [NOUN_LEFT]))
         for lam in (0.0, 1.0, 7.0):
-            assert cip.log_partition(corpus, dists, fi, np.array([lam, lam])) == 0.0
+            assert corpus_sums(packed, np.array([lam, lam]))[0] == 0.0
 
     def test_two_token_hand_case(self):
         sentence = make_sentence(("DET", "NOUN"))
@@ -111,18 +211,18 @@ class TestLogPartition:
         corpus = cip.Corpus(((sentence, matrix),))
         dists = [cip.to_distribution(matrix)]
         cons = [cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.6, theta=0.1)]
-        fi = cip.build_feature_index(corpus, cons)
+        packed = pack_columns(CorpusView.of(corpus, cons))
         lam = np.array([0.9, 0.0])
-        value = cip.log_partition(corpus, dists, fi, lam)
+        value, _ = corpus_sums(packed, lam)
         oracle = enum_log_partition(corpus, dists, cons, lam)
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_matches_enumeration_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            corpus, dists, cons, fi = small_problem(rng, lengths=(2, 3, 4))
+            corpus, dists, cons, view = small_problem(rng, lengths=(2, 3, 4))
             lam = rng.uniform(0, 2, 4)
-            value = cip.log_partition(corpus, dists, fi, lam)
+            value, _ = corpus_sums(pack_columns(view), lam)
             oracle = enum_log_partition(corpus, dists, cons, lam)
             assert value == pytest.approx(oracle, abs=1e-9)
 
@@ -134,7 +234,7 @@ def ragged_problem(rng, upos_rows, constraints):
         entries.append((make_sentence(upos), cip.ScoreMatrix(rng.normal(0, 2, (n + 1, n)))))
     corpus = cip.Corpus(tuple(entries))
     dists = [cip.to_distribution(m) for _, m in corpus]
-    return corpus, dists, cip.build_feature_index(corpus, constraints)
+    return corpus, dists, pack_columns(CorpusView.of(corpus, constraints))
 
 
 RAGGED_CONSTRAINTS = [
@@ -163,35 +263,30 @@ class TestRaggedCorpus:
     @pytest.mark.parametrize("name", sorted(RAGGED_CORPORA))
     def test_log_partition_and_gradient(self, name):
         rng = np.random.default_rng(60)
-        corpus, dists, fi = ragged_problem(rng, RAGGED_CORPORA[name], RAGGED_CONSTRAINTS)
+        corpus, dists, packed = ragged_problem(rng, RAGGED_CORPORA[name], RAGGED_CONSTRAINTS)
         # One enumeration: the 6-token sentence alone has 6^6 assignments.
         lam = rng.uniform(0.1, 2, 4)
-        value = cip.log_partition(corpus, dists, fi, lam)
+        value, _ = corpus_sums(packed, lam)
         oracle = enum_log_partition(corpus, dists, RAGGED_CONSTRAINTS, lam)
         assert value == pytest.approx(oracle, abs=1e-9)
         if name == "unmatched":
             assert value == 0.0
         for _ in range(3):
             lam = rng.uniform(0.1, 2, 4)
-            grad = cip.grad_log_partition(corpus, dists, fi, lam)
+            _, grad = corpus_sums(packed, lam)
             step = 1e-6
             for i in range(4):
                 up, down = lam.copy(), lam.copy()
                 up[i] += step
                 down[i] -= step
-                fd = (
-                    cip.log_partition(corpus, dists, fi, up)
-                    - cip.log_partition(corpus, dists, fi, down)
-                ) / (2 * step)
+                fd = (corpus_sums(packed, up)[0] - corpus_sums(packed, down)[0]) / (2 * step)
                 assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
             if name == "unmatched":
                 np.testing.assert_array_equal(grad, 0.0)
 
     def test_batch_steps_use_subset_gradients(self, monkeypatch):
         rng = np.random.default_rng(61)
-        corpus, dists, fi = ragged_problem(
-            rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS
-        )
+        corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
         passes = []
         evaluate = PackedColumns.evaluate
 
@@ -203,7 +298,7 @@ class TestRaggedCorpus:
         params = cip.PrParams(
             batch_size=4, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
         )
-        lam, trace = cip.solve_dual(corpus, dists, fi, params)
+        lam, trace = cip.solve_dual(packed, params)
         assert len(passes) == len(trace) == params.max_iter + 1
         monkeypatch.undo()
 
@@ -220,11 +315,11 @@ class TestRaggedCorpus:
             subset = order[cursor:cursor + params.batch_size]
             cursor += params.batch_size
             current = np.array(before.lambdas)
-            gradient = -cip.grad_log_partition(corpus, dists, fi, current, subset=subset)
+            gradient = -corpus_sums(packed, current, subset)[1]
             rate = params.lr0 * params.decay**before.iteration
             expected = np.maximum(current + rate * gradient * size / params.batch_size, 0.0)
             np.testing.assert_allclose(after.lambdas, expected, rtol=0, atol=1e-12)
-            full = cip.log_partition(corpus, dists, fi, current)
+            full, _ = corpus_sums(packed, current)
             assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
         np.testing.assert_array_equal(lam, trace[-1].lambdas)
 
@@ -233,34 +328,29 @@ class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
-            corpus, dists, _, fi = small_problem(rng)
+            _, _, _, view = small_problem(rng)
+            packed = pack_columns(view)
             lam = rng.uniform(0.1, 2, 4)
-            grad = cip.grad_log_partition(corpus, dists, fi, lam)
+            _, grad = corpus_sums(packed, lam)
             step = 1e-6
             for i in range(4):
                 up, down = lam.copy(), lam.copy()
                 up[i] += step
                 down[i] -= step
-                fd = (
-                    cip.log_partition(corpus, dists, fi, up)
-                    - cip.log_partition(corpus, dists, fi, down)
-                ) / (2 * step)
+                fd = (corpus_sums(packed, up)[0] - corpus_sums(packed, down)[0]) / (2 * step)
                 assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_zero_features_zero_gradient(self):
         sentence = make_sentence(("DET", "VERB"))
         matrix = cip.ScoreMatrix(np.zeros((3, 2)))
         corpus = cip.Corpus(((sentence, matrix),))
-        dists = [cip.to_distribution(matrix)]
-        fi = cip.build_feature_index(corpus, [NOUN_LEFT])
-        np.testing.assert_array_equal(
-            cip.grad_log_partition(corpus, dists, fi, np.array([1.0, 2.0])), 0.0
-        )
+        packed = pack_columns(CorpusView.of(corpus, [NOUN_LEFT]))
+        np.testing.assert_array_equal(corpus_sums(packed, np.array([1.0, 2.0]))[1], 0.0)
 
     def test_at_zero_equals_negative_feature_expectation(self):
         rng = np.random.default_rng(44)
-        corpus, dists, cons, fi = small_problem(rng)
-        grad = cip.grad_log_partition(corpus, dists, fi, np.zeros(4))
+        corpus, dists, cons, view = small_problem(rng)
+        _, grad = corpus_sums(pack_columns(view), np.zeros(4))
         expected = np.zeros(4)
         for k, (sentence, _) in enumerate(corpus):
             for i, c in enumerate(cons):
@@ -272,14 +362,12 @@ class TestGradient:
 
     def test_neg_log_partition_concave_along_segments(self):
         rng = np.random.default_rng(45)
-        corpus, dists, _, fi = small_problem(rng)
+        _, _, _, view = small_problem(rng)
+        packed = pack_columns(view)
         for _ in range(10):
             a = rng.uniform(0, 2, 4)
             b = rng.uniform(0, 2, 4)
-            values = [
-                -cip.log_partition(corpus, dists, fi, a + t * (b - a))
-                for t in np.linspace(0, 1, 9)
-            ]
+            values = [-corpus_sums(packed, a + t * (b - a))[0] for t in np.linspace(0, 1, 9)]
             second = np.diff(values, 2)
             assert np.all(second <= 1e-9)
 
@@ -291,64 +379,61 @@ class TestSolveDual:
         corpus = cip.Corpus((noun_toy_entry(0.5), noun_toy_entry(0.7), noun_toy_entry(-0.4)))
         dists = [cip.to_distribution(m) for _, m in corpus]
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.45)
-        fi = cip.build_feature_index(corpus, [c])
         assert cip.expected_ratio(c, corpus, dists) <= c.upper
         assert cip.expected_ratio(c, corpus, dists) >= c.lower
-        lam, trace = cip.solve_dual(corpus, dists, fi, cip.PrParams())
+        packed = pack_columns(CorpusView.of(corpus, [c]))
+        lam, trace = cip.solve_dual(packed, cip.PrParams())
         np.testing.assert_array_equal(lam, 0.0)
         assert trace[-1].grad_norm < cip.PrParams().grad_tol
 
     def test_vacuous_upper_feature(self):
         corpus = cip.Corpus((noun_toy_entry(0.5),))
-        dists = [cip.to_distribution(m) for _, m in corpus]
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.875, theta=0.125)
-        fi = cip.build_feature_index(corpus, [c])
-        lam, _ = cip.solve_dual(corpus, dists, fi, cip.PrParams(max_iter=20))
+        packed = pack_columns(CorpusView.of(corpus, [c]))
+        lam, _ = cip.solve_dual(packed, cip.PrParams(max_iter=20))
         assert lam[0] == 0.0  # effective upper ratio 1.0 never binds
 
     def test_no_features(self):
         corpus = cip.Corpus((noun_toy_entry(0.5),))
-        dists = [cip.to_distribution(m) for _, m in corpus]
-        fi = cip.build_feature_index(corpus, [])
-        lam, trace = cip.solve_dual(corpus, dists, fi, cip.PrParams())
+        packed = pack_columns(CorpusView.of(corpus, []))
+        lam, trace = cip.solve_dual(packed, cip.PrParams())
         assert lam.size == 0 and trace == []
 
     def test_random_probe_optimality(self):
         rng = np.random.default_rng(46)
-        corpus, dists, _, _ = small_problem(rng, n_sentences=3)
         cons = [cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.2, theta=0.0)]
-        fi = cip.build_feature_index(corpus, cons)
+        _, _, _, view = small_problem(rng, constraints=cons, n_sentences=3)
+        packed = pack_columns(view)
         params = cip.PrParams(max_iter=3000, decay=1.0, lr0=0.05, grad_tol=1e-10)
-        lam, _ = cip.solve_dual(corpus, dists, fi, params)
-        best = -cip.log_partition(corpus, dists, fi, lam)
+        lam, _ = cip.solve_dual(packed, params)
+        best = -corpus_sums(packed, lam)[0]
         for _ in range(1000):
-            probe = rng.uniform(0, 4, fi.n_features)
-            assert best >= -cip.log_partition(corpus, dists, fi, probe) - 1e-6
+            probe = rng.uniform(0, 4, len(packed.labels))
+            assert best >= -corpus_sums(packed, probe)[0] - 1e-6
 
 
 class TestPosteriorArcProbs:
     def test_zero_lambda_is_identity(self):
         rng = np.random.default_rng(47)
-        corpus, dists, _, fi = small_problem(rng)
-        out = cip.posterior_arc_probs(corpus, dists, fi, np.zeros(4))
+        _, dists, _, view = small_problem(rng)
+        out = cip.posterior_arc_probs(view, np.zeros(4))
         for q, p in zip(out, dists):
             np.testing.assert_allclose(q.probs, p.probs, atol=1e-12)
 
     def test_columns_normalized(self):
         rng = np.random.default_rng(48)
-        corpus, dists, _, fi = small_problem(rng)
-        out = cip.posterior_arc_probs(corpus, dists, fi, np.array([0.5, 1.5, 0.2, 3.0]))
+        _, _, _, view = small_problem(rng)
+        out = cip.posterior_arc_probs(view, np.array([0.5, 1.5, 0.2, 3.0]))
         for q in out:
             np.testing.assert_allclose(q.probs.sum(axis=0), 1.0, atol=1e-9)
 
     def test_monotone_steering(self):
         corpus = cip.Corpus(tuple(noun_toy_entry(b) for b in (0.5, 0.2, -0.3, 0.8)))
-        dists = [cip.to_distribution(m) for _, m in corpus]
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.3, theta=0.1)
-        fi = cip.build_feature_index(corpus, [c])
+        view = CorpusView.of(corpus, [c])
         previous = None
         for lam in np.linspace(0, 4, 20):
-            q = cip.posterior_arc_probs(corpus, dists, fi, np.array([lam, 0.0]))
+            q = cip.posterior_arc_probs(view, np.array([lam, 0.0]))
             measured = cip.expected_ratio(c, corpus, q)
             if previous is not None:
                 assert measured <= previous
@@ -356,10 +441,10 @@ class TestPosteriorArcProbs:
 
     def test_kl_zero_at_identity_nonnegative_elsewhere(self):
         rng = np.random.default_rng(49)
-        corpus, dists, _, fi = small_problem(rng)
-        same = cip.posterior_arc_probs(corpus, dists, fi, np.zeros(4))
+        _, dists, _, view = small_problem(rng)
+        same = cip.posterior_arc_probs(view, np.zeros(4))
         assert kl_divergence(same, dists) == pytest.approx(0.0, abs=1e-12)
-        moved = cip.posterior_arc_probs(corpus, dists, fi, np.array([1.0, 0.0, 2.0, 0.5]))
+        moved = cip.posterior_arc_probs(view, np.array([1.0, 0.0, 2.0, 0.5]))
         assert kl_divergence(moved, dists) >= 0.0
 
 
@@ -368,9 +453,9 @@ class TestPrInfer:
         rng = np.random.default_rng(50)
         corpus = random_corpus(rng, 5, [2, 3, 4, 5])
         baseline = cip.decode_corpus(corpus)
-        trees, lam = cip.pr_infer(corpus, [])
-        assert lam.size == 0
-        assert [t.heads for t in trees] == [t.heads for t in baseline]
+        result = cip.pr_infer(corpus, [])
+        assert result.lambdas.size == 0
+        assert [t.heads for t in result.trees] == [t.heads for t in baseline]
 
     def test_map_decode_invariant_to_normalization(self):
         rng = np.random.default_rng(51)
@@ -385,7 +470,7 @@ class TestPrInfer:
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.9, theta=0.05)
         baseline = cip.decode_corpus(noun_toy_corpus)
         base_ratio = cip.ratio(c, noun_toy_corpus, baseline)
-        trees, _ = cip.pr_infer(noun_toy_corpus, [c])
+        trees = cip.pr_infer(noun_toy_corpus, [c]).trees
         new_ratio = cip.ratio(c, noun_toy_corpus, trees)
 
         def distance(value):
@@ -394,14 +479,14 @@ class TestPrInfer:
         assert distance(new_ratio) < distance(base_ratio)
 
     def test_agrees_with_lagrangian_on_toy(self, noun_toy_corpus):
-        lr_trees, _, converged = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-        pr_trees, _ = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT])
-        assert converged
+        lr = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
+        pr = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT])
+        assert lr.converged
         assert cip.is_satisfied(
-            NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, lr_trees)
+            NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, lr.trees)
         )
         assert cip.is_satisfied(
-            NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, pr_trees)
+            NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, pr.trees)
         )
 
     @pytest.mark.parametrize("projective", [False, True])
@@ -412,12 +497,13 @@ class TestPrInfer:
         scores = np.zeros((4, 3))
         scores[0, 1] = 900.0
         corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),))
-        (tree,), lam = cip.pr_infer(corpus, [NOUN_LEFT], projective=projective)
-        assert np.all(np.isfinite(lam))
+        result = cip.pr_infer(corpus, [NOUN_LEFT], projective=projective)
+        (tree,) = result.trees
+        assert np.all(np.isfinite(result.lambdas))
         assert len(tree) == 3 and tree.heads[1] == 0
 
     def test_projective_flag(self, noun_toy_corpus):
-        trees, _ = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT], projective=True)
+        trees = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT], projective=True).trees
         assert all(cip.is_projective(t.heads) for t in trees)
 
 

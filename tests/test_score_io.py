@@ -270,11 +270,13 @@ def malformed_conllu(draw):
     if kind == "columns":
         rows[k] = rows[k][: draw(st.integers(1, 7))]
     elif kind == "id":
-        rows[k][0] = draw(st.sampled_from(["¹", "x", "", "1a", " 1", "+1", "①"]))
+        rows[k][0] = draw(st.sampled_from(["¹", "x", "", "1a", " 1", "+1", "①", "١"]))
     elif kind == "sequence":
         rows[k][0] = str(draw(st.integers(0, 9).filter(lambda v: v != k + 1)))
     elif kind == "head":
-        rows[k][6] = draw(st.sampled_from(["x", "1.5", "¹", "", "one"]))
+        rows[k][6] = draw(
+            st.sampled_from(["x", "1.5", "¹", "", "one", "0_1", "+1", " ١ ", "١"])
+        )
     elif kind == "range":
         rows[k][6] = str(draw(st.sampled_from([-1, 4, 10])))
     else:  # a self-loop, or a cycle with no root child
