@@ -93,7 +93,8 @@ def lr_decode(
     lambdas = np.zeros(len(constraints))
     alpha = params.alpha0
     trace: list[IterationRecord] = []
-    best: tuple[float, float, list[np.ndarray]] | None = None  # (violation, -objective, heads)
+    # (violation, -objective, heads, lambdas) of the least-violating iterate
+    best: tuple[float, float, list[np.ndarray], np.ndarray] | None = None
 
     for iteration in range(1, params.max_iter + 1):
         # While every multiplier is 0 the augmented scores are the bucket
@@ -127,13 +128,13 @@ def lr_decode(
             return InferenceResult(view.trees(heads), lambdas, labels, trace, True)
 
         if best is None or (violation, -objective) < (best[0], best[1]):
-            best = (violation, -objective, heads)
+            best = (violation, -objective, heads, lambdas)
 
         lambdas = lambdas + alpha * errors
         alpha *= params.eta
 
     assert best is not None
-    return InferenceResult(view.trees(best[2]), lambdas, labels, trace, False)
+    return InferenceResult(view.trees(best[2]), best[3], labels, trace, False)
 
 
 def lr_infer(
@@ -147,9 +148,10 @@ def lr_infer(
 ) -> InferenceResult:
     """Iterate augmented decoding until all ratio constraints hold.
 
-    Returns an ``InferenceResult``: the decoded trees, the final
-    multipliers, the per-iteration trace, and whether the loop converged.  At the iteration cap the
-    least-violating iterate is returned (ties broken by higher objective).
+    Returns an ``InferenceResult``: the decoded trees, the multipliers they
+    were decoded under, the per-iteration trace, and whether the loop
+    converged.  At the iteration cap the least-violating iterate's trees and
+    multipliers are returned (ties broken by higher objective).
 
     Raises ``ValueError`` when an augmented score overflows, as
     ``ScoreMatrix`` does for a non-finite score.

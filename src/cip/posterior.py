@@ -14,20 +14,24 @@ restores the tree constraint.  ``-log Z`` is concave, so projected
 (stochastic) gradient ascent finds the optimum; each constraint contributes
 an upper and a lower feature row (margins folded into effective ratios).
 
-A feature row is a function of the arc class, so ``phi`` is a lookup in a
-three-entry table per row, indexed by the constraint's class grid in the
-``CorpusView`` buckets.  The dual works in log space on the columns some
-feature row touches, packed once per solve straight from the buckets into
-padded arrays (``PackedColumns``): one vectorized pass per step gives every
-sentence's log Z and gradient.  Trees are decoded from
-``scores - lambda . phi``, which has the same argmax as ``log q``, with the
-same table lookups on the buckets.
+A feature row is a function of the arc class, so ``phi`` depends on an arc
+only through its joint class across the constraints.  Grouping the heads of
+a dependent by that class turns its sum over heads into a sum over the few
+classes that occur: ``log Z`` and its gradient see a column only through
+``p``'s mass on each joint class.  ``pack_columns`` computes those masses
+once per solve, straight from the ``CorpusView`` buckets, for the columns
+some feature row touches (``PackedColumns``); every dual step is then one
+small ``(columns, classes) @ (classes, rows)`` pass.  Trees are decoded from
+``scores - lambda . phi``, which has the same argmax as ``log q``, with
+table lookups on the buckets' class grids.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -66,15 +70,18 @@ class PrParams:
 
 @dataclass(frozen=True, eq=False)
 class PackedColumns:
-    """The dependent columns that some feature row touches, packed once.
+    """The dependent columns that some feature row touches, as class masses.
 
     Packed column ``t`` is dependent ``column[t]`` (0-based) of sentence
-    ``sentence[t]``, in corpus order.  ``log_p[t]`` holds its
-    ``log p(head | dep)`` over ``n_max + 1`` head slots, padded with
-    ``-inf``, and ``phi[f, t]`` the values of feature row ``f`` on the same
-    slots, 0 on padding.  Columns no row touches are left out: ``lambda``
-    does not reweight them, so their share of log Z is exactly
-    ``log 1 = 0`` and of the gradient 0.
+    ``sentence[t]``, in corpus order.  An arc's joint class is its class
+    under every constraint at once; the ``K`` joint classes that occur in
+    the packed columns are numbered in the order of their keys
+    ``sum_c (class_c mod 3) * 3**c``.  ``log_mass[t, k]`` is the log of
+    ``p``'s total mass on the heads of column ``t`` in joint class ``k``
+    (``-inf`` where that mass is 0), and ``phi[k, f]`` the value of feature
+    row ``f`` on every arc of joint class ``k``.  Columns no row touches are
+    left out: ``lambda`` does not reweight them, so their share of log Z is
+    exactly ``log 1 = 0`` and of the gradient 0.
 
     Row ``2i`` is the upper-bound feature of constraint ``i`` and row
     ``2i + 1`` the lower-bound feature; ``labels`` names them.
@@ -83,7 +90,7 @@ class PackedColumns:
     of constraint ``f // 2``.
     """
 
-    log_p: np.ndarray
+    log_mass: np.ndarray
     phi: np.ndarray
     sentence: np.ndarray
     column: np.ndarray
@@ -91,25 +98,29 @@ class PackedColumns:
     labels: tuple[str, ...]
     table: np.ndarray
 
-    def evaluate(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sentences that have packed columns, and where each one's run
+        of columns starts."""
+        return np.unique(self.sentence, return_index=True)
+
+    def evaluate(self, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """One pass over all packed columns at ``lambdas``.
 
-        Returns the per-sentence log Z (shape ``(K,)``), the per-sentence
-        gradient of log Z (``(K, F)``), and the reweighted head
-        distributions of the packed columns (``(T, n_max + 1)``).
+        Returns the per-sentence log Z (shape ``(n_sentences,)``) and the
+        per-sentence gradient of log Z (``(n_sentences, F)``).
         """
-        logw = self.log_p - np.tensordot(lambdas, self.phi, axes=1)
-        top = logw.max(axis=1, keepdims=True)
-        weights = np.exp(logw - top)
-        mass = weights.sum(axis=1, keepdims=True)
-        q = weights / mass
-        k = self.n_sentences
-        log_z = np.bincount(self.sentence, top[:, 0] + np.log(mass[:, 0]), minlength=k)
-        expected = np.einsum("fth,th->ft", self.phi, q)
-        grads = np.empty((k, len(lambdas)))
-        for f, row in enumerate(expected):
-            grads[:, f] = -np.bincount(self.sentence, row, minlength=k)
-        return log_z, grads, q
+        # Column 0 sums log Z, the others the expected feature rows.
+        totals = np.zeros((self.n_sentences, 1 + len(self.labels)))
+        if self.sentence.size:
+            logw = self.log_mass - self.phi @ lambdas
+            top = logw.max(axis=1, keepdims=True)
+            weights = np.exp(logw - top)
+            mass = weights.sum(axis=1, keepdims=True)
+            columns = np.hstack((top + np.log(mass), weights @ self.phi / mass))
+            present, starts = self._runs
+            totals[present] = np.add.reduceat(columns, starts)
+        return totals[:, 0], -totals[:, 1:]
 
 
 def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -129,39 +140,51 @@ def _head_probs(scores: np.ndarray) -> np.ndarray:
 
 
 def pack_columns(view: CorpusView) -> PackedColumns:
-    """Pack the columns of ``view`` that some feature row touches (see
-    PackedColumns), one length bucket at a time."""
+    """Pack the columns of ``view`` that some feature row touches into class
+    masses (see PackedColumns), one length bucket at a time."""
     labels, table = _feature_rows(view.constraints)
-    features = np.arange(len(labels))
-    width = max(bucket.scores.shape[2] for bucket in view.buckets) + 1
+    n_constraints = len(view.constraints)
+    # Whether some row of constraint c is nonzero on an arc of class x.
+    hot = table.reshape(n_constraints, 2, 3).any(axis=1)
+    powers = 3 ** np.arange(n_constraints, dtype=np.int64)
     none = np.empty(0, dtype=int)
     # Each list starts with an empty block so that concatenation works when
-    # nothing is touched.
-    sentence, column = [none], [none]
-    log_p = [np.empty((0, width))]
-    phi = [np.empty((len(labels), 0, width))]
+    # nothing is touched.  probs, keys and rows hold one entry per head slot
+    # of each packed column.
+    sentence, column, rows = [none], [none], [none]
+    probs, keys = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    packed = 0
     for bucket in view.buckets:
-        values = table[features[:, None, None, None], bucket.classes[features // 2]]
-        b, j = np.nonzero(values.any(axis=(0, 2)))
+        size, slots, n = bucket.scores.shape
+        touched = np.zeros((size, n), dtype=bool)
+        key = np.zeros((size, slots, n), dtype=np.int64)
+        for c, grid in enumerate(bucket.classes):
+            touched |= hot[c].take(grid).any(axis=1)
+            key += (grid % 3) * powers[c]
+        b, j = np.nonzero(touched)
         if b.size == 0:
             continue
-        slots = bucket.scores.shape[1]
-        probs = _head_probs(bucket.scores).transpose(0, 2, 1)[b, j]
-        packed_log_p = np.full((b.size, width), -np.inf)
-        np.log(probs, out=packed_log_p[:, :slots], where=probs > 0)
-        packed_phi = np.zeros((len(labels), b.size, width))
-        packed_phi[:, :, :slots] = values.transpose(0, 1, 3, 2)[:, b, j]
+        probs.append(_head_probs(bucket.scores).transpose(0, 2, 1)[b, j].ravel())
+        keys.append(key.transpose(0, 2, 1)[b, j].ravel())
+        rows.append(np.repeat(np.arange(packed, packed + b.size), slots))
         sentence.append(np.asarray(bucket.index)[b])
         column.append(j)
-        log_p.append(packed_log_p)
-        phi.append(packed_phi)
+        packed += b.size
+    classes, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    width = len(classes)
+    mass = np.bincount(
+        np.concatenate(rows) * width + inverse, np.concatenate(probs), minlength=packed * width
+    ).reshape(packed, width)
+    log_mass = np.full(mass.shape, -np.inf)
+    np.log(mass, out=log_mass, where=mass > 0)
+    features = np.arange(len(labels))
+    digits = classes[:, None] // powers % 3  # (K, C): each constraint's class index
     # Buckets run by length; a stable sort by sentence restores corpus order
     # and keeps each sentence's columns ascending.
     order = np.argsort(np.concatenate(sentence), kind="stable")
-    phi = np.concatenate(phi, axis=1)  # frees the blocks before the sorted copy
     return PackedColumns(
-        log_p=np.concatenate(log_p)[order],
-        phi=phi[:, order],
+        log_mass=log_mass[order],
+        phi=table[features, digits[:, features // 2]],
         sentence=np.concatenate(sentence)[order],
         column=np.concatenate(column)[order],
         n_sentences=len(view.corpus),
@@ -189,35 +212,38 @@ def solve_dual(
     pinned at the boundary, falls below ``grad_tol``.  Each step makes one
     pass over the packed columns: the trace record takes the full sums, the
     batch step the sums over its sentences, both at the same ``lambda``.
+    The 2C multipliers and the optimizer state are Python floats: for so
+    few values, a numpy call per operation would cost more than the
+    arithmetic.
     """
     d = len(packed.labels)
-    lambdas = np.zeros(d)
     trace: list[DualTraceRecord] = []
     if d == 0:
-        return lambdas, trace
+        return np.zeros(0), trace
 
     size = packed.n_sentences
     batch = min(params.batch_size, size)
+    scale = size / batch
     rng = np.random.default_rng(params.seed)
     order = rng.permutation(size)
     cursor = 0
-    moment1 = np.zeros(d)
-    moment2 = np.zeros(d)
+    lambdas = [0.0] * d
+    moment1 = [0.0] * d
+    moment2 = [0.0] * d
     steps = 0
 
     def record(iteration: int) -> tuple[float, np.ndarray]:
         """Trace the full-corpus state at ``lambdas``; return the projected
         gradient norm and the per-sentence gradients of log Z."""
-        log_z, grads, _ = packed.evaluate(lambdas)
-        ascent = -grads.sum(axis=0)
-        projected = np.where(lambdas > 0, ascent, np.maximum(ascent, 0.0))
-        norm = float(np.linalg.norm(projected))
+        log_z, grads = packed.evaluate(lambdas)
+        ascent = (-grads.sum(axis=0)).tolist()
+        norm = math.hypot(*(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent)))
         trace.append(
             DualTraceRecord(
                 iteration=iteration,
                 grad_norm=norm,
                 neg_log_z=-float(log_z.sum()),
-                lambdas=tuple(float(v) for v in lambdas),
+                lambdas=tuple(lambdas),
             )
         )
         return norm, grads
@@ -225,28 +251,29 @@ def solve_dual(
     for iteration in range(params.max_iter):
         norm, grads = record(iteration)
         if norm < params.grad_tol:
-            return lambdas, trace
+            return np.array(lambdas), trace
         if cursor + batch > size:
             order = rng.permutation(size)
             cursor = 0
         subset = order[cursor:cursor + batch]
         cursor += batch
-        gradient = -grads[subset].sum(axis=0)
-        gradient *= size / batch
+        gradient = [-g * scale for g in grads[subset].sum(axis=0).tolist()]
         rate = params.lr0 * params.decay**iteration
         if params.optimizer == "adaptive_moments":
             steps += 1
-            moment1 = _ADAM_BETA1 * moment1 + (1 - _ADAM_BETA1) * gradient
-            moment2 = _ADAM_BETA2 * moment2 + (1 - _ADAM_BETA2) * gradient**2
-            m_hat = moment1 / (1 - _ADAM_BETA1**steps)
-            v_hat = moment2 / (1 - _ADAM_BETA2**steps)
-            step = rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            bias1 = 1 - _ADAM_BETA1**steps
+            bias2 = 1 - _ADAM_BETA2**steps
+            for i, g in enumerate(gradient):
+                moment1[i] = _ADAM_BETA1 * moment1[i] + (1 - _ADAM_BETA1) * g
+                moment2[i] = _ADAM_BETA2 * moment2[i] + (1 - _ADAM_BETA2) * (g * g)
+                step = rate * (moment1[i] / bias1) / (math.sqrt(moment2[i] / bias2) + _ADAM_EPS)
+                lambdas[i] = max(lambdas[i] + step, 0.0)
         else:
-            step = rate * gradient
-        lambdas = np.maximum(lambdas + step, 0.0)
+            for i, g in enumerate(gradient):
+                lambdas[i] = max(lambdas[i] + rate * g, 0.0)
 
     record(params.max_iter)
-    return lambdas, trace
+    return np.array(lambdas), trace
 
 
 def _reweighted(view: CorpusView, lambdas: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
@@ -267,19 +294,6 @@ def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[ArcDistri
         for k, q in zip(bucket.index, _head_probs(scores)):
             probs[k] = ArcDistribution(q)
     return probs
-
-
-def kl_divergence(
-    q: Sequence[ArcDistribution], p: Sequence[ArcDistribution]
-) -> float:
-    """Arc-factored KL(q || p) summed over all dependents."""
-    total = 0.0
-    for qd, pd in zip(q, p):
-        mask = qd.probs > 0
-        total += float(
-            np.sum(qd.probs[mask] * (np.log(qd.probs[mask]) - np.log(pd.probs[mask])))
-        )
-    return total
 
 
 def pr_decode(

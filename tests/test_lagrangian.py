@@ -90,10 +90,10 @@ def loop_lr_infer(
         if violation <= 1e-12:
             return InferenceResult(trees, lambdas, labels, trace, True)
         if best is None or (violation, -objective) < (best[0], best[1]):
-            best = (violation, -objective, trees)
+            best = (violation, -objective, trees, lambdas)
         lambdas = lambdas + alpha * errors
         alpha *= params.eta
-    return InferenceResult(best[2], lambdas, labels, trace, False)
+    return InferenceResult(best[2], best[3], labels, trace, False)
 
 
 class TestParams:
@@ -228,6 +228,37 @@ class TestLrInfer:
             if r.ratios[0] is not None
         )
         assert abs(c.r - measured) - c.theta == pytest.approx(best_excess)
+
+    def test_cap_returns_multipliers_of_returned_trees(self):
+        # Five iterations are too few for this band, so the loop stops at
+        # the cap; the returned multipliers must be the ones the returned
+        # trees were decoded under, not the update after the last iteration.
+        rng = np.random.default_rng(42)
+        corpus = random_corpus(rng, 12, [3, 5, 8])
+        cons = [
+            cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.95, theta=0.01),
+            cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.05, theta=0.01),
+        ]
+        result = cip.lr_infer(corpus, cons, cip.LrParams(max_iter=5))
+        assert not result.converged and len(result.trace) == 5
+
+        def rank(record):
+            violation = max(
+                [0.0]
+                + [abs(c.r - m) - c.theta for c, m in zip(cons, record.ratios) if m is not None]
+            )
+            return violation, -record.objective
+
+        # min() keeps the first of equal ranks, as the loop does.
+        returned = min(result.trace, key=rank)
+        assert returned.ratios == tuple(cip.ratio(c, corpus, result.trees) for c in cons)
+        assert tuple(result.lambdas) == returned.lambdas
+        assert returned is not result.trace[-1]
+        redecoded = [
+            cip.mst_decode(cip.augment_scores(matrix, sentence, cons, result.lambdas))
+            for sentence, matrix in corpus
+        ]
+        assert [t.heads for t in redecoded] == [t.heads for t in result.trees]
 
     @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("single_root", [False, True])

@@ -11,7 +11,6 @@ from cip.constraints import Direction, phi, phi_matrix
 from cip.posterior import (
     DualTraceRecord,
     PackedColumns,
-    kl_divergence,
     pack_columns,
     pr_decode,
     write_pr_trace,
@@ -46,7 +45,7 @@ def enum_log_partition(corpus, dists, constraints, lambdas):
 def corpus_sums(packed, lambdas, subset=None):
     """log Z and its gradient at ``lambdas`` from one ``packed.evaluate``
     pass, summed over the sentences of ``subset`` (default: all)."""
-    log_z, grads, _ = packed.evaluate(np.asarray(lambdas, dtype=float))
+    log_z, grads = packed.evaluate(np.asarray(lambdas, dtype=float))
     if subset is not None:
         log_z, grads = log_z[subset], grads[subset]
     return float(log_z.sum()), grads.sum(axis=0)
@@ -74,8 +73,10 @@ def log_probs(dist):
 def loop_pack_columns(corpus, constraints, root_counts_left=False):
     """``pack_columns`` sentence by sentence, from each sentence's
     ``to_distribution`` and ``phi_matrix`` grids: the reference that the
-    bucketed packer must match array for array.  Returns ``log_p``,
-    ``phi``, ``sentence`` and ``column``."""
+    class-mass packer must match.  Packed column ``t`` keeps ``log p`` over
+    all ``n_max + 1`` head slots, padded with ``-inf``, and ``phi[f, t]``
+    the values of feature row ``f`` on the same slots, 0 on padding.
+    Returns ``log_p``, ``phi``, ``sentence`` and ``column``."""
     rows = [(c, direction) for c in constraints for direction, _ in FEATURE_ROWS]
     width = max(matrix.n for _, matrix in corpus) + 1
     none = np.empty(0, dtype=int)
@@ -104,6 +105,47 @@ def loop_pack_columns(corpus, constraints, root_counts_left=False):
         np.concatenate(sentence),
         np.concatenate(column),
     )
+
+
+def loop_evaluate(log_p, phi, sentence, n_sentences, lambdas):
+    """``PackedColumns.evaluate`` head slot by head slot, over the padded
+    arrays of ``loop_pack_columns``: the per-sentence log Z and gradient of
+    log Z, with one ``bincount`` per feature row."""
+    logw = log_p - np.tensordot(lambdas, phi, axes=1)
+    top = logw.max(axis=1, keepdims=True)
+    weights = np.exp(logw - top)
+    mass = weights.sum(axis=1, keepdims=True)
+    q = weights / mass
+    log_z = np.bincount(sentence, top[:, 0] + np.log(mass[:, 0]), minlength=n_sentences)
+    expected = np.einsum("fth,th->ft", phi, q)
+    grads = np.empty((n_sentences, len(lambdas)))
+    for f, row in enumerate(expected):
+        grads[:, f] = -np.bincount(sentence, row, minlength=n_sentences)
+    return log_z, grads
+
+
+class LoopPacked:
+    """What ``solve_dual`` reads of a ``PackedColumns``, evaluated by
+    ``loop_evaluate`` on the arrays of ``loop_pack_columns``."""
+
+    def __init__(self, corpus, constraints, labels):
+        self.arrays = loop_pack_columns(corpus, constraints)[:3]
+        self.labels = labels
+        self.n_sentences = len(corpus)
+
+    def evaluate(self, lambdas):
+        return loop_evaluate(*self.arrays, self.n_sentences, np.asarray(lambdas, dtype=float))
+
+
+def kl_divergence(q, p):
+    """Arc-factored KL(q || p) summed over all dependents."""
+    total = 0.0
+    for qd, pd in zip(q, p):
+        mask = qd.probs > 0
+        total += float(
+            np.sum(qd.probs[mask] * (np.log(qd.probs[mask]) - np.log(pd.probs[mask])))
+        )
+    return total
 
 
 class TestParams:
@@ -164,6 +206,7 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
     # Mixed lengths with length-1 sentences; scale 900 underflows p to 0.
     constraints = PACK_CONSTRAINTS[name]
     rng = np.random.default_rng(63)
+    lambda_rng = np.random.default_rng(66)
     for scale in (0.1, 3.0, 900.0):
         corpus = random_corpus(rng, 20, [1, 2, 3, 5, 8, 13])
         corpus = cip.Corpus(
@@ -173,8 +216,12 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
         log_p, phi_values, sentence, column = loop_pack_columns(
             corpus, constraints, root_counts_left
         )
-        assert np.array_equal(packed.log_p, log_p)
-        assert np.array_equal(packed.phi, phi_values)
+        for _ in range(3):
+            lam = lambda_rng.uniform(0, 3, len(packed.labels))
+            log_z, grads = packed.evaluate(lam)
+            loop_log_z, loop_grads = loop_evaluate(log_p, phi_values, sentence, len(corpus), lam)
+            np.testing.assert_allclose(log_z, loop_log_z, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads, loop_grads, rtol=0, atol=1e-12)
         assert np.array_equal(packed.sentence, sentence)
         assert np.array_equal(packed.column, column)
         assert packed.n_sentences == len(corpus)
@@ -284,6 +331,37 @@ class TestRaggedCorpus:
             if name == "unmatched":
                 np.testing.assert_array_equal(grad, 0.0)
 
+    def test_log_partition_random_constraints(self):
+        # One to three unary and binary constraints over five tags, on
+        # sentences of at most four tokens so that every draw enumerates
+        # quickly.
+        rng = np.random.default_rng(64)
+        rows = [("NOUN", "ADP", "VERB"), ("ADJ",), ("DET", "NOUN"), ("ADP", "NOUN", "ADJ", "NOUN")]
+        tags = ["NOUN", "ADP", "VERB", "DET", "ADJ"]
+        kinds = set()
+        for _ in range(12):
+            constraints = []
+            for i in range(int(rng.integers(1, 4))):
+                kind = str(rng.choice(["unary", "binary"]))
+                pos, pos2 = (str(tag) for tag in rng.choice(tags, 2, replace=False))
+                constraints.append(
+                    cip.Constraint(
+                        id=f"c{i}",
+                        kind=kind,
+                        pos=pos,
+                        pos2=pos2 if kind == "binary" else None,
+                        r=float(rng.uniform(0, 1)),
+                        theta=float(rng.uniform(0, 0.2)),
+                    )
+                )
+                kinds.add(kind)
+            corpus, dists, packed = ragged_problem(rng, rows, constraints)
+            lam = rng.uniform(0, 2, len(packed.labels))
+            value, _ = corpus_sums(packed, lam)
+            oracle = enum_log_partition(corpus, dists, constraints, lam)
+            assert value == pytest.approx(oracle, abs=1e-9)
+        assert kinds == {"unary", "binary"}
+
     def test_batch_steps_use_subset_gradients(self, monkeypatch):
         rng = np.random.default_rng(61)
         corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
@@ -322,6 +400,35 @@ class TestRaggedCorpus:
             full, _ = corpus_sums(packed, current)
             assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
         np.testing.assert_array_equal(lam, trace[-1].lambdas)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        cip.PrParams(max_iter=40, grad_tol=0.0),
+        cip.PrParams(max_iter=40, optimizer="plain_sgd", lr0=0.1, grad_tol=0.0),
+        cip.PrParams(max_iter=40, batch_size=4, grad_tol=0.0, seed=5),
+    ],
+    ids=["adaptive_moments", "plain_sgd", "batch_below_corpus"],
+)
+def test_solve_dual_matches_loop_evaluate(params):
+    rng = np.random.default_rng(65)
+    corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"] * 2, RAGGED_CONSTRAINTS)
+    lam, trace = cip.solve_dual(packed, params)
+    loop_lam, loop_trace = cip.solve_dual(
+        LoopPacked(corpus, RAGGED_CONSTRAINTS, packed.labels), params
+    )
+    assert len(trace) == len(loop_trace) == params.max_iter + 1
+    for record, reference in zip(trace, loop_trace):
+        assert record.iteration == reference.iteration
+        np.testing.assert_allclose(
+            [record.grad_norm, record.neg_log_z, *record.lambdas],
+            [reference.grad_norm, reference.neg_log_z, *reference.lambdas],
+            rtol=0,
+            atol=1e-12,
+        )
+    np.testing.assert_allclose(lam, loop_lam, rtol=0, atol=1e-12)
+    assert np.any(lam > 0)
 
 
 class TestGradient:
