@@ -9,6 +9,7 @@ ratio-gap statistic.  Output files are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,7 +287,9 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cip`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cip",
         description="Corpus-level constrained inference for dependency parsing",
@@ -303,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace")
     p.add_argument("--report")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("evaluate", help="UAS of a predicted CoNLL-U file")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("estimate-ratios", help="constraint ratios from gold trees")
     p.add_argument("--conllu", required=True)
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-out", help="write constraints with measured ratios")
     p.add_argument("--oracle-theta", type=float, default=0.01)
     p.add_argument("--config", help="decode config; its root_counts_left applies")
-    p.set_defaults(func=cmd_estimate_ratios)
 
     p = sub.add_parser("compile-constraints", help="constraints from typology data")
     p.add_argument("--wals", required=True, help="CSV with header lang,feature,value")
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target language code")
     p.add_argument("--unary-ratios", help="JSON object mapping language to ratio")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compile_constraints)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", required=True)
@@ -337,23 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-constraints")
     p.add_argument("--oracle-theta", type=float, default=0.01)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ratio-gap", help="coverage-weighted ratio difference")
     p.add_argument("--constraints", required=True)
     p.add_argument("--source", required=True, help="estimate-ratios report JSON")
     p.add_argument("--target", required=True, help="estimate-ratios report JSON")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_ratio_gap)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so that a replaced ``cmd_*`` function is the
+    # one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, ValueError, core.FormatError) as exc:
         print(f"cip: {exc}", file=sys.stderr)
         return 1

@@ -95,11 +95,9 @@ class ScoreMatrix:
         if s.ndim != 2 or s.shape[0] != s.shape[1] + 1 or s.shape[1] < 1:
             raise ValueError(f"expected (n+1) x n score array, got {s.shape}")
         n = s.shape[1]
-        deps = np.arange(1, n + 1)
-        s[deps, deps - 1] = NEG_INF
-        offdiag = np.ones_like(s, dtype=bool)
-        offdiag[deps, deps - 1] = False
-        if not np.isfinite(s[offdiag]).all():
+        # Row j of s[1:] is head j + 1, so its diagonal holds the self arcs.
+        np.fill_diagonal(s[1:], NEG_INF)
+        if np.count_nonzero(np.isfinite(s)) != n * n:
             raise ValueError("non-finite score at a non-self position")
         s.flags.writeable = False
         object.__setattr__(self, "scores", s)
@@ -258,19 +256,18 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
             for (lineno, _), head in zip(rows, heads):
                 if not 0 <= head <= n:
                     raise FormatError(f"line {lineno}: HEAD {head} out of range [0, {n}]")
-            if not is_tree(heads):
-                raise FormatError(
-                    f"line {rows[0][0]}: gold heads not a tree rooted at 0"
-                )
-        sentences.append(
-            Sentence(
+        try:
+            sentence = Sentence(
                 forms=tuple(forms),
                 upos=tuple(upos),
                 sent_id=sent_id,
                 gold_heads=tuple(heads) if annotated else None,
                 gold_labels=tuple(labels) if annotated else None,
             )
-        )
+        except ValueError:
+            # The rows fix every length, so only the tree check can fail.
+            raise FormatError(f"line {rows[0][0]}: gold heads not a tree rooted at 0") from None
+        sentences.append(sentence)
         rows = []
         sent_id = ""
 

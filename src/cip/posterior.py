@@ -21,7 +21,9 @@ classes that occur: ``log Z`` and its gradient see a column only through
 ``p``'s mass on each joint class.  ``pack_columns`` computes those masses
 once per solve, straight from the ``CorpusView`` buckets, for the columns
 some feature row touches (``PackedColumns``); every dual step is then one
-small ``(columns, classes) @ (classes, rows)`` pass.  Trees are decoded from
+small ``(columns, classes) @ (classes, rows)`` pass.  A full-batch step
+sums that pass over the corpus; a minibatch step sums it per sentence, so
+that the batch can pick its sentences.  Trees are decoded from
 ``scores - lambda . phi``, which has the same argmax as ``log q``, with
 table lookups on the buckets' class grids.
 """
@@ -88,6 +90,10 @@ class PackedColumns:
     ``table[f]`` holds the value of row ``f`` on an arc of class 0, +1 and
     -1 (the last), so row ``f`` is ``table[f]`` indexed by the class grid
     of constraint ``f // 2``.
+
+    ``evaluate`` and ``corpus_total`` run the same per-column pass:
+    ``evaluate`` sums it per sentence, for minibatch steps and the oracles,
+    and ``corpus_total`` over the corpus, for full-batch steps.
     """
 
     log_mass: np.ndarray
@@ -104,6 +110,16 @@ class PackedColumns:
         of columns starts."""
         return np.unique(self.sentence, return_index=True)
 
+    def _columns(self, lambdas: Sequence[float]) -> np.ndarray:
+        """The log-sum-exp of every packed column at ``lambdas``: a
+        ``(T, 1 + F)`` array whose column 0 is the column's share of log Z
+        and whose others are its expected feature rows under ``q``."""
+        logw = self.log_mass - self.phi @ lambdas
+        top = logw.max(axis=1, keepdims=True)
+        weights = np.exp(logw - top)
+        mass = weights.sum(axis=1, keepdims=True)
+        return np.hstack((top + np.log(mass), weights @ self.phi / mass))
+
     def evaluate(self, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """One pass over all packed columns at ``lambdas``.
 
@@ -113,14 +129,17 @@ class PackedColumns:
         # Column 0 sums log Z, the others the expected feature rows.
         totals = np.zeros((self.n_sentences, 1 + len(self.labels)))
         if self.sentence.size:
-            logw = self.log_mass - self.phi @ lambdas
-            top = logw.max(axis=1, keepdims=True)
-            weights = np.exp(logw - top)
-            mass = weights.sum(axis=1, keepdims=True)
-            columns = np.hstack((top + np.log(mass), weights @ self.phi / mass))
             present, starts = self._runs
-            totals[present] = np.add.reduceat(columns, starts)
+            totals[present] = np.add.reduceat(self._columns(lambdas), starts)
         return totals[:, 0], -totals[:, 1:]
+
+    def corpus_total(self, lambdas: Sequence[float]) -> tuple[float, np.ndarray]:
+        """``evaluate``'s sums over the corpus, from the same pass: log Z
+        and its gradient (shape ``(F,)``)."""
+        if not self.sentence.size:
+            return 0.0, np.zeros(len(self.labels))
+        totals = self._columns(lambdas).sum(axis=0)
+        return float(totals[0]), -totals[1:]
 
 
 def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -210,11 +229,13 @@ def solve_dual(
     is rescaled to full-corpus magnitude.  The loop stops at the iteration
     cap or when the full-corpus gradient norm, restricted to coordinates not
     pinned at the boundary, falls below ``grad_tol``.  Each step makes one
-    pass over the packed columns: the trace record takes the full sums, the
-    batch step the sums over its sentences, both at the same ``lambda``.
-    The 2C multipliers and the optimizer state are Python floats: for so
-    few values, a numpy call per operation would cost more than the
-    arithmetic.
+    pass over the packed columns at the current ``lambda``.  When the batch
+    holds every sentence, that pass is ``corpus_total`` and the step follows
+    the gradient the trace record has just taken; otherwise it is the
+    per-sentence ``evaluate``, whose full sums go to the trace record and
+    whose sums over the batch's sentences go to the step.  The 2C
+    multipliers and the optimizer state are Python floats: for so few
+    values, a numpy call per operation would cost more than the arithmetic.
     """
     d = len(packed.labels)
     trace: list[DualTraceRecord] = []
@@ -223,41 +244,50 @@ def solve_dual(
 
     size = packed.n_sentences
     batch = min(params.batch_size, size)
-    scale = size / batch
-    rng = np.random.default_rng(params.seed)
-    order = rng.permutation(size)
-    cursor = 0
+    full_batch = batch == size
+    if not full_batch:
+        scale = size / batch
+        rng = np.random.default_rng(params.seed)
+        order = rng.permutation(size)
+        cursor = 0
     lambdas = [0.0] * d
     moment1 = [0.0] * d
     moment2 = [0.0] * d
     steps = 0
 
-    def record(iteration: int) -> tuple[float, np.ndarray]:
+    def record(iteration: int) -> tuple[float, list[float], np.ndarray | None]:
         """Trace the full-corpus state at ``lambdas``; return the projected
-        gradient norm and the per-sentence gradients of log Z."""
-        log_z, grads = packed.evaluate(lambdas)
-        ascent = (-grads.sum(axis=0)).tolist()
+        gradient norm, the full-corpus ascent direction and, for minibatch
+        steps, the per-sentence gradients of log Z."""
+        if full_batch:
+            log_z, grad = packed.corpus_total(lambdas)
+            grads = None
+        else:
+            per_sentence, grads = packed.evaluate(lambdas)
+            log_z, grad = float(per_sentence.sum()), grads.sum(axis=0)
+        ascent = (-grad).tolist()
         norm = math.hypot(*(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent)))
         trace.append(
             DualTraceRecord(
                 iteration=iteration,
                 grad_norm=norm,
-                neg_log_z=-float(log_z.sum()),
+                neg_log_z=-log_z,
                 lambdas=tuple(lambdas),
             )
         )
-        return norm, grads
+        return norm, ascent, grads
 
     for iteration in range(params.max_iter):
-        norm, grads = record(iteration)
+        norm, gradient, grads = record(iteration)
         if norm < params.grad_tol:
             return np.array(lambdas), trace
-        if cursor + batch > size:
-            order = rng.permutation(size)
-            cursor = 0
-        subset = order[cursor:cursor + batch]
-        cursor += batch
-        gradient = [-g * scale for g in grads[subset].sum(axis=0).tolist()]
+        if not full_batch:
+            if cursor + batch > size:
+                order = rng.permutation(size)
+                cursor = 0
+            subset = order[cursor:cursor + batch]
+            cursor += batch
+            gradient = [-g * scale for g in grads[subset].sum(axis=0).tolist()]
         rate = params.lr0 * params.decay**iteration
         if params.optimizer == "adaptive_moments":
             steps += 1

@@ -2,15 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import cip
+from cip import cli
 from cip.cli import main
 from cip.core import is_tree
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 SPEC = {
     "n_sentences": 30,
@@ -564,3 +568,73 @@ def test_extreme_inputs_end_to_end(tmp_path, capsys, case, method, projective, s
             assert sentence.gold_heads.count(0) == 1
         if projective:
             assert cip.is_projective(sentence.gold_heads)
+
+
+def _session_argvs(workspace, tmp_path):
+    """A decode, an evaluate of its output, a projective PR decode with a
+    trace, and a decode that exits 2; each writes its own files."""
+    decode = ["decode", "--conllu", str(workspace["gold"]), "--scores", str(workspace["scores"])]
+    return [
+        [*decode, "--out", str(tmp_path / "a.conllu"), "--report", str(tmp_path / "a.json")],
+        ["evaluate", "--pred", str(tmp_path / "a.conllu"), "--gold", str(workspace["gold"]),
+         "--report", str(tmp_path / "b.json")],
+        [*decode, "--constraints", str(workspace["constraints"]), "--method", "pr",
+         "--projective", "--out", str(tmp_path / "c.conllu"), "--report", str(tmp_path / "c.json"),
+         "--trace", str(tmp_path / "c.csv")],
+        [*decode, "--method", "lr", "--out", str(tmp_path / "d.conllu")],
+    ]
+
+
+def test_commands_in_one_process_match_separate_processes(workspace, tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    separate, together = tmp_path / "separate", tmp_path / "together"
+    outcomes = {}
+    for directory in (separate, together):
+        directory.mkdir()
+        runs = []
+        for argv in _session_argvs(workspace, directory):
+            if directory is separate:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cip.cli", *argv],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                runs.append((proc.returncode, proc.stdout, proc.stderr))
+            else:
+                code = main(argv)
+                captured = capsys.readouterr()
+                runs.append((code, captured.out, captured.err))
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        outcomes[directory.name] = runs, files
+    runs, files = outcomes["together"]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 2]
+    assert sorted(files) == ["a.conllu", "a.json", "b.json", "c.conllu", "c.csv", "c.json"]
+    assert outcomes["together"] == outcomes["separate"]
+
+
+def test_parser_is_built_once_per_process(workspace, tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    argvs = _session_argvs(workspace, tmp_path)
+    for argv in argvs:
+        main(argv)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+
+def test_replaced_command_runs_after_first_call(workspace, tmp_path, monkeypatch):
+    argv = _session_argvs(workspace, tmp_path)[0]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_decode", lambda args: seen.append(args.command) or 7)
+    assert main(argv) == 7
+    assert seen == ["decode"]
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in (
+        "decode", "evaluate", "estimate-ratios", "compile-constraints", "synth", "ratio-gap"
+    ):
+        assert command in out

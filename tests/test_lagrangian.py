@@ -4,9 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cip
 from cip.core import NEG_INF
+from cip.decoder import projective_tree_table
 from cip.lagrangian import IterationRecord, write_lr_trace
 from cip.view import InferenceResult
 
@@ -327,3 +330,94 @@ def test_trace_csv(noun_toy_corpus):
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "iter,constraint_id,r_target,r_measured,lambda,alpha,objective"
     assert len(lines) == 1 + len(result.trace)
+
+
+# Tags and constraint templates of the projective weak-duality properties:
+# three tags, so that most tiny corpora match every template.
+DUALITY_TAGS = ("NOUN", "VERB", "DET")
+DUALITY_TEMPLATES = (
+    ("unary", "NOUN", None),
+    ("unary", "VERB", None),
+    ("binary", "NOUN", "DET"),
+    ("binary", "VERB", "NOUN"),
+)
+DUALITY_SCORES = st.one_of(st.integers(-2, 2).map(float), st.floats(-5, 5))
+
+
+@st.composite
+def projective_problems(draw):
+    """One to three sentences of one to four tokens with drawn tags and
+    scores, and one projective tree per sentence drawn from
+    ``projective_tree_table``."""
+    entries, trees = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        upos = draw(st.lists(st.sampled_from(DUALITY_TAGS), min_size=n, max_size=n))
+        flat = draw(st.lists(DUALITY_SCORES, min_size=n * (n + 1), max_size=n * (n + 1)))
+        entries.append((make_sentence(upos), cip.ScoreMatrix(np.array(flat).reshape(n + 1, n))))
+        table = projective_tree_table(n)
+        heads = table[draw(st.integers(0, len(table) - 1))]
+        trees.append(cip.ParseTree(tuple(int(h) for h in heads)))
+    return cip.Corpus(tuple(entries)), trees
+
+
+@pytest.mark.parametrize("root_counts_left", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(problem=projective_problems())
+def test_projective_weak_duality(problem, root_counts_left):
+    # Every template that matches an arc of the drawn projective trees
+    # gets their ratio and theta = 0, so those trees are feasible and every
+    # Lagrangian value bounds the constrained optimum from above.
+    corpus, trees = problem
+    constraints = []
+    for i, (kind, pos, pos2) in enumerate(DUALITY_TEMPLATES):
+        probe = cip.Constraint(id=f"c{i}", kind=kind, pos=pos, pos2=pos2, r=0.5, theta=0.0)
+        measured = cip.ratio(probe, corpus, trees, root_counts_left=root_counts_left)
+        if measured is not None:
+            constraints.append(
+                cip.Constraint(id=f"c{i}", kind=kind, pos=pos, pos2=pos2, r=measured, theta=0.0)
+            )
+    assume(constraints)
+    _, optimum = cip.brute_force_constrained(
+        corpus, constraints, projective=True, root_counts_left=root_counts_left
+    )
+    result = cip.lr_infer(
+        corpus, constraints, cip.LrParams(max_iter=20),
+        projective=True, root_counts_left=root_counts_left,
+    )
+    for record in result.trace:
+        assert record.dual_value >= optimum - 1e-9
+    if result.converged:
+        # The certificate: a feasible iterate at theta = 0 is optimal.
+        assert result.trace[-1].objective == pytest.approx(optimum, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=projective_problems(),
+    bands=st.lists(
+        st.tuples(
+            st.sampled_from(DUALITY_TEMPLATES),
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            st.sampled_from([0.0, 0.1]),
+        ),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda band: band[0],
+    ),
+)
+def test_projective_infeasible_bands_never_converge(problem, bands):
+    # Root arcs count, since otherwise attaching every token to the root
+    # matches no arc, which satisfies any band.
+    corpus, _ = problem
+    constraints = [
+        cip.Constraint(id=f"c{i}", kind=kind, pos=pos, pos2=pos2, r=r, theta=theta)
+        for i, ((kind, pos, pos2), r, theta) in enumerate(bands)
+    ]
+    try:
+        cip.brute_force_constrained(corpus, constraints, projective=True, root_counts_left=True)
+    except cip.InfeasibleError:
+        result = cip.lr_infer(
+            corpus, constraints, cip.LrParams(max_iter=20), projective=True, root_counts_left=True
+        )
+        assert not result.converged

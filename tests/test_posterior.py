@@ -126,7 +126,8 @@ def loop_evaluate(log_p, phi, sentence, n_sentences, lambdas):
 
 class LoopPacked:
     """What ``solve_dual`` reads of a ``PackedColumns``, evaluated by
-    ``loop_evaluate`` on the arrays of ``loop_pack_columns``."""
+    ``loop_evaluate`` on the arrays of ``loop_pack_columns``; the corpus
+    total sums its per-sentence values."""
 
     def __init__(self, corpus, constraints, labels):
         self.arrays = loop_pack_columns(corpus, constraints)[:3]
@@ -135,6 +136,10 @@ class LoopPacked:
 
     def evaluate(self, lambdas):
         return loop_evaluate(*self.arrays, self.n_sentences, np.asarray(lambdas, dtype=float))
+
+    def corpus_total(self, lambdas):
+        log_z, grads = self.evaluate(lambdas)
+        return float(log_z.sum()), grads.sum(axis=0)
 
 
 def kl_divergence(q, p):
@@ -222,11 +227,19 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
             loop_log_z, loop_grads = loop_evaluate(log_p, phi_values, sentence, len(corpus), lam)
             np.testing.assert_allclose(log_z, loop_log_z, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grads, loop_grads, rtol=0, atol=1e-12)
+            # The corpus-total pass gives the sums of the per-sentence one.
+            total_log_z, total_grad = packed.corpus_total(lam)
+            assert type(total_log_z) is float
+            assert total_grad.shape == (len(packed.labels),)
+            np.testing.assert_allclose(total_log_z, log_z.sum(), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(total_grad, grads.sum(axis=0), rtol=1e-12, atol=0)
         assert np.array_equal(packed.sentence, sentence)
         assert np.array_equal(packed.column, column)
         assert packed.n_sentences == len(corpus)
         if name in ("unmatched", "no-constraints"):
             assert packed.sentence.size == 0
+            assert total_log_z == 0.0
+            np.testing.assert_array_equal(total_grad, 0.0)
         if name == "r1-theta0":
             packed_pairs = set(zip(packed.sentence.tolist(), packed.column.tolist()))
             last_nouns = [
@@ -399,6 +412,41 @@ class TestRaggedCorpus:
             np.testing.assert_allclose(after.lambdas, expected, rtol=0, atol=1e-12)
             full, _ = corpus_sums(packed, current)
             assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
+        np.testing.assert_array_equal(lam, trace[-1].lambdas)
+
+
+def test_full_batch_steps_use_corpus_totals(monkeypatch):
+    rng = np.random.default_rng(61)
+    corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
+    passes = {"evaluate": 0, "corpus_total": 0}
+    for name in passes:
+        real = getattr(PackedColumns, name)
+
+        def counted(self, lambdas, name=name, real=real):
+            passes[name] += 1
+            return real(self, lambdas)
+
+        monkeypatch.setattr(PackedColumns, name, counted)
+    size = len(corpus)
+    for batch_size, expected in ((size, "corpus_total"), (128, "corpus_total"), (4, "evaluate")):
+        passes.update(evaluate=0, corpus_total=0)
+        params = cip.PrParams(
+            batch_size=batch_size, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
+        )
+        lam, trace = cip.solve_dual(packed, params)
+        assert passes[expected] == len(trace) == params.max_iter + 1
+        assert sum(passes.values()) == passes[expected]
+        if expected == "evaluate":
+            continue
+        # Every full-batch step follows the full gradient at the traced
+        # multipliers.
+        for before, after in zip(trace, trace[1:]):
+            current = np.array(before.lambdas)
+            log_z, gradient = packed.corpus_total(current)
+            rate = params.lr0 * params.decay**before.iteration
+            expected_lam = np.maximum(current - rate * gradient, 0.0)
+            np.testing.assert_allclose(after.lambdas, expected_lam, rtol=0, atol=1e-12)
+            assert before.neg_log_z == -log_z
         np.testing.assert_array_equal(lam, trace[-1].lambdas)
 
 
