@@ -9,6 +9,7 @@ ratio-gap statistic.  Output files are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -68,11 +69,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.method in ("lr", "pr") and not constraint_list:
         print("decode: --method lr/pr requires --constraints", file=sys.stderr)
         return 2
+    if args.trace and args.method == "baseline":
+        print("decode: --trace requires --method lr or pr", file=sys.stderr)
+        return 2
 
     view = CorpusView.of(corpus, constraint_list, config.root_counts_left)
     decode = {"projective": args.projective, "single_root": config.single_root}
     baseline = view.decode(**decode)
-    write_trace = None
     if args.method == "lr":
         result = lagrangian.lr_decode(view, config.lr, **decode)
         write_trace = lambda h: lagrangian.write_lr_trace(result, constraint_list, h)
@@ -81,7 +84,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         write_trace = lambda h: posterior.write_pr_trace(result.trace, result.labels, h)
     else:
         result = InferenceResult(view.trees(baseline), np.zeros(0), (), [], True)
-    if args.trace and write_trace:
+    if args.trace:
         _atomic_write(args.trace, write_trace)
 
     _atomic_write(args.out, lambda h: core.write_conllu(corpus.sentences, h, result.trees))
@@ -163,16 +166,7 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
             }
         )
         if measured is not None:
-            oracle.append(
-                cns.Constraint(
-                    id=constraint.id,
-                    kind=constraint.kind,
-                    pos=constraint.pos,
-                    r=measured,
-                    theta=args.oracle_theta,
-                    pos2=constraint.pos2,
-                )
-            )
+            oracle.append(dataclasses.replace(constraint, r=measured, theta=args.oracle_theta))
     payload = {"ratios": rows}
     print(json.dumps(payload))
     if args.out:
@@ -249,10 +243,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _atomic_write(args.out_scores, lambda h: core.write_scores(corpus.matrices, h))
     if args.out_constraints:
         oracle = [
-            cns.Constraint(
-                id=c.id, kind=c.kind, pos=c.pos, pos2=c.pos2,
-                r=true_ratios[c.id], theta=args.oracle_theta,
-            )
+            dataclasses.replace(c, r=true_ratios[c.id], theta=args.oracle_theta)
             for c in spec.planted
             if true_ratios[c.id] is not None
         ]

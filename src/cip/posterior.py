@@ -21,9 +21,9 @@ classes that occur: ``log Z`` and its gradient see a column only through
 ``p``'s mass on each joint class.  ``pack_columns`` computes those masses
 once per solve, straight from the ``CorpusView`` buckets, for the columns
 some feature row touches (``PackedColumns``); every dual step is then one
-small ``(columns, classes) @ (classes, rows)`` pass.  A full-batch step
-sums that pass over the corpus; a minibatch step sums it per sentence, so
-that the batch can pick its sentences.  Trees are decoded from
+small ``(columns, classes) @ (classes, rows)`` pass.  The trace sums that
+pass over the corpus, and a minibatch step over the columns of the batch's
+sentences.  Trees are decoded from
 ``scores - lambda . phi``, which has the same argmax as ``log q``, with
 table lookups on the buckets' class grids.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -91,9 +90,9 @@ class PackedColumns:
     -1 (the last), so row ``f`` is ``table[f]`` indexed by the class grid
     of constraint ``f // 2``.
 
-    ``evaluate`` and ``corpus_total`` run the same per-column pass:
-    ``evaluate`` sums it per sentence, for minibatch steps and the oracles,
-    and ``corpus_total`` over the corpus, for full-batch steps.
+    ``columns`` is the one pass the dual makes per step.  Its sums over all
+    rows are log Z and minus its gradient; its sums over the rows whose
+    ``sentence`` lies in a batch are the batch's.
     """
 
     log_mass: np.ndarray
@@ -104,42 +103,18 @@ class PackedColumns:
     labels: tuple[str, ...]
     table: np.ndarray
 
-    @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sentences that have packed columns, and where each one's run
-        of columns starts."""
-        return np.unique(self.sentence, return_index=True)
-
-    def _columns(self, lambdas: Sequence[float]) -> np.ndarray:
+    def columns(self, lambdas: Sequence[float]) -> np.ndarray:
         """The log-sum-exp of every packed column at ``lambdas``: a
         ``(T, 1 + F)`` array whose column 0 is the column's share of log Z
-        and whose others are its expected feature rows under ``q``."""
+        and whose others are its expected feature rows under ``q``, the
+        negated gradient of that share."""
+        if not self.sentence.size:
+            return np.zeros((0, 1 + len(self.labels)))
         logw = self.log_mass - self.phi @ lambdas
         top = logw.max(axis=1, keepdims=True)
         weights = np.exp(logw - top)
         mass = weights.sum(axis=1, keepdims=True)
         return np.hstack((top + np.log(mass), weights @ self.phi / mass))
-
-    def evaluate(self, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """One pass over all packed columns at ``lambdas``.
-
-        Returns the per-sentence log Z (shape ``(n_sentences,)``) and the
-        per-sentence gradient of log Z (``(n_sentences, F)``).
-        """
-        # Column 0 sums log Z, the others the expected feature rows.
-        totals = np.zeros((self.n_sentences, 1 + len(self.labels)))
-        if self.sentence.size:
-            present, starts = self._runs
-            totals[present] = np.add.reduceat(self._columns(lambdas), starts)
-        return totals[:, 0], -totals[:, 1:]
-
-    def corpus_total(self, lambdas: Sequence[float]) -> tuple[float, np.ndarray]:
-        """``evaluate``'s sums over the corpus, from the same pass: log Z
-        and its gradient (shape ``(F,)``)."""
-        if not self.sentence.size:
-            return 0.0, np.zeros(len(self.labels))
-        totals = self._columns(lambdas).sum(axis=0)
-        return float(totals[0]), -totals[1:]
 
 
 def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -229,13 +204,12 @@ def solve_dual(
     is rescaled to full-corpus magnitude.  The loop stops at the iteration
     cap or when the full-corpus gradient norm, restricted to coordinates not
     pinned at the boundary, falls below ``grad_tol``.  Each step makes one
-    pass over the packed columns at the current ``lambda``.  When the batch
-    holds every sentence, that pass is ``corpus_total`` and the step follows
-    the gradient the trace record has just taken; otherwise it is the
-    per-sentence ``evaluate``, whose full sums go to the trace record and
-    whose sums over the batch's sentences go to the step.  The 2C
-    multipliers and the optimizer state are Python floats: for so few
-    values, a numpy call per operation would cost more than the arithmetic.
+    ``columns`` pass at the current ``lambda``.  Its corpus sums go to the
+    trace record; the step follows them when the batch holds every
+    sentence, and otherwise the sums over the columns of the batch's
+    sentences.  The 2C multipliers and the optimizer state are Python
+    floats: for so few values, a numpy call per operation would cost more
+    than the arithmetic.
     """
     d = len(packed.labels)
     trace: list[DualTraceRecord] = []
@@ -244,8 +218,7 @@ def solve_dual(
 
     size = packed.n_sentences
     batch = min(params.batch_size, size)
-    full_batch = batch == size
-    if not full_batch:
+    if batch < size:
         scale = size / batch
         rng = np.random.default_rng(params.seed)
         order = rng.permutation(size)
@@ -255,39 +228,36 @@ def solve_dual(
     moment2 = [0.0] * d
     steps = 0
 
-    def record(iteration: int) -> tuple[float, list[float], np.ndarray | None]:
+    def record(iteration: int) -> tuple[float, list[float], np.ndarray]:
         """Trace the full-corpus state at ``lambdas``; return the projected
-        gradient norm, the full-corpus ascent direction and, for minibatch
-        steps, the per-sentence gradients of log Z."""
-        if full_batch:
-            log_z, grad = packed.corpus_total(lambdas)
-            grads = None
-        else:
-            per_sentence, grads = packed.evaluate(lambdas)
-            log_z, grad = float(per_sentence.sum()), grads.sum(axis=0)
-        ascent = (-grad).tolist()
+        gradient norm, the full-corpus ascent direction and the pass's
+        columns."""
+        columns = packed.columns(lambdas)
+        totals = columns.sum(axis=0).tolist()
+        ascent = totals[1:]
         norm = math.hypot(*(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent)))
         trace.append(
             DualTraceRecord(
                 iteration=iteration,
                 grad_norm=norm,
-                neg_log_z=-log_z,
+                neg_log_z=-totals[0],
                 lambdas=tuple(lambdas),
             )
         )
-        return norm, ascent, grads
+        return norm, ascent, columns
 
     for iteration in range(params.max_iter):
-        norm, gradient, grads = record(iteration)
+        norm, gradient, columns = record(iteration)
         if norm < params.grad_tol:
             return np.array(lambdas), trace
-        if not full_batch:
+        if batch < size:
             if cursor + batch > size:
                 order = rng.permutation(size)
                 cursor = 0
-            subset = order[cursor:cursor + batch]
+            in_batch = np.zeros(size, dtype=bool)
+            in_batch[order[cursor:cursor + batch]] = True
             cursor += batch
-            gradient = [-g * scale for g in grads[subset].sum(axis=0).tolist()]
+            gradient = (columns[in_batch[packed.sentence], 1:].sum(axis=0) * scale).tolist()
         rate = params.lr0 * params.decay**iteration
         if params.optimizer == "adaptive_moments":
             steps += 1
@@ -347,7 +317,8 @@ def pr_decode(
     # once per job.
     reweighted = _reweighted(view, lambdas, packed.table) if lambdas.any() else None
     heads = view.decode(reweighted, projective=projective, single_root=single_root)
-    converged = bool(trace) and trace[-1].grad_norm < params.grad_tol
+    # The trace is empty only without feature rows: nothing to solve.
+    converged = not trace or trace[-1].grad_norm < params.grad_tol
     return InferenceResult(view.trees(heads), lambdas, packed.labels, trace, converged)
 
 

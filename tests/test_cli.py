@@ -146,6 +146,24 @@ def test_decode_requires_constraints_for_lr(workspace):
     assert code == 2
 
 
+def test_decode_rejects_trace_for_baseline(workspace, capsys):
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(workspace["constraints"]),
+            "--out", str(workspace["out"]),
+            "--trace", str(workspace["trace"]),
+            "--report", str(workspace["report"]),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "decode: --trace requires --method lr or pr\n"
+    for name in ("out", "trace", "report"):
+        assert not workspace[name].exists()
+
+
 @pytest.mark.parametrize("report", [False, True], ids=["no-report", "report"])
 @pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
 def test_empty_corpus_is_a_clean_error(tmp_path, capsys, method, report):

@@ -43,12 +43,16 @@ def enum_log_partition(corpus, dists, constraints, lambdas):
 
 
 def corpus_sums(packed, lambdas, subset=None):
-    """log Z and its gradient at ``lambdas`` from one ``packed.evaluate``
-    pass, summed over the sentences of ``subset`` (default: all)."""
-    log_z, grads = packed.evaluate(np.asarray(lambdas, dtype=float))
+    """log Z and its gradient at ``lambdas`` from one ``packed.columns``
+    pass, summed per sentence with ``np.add.at`` and then over the
+    sentences of ``subset`` (default: all)."""
+    columns = packed.columns(np.asarray(lambdas, dtype=float))
+    totals = np.zeros((packed.n_sentences, columns.shape[1]))
+    np.add.at(totals, packed.sentence, columns)
     if subset is not None:
-        log_z, grads = log_z[subset], grads[subset]
-    return float(log_z.sum()), grads.sum(axis=0)
+        totals = totals[subset]
+    total = totals.sum(axis=0)
+    return float(total[0]), -total[1:]
 
 
 def small_problem(rng, constraints=None, n_sentences=2, lengths=(2, 3, 4)):
@@ -107,39 +111,29 @@ def loop_pack_columns(corpus, constraints, root_counts_left=False):
     )
 
 
-def loop_evaluate(log_p, phi, sentence, n_sentences, lambdas):
-    """``PackedColumns.evaluate`` head slot by head slot, over the padded
-    arrays of ``loop_pack_columns``: the per-sentence log Z and gradient of
-    log Z, with one ``bincount`` per feature row."""
+def loop_columns(log_p, phi, lambdas):
+    """``PackedColumns.columns`` head slot by head slot, over the padded
+    arrays of ``loop_pack_columns``: each packed column's share of log Z
+    and its expected feature rows under ``q``."""
     logw = log_p - np.tensordot(lambdas, phi, axes=1)
     top = logw.max(axis=1, keepdims=True)
     weights = np.exp(logw - top)
     mass = weights.sum(axis=1, keepdims=True)
     q = weights / mass
-    log_z = np.bincount(sentence, top[:, 0] + np.log(mass[:, 0]), minlength=n_sentences)
-    expected = np.einsum("fth,th->ft", phi, q)
-    grads = np.empty((n_sentences, len(lambdas)))
-    for f, row in enumerate(expected):
-        grads[:, f] = -np.bincount(sentence, row, minlength=n_sentences)
-    return log_z, grads
+    return np.hstack((top + np.log(mass), np.einsum("fth,th->tf", phi, q)))
 
 
 class LoopPacked:
-    """What ``solve_dual`` reads of a ``PackedColumns``, evaluated by
-    ``loop_evaluate`` on the arrays of ``loop_pack_columns``; the corpus
-    total sums its per-sentence values."""
+    """What ``solve_dual`` reads of a ``PackedColumns``, with ``columns``
+    evaluated by ``loop_columns`` on the arrays of ``loop_pack_columns``."""
 
     def __init__(self, corpus, constraints, labels):
-        self.arrays = loop_pack_columns(corpus, constraints)[:3]
+        self.log_p, self.phi, self.sentence, _ = loop_pack_columns(corpus, constraints)
         self.labels = labels
         self.n_sentences = len(corpus)
 
-    def evaluate(self, lambdas):
-        return loop_evaluate(*self.arrays, self.n_sentences, np.asarray(lambdas, dtype=float))
-
-    def corpus_total(self, lambdas):
-        log_z, grads = self.evaluate(lambdas)
-        return float(log_z.sum()), grads.sum(axis=0)
+    def columns(self, lambdas):
+        return loop_columns(self.log_p, self.phi, np.asarray(lambdas, dtype=float))
 
 
 def kl_divergence(q, p):
@@ -223,16 +217,10 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
         )
         for _ in range(3):
             lam = lambda_rng.uniform(0, 3, len(packed.labels))
-            log_z, grads = packed.evaluate(lam)
-            loop_log_z, loop_grads = loop_evaluate(log_p, phi_values, sentence, len(corpus), lam)
-            np.testing.assert_allclose(log_z, loop_log_z, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(grads, loop_grads, rtol=0, atol=1e-12)
-            # The corpus-total pass gives the sums of the per-sentence one.
-            total_log_z, total_grad = packed.corpus_total(lam)
-            assert type(total_log_z) is float
-            assert total_grad.shape == (len(packed.labels),)
-            np.testing.assert_allclose(total_log_z, log_z.sum(), rtol=1e-12, atol=0)
-            np.testing.assert_allclose(total_grad, grads.sum(axis=0), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                packed.columns(lam), loop_columns(log_p, phi_values, lam), rtol=0, atol=1e-12
+            )
+            total_log_z, total_grad = corpus_sums(packed, lam)
         assert np.array_equal(packed.sentence, sentence)
         assert np.array_equal(packed.column, column)
         assert packed.n_sentences == len(corpus)
@@ -375,78 +363,49 @@ class TestRaggedCorpus:
             assert value == pytest.approx(oracle, abs=1e-9)
         assert kinds == {"unary", "binary"}
 
-    def test_batch_steps_use_subset_gradients(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", [4, len(RAGGED_CORPORA["mixed"]), 128])
+    def test_each_step_takes_one_columns_pass(self, batch_size, monkeypatch):
         rng = np.random.default_rng(61)
         corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
         passes = []
-        evaluate = PackedColumns.evaluate
+        columns = PackedColumns.columns
 
         def counted(self, lambdas):
             passes.append(1)
-            return evaluate(self, lambdas)
+            return columns(self, lambdas)
 
-        monkeypatch.setattr(PackedColumns, "evaluate", counted)
+        monkeypatch.setattr(PackedColumns, "columns", counted)
         params = cip.PrParams(
-            batch_size=4, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
+            batch_size=batch_size, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
         )
         lam, trace = cip.solve_dual(packed, params)
         assert len(passes) == len(trace) == params.max_iter + 1
         monkeypatch.undo()
 
-        # Replay the sampler: every step must be the rescaled subset
-        # gradient at the traced multipliers.
+        # Replay the steps: each is the full gradient at the traced
+        # multipliers when the batch holds every sentence, and otherwise
+        # the rescaled gradient of the sampler's batch.
         size = len(corpus)
+        batch = min(batch_size, size)
         sampler = np.random.default_rng(params.seed)
         order = sampler.permutation(size)
         cursor = 0
+        subset = None
         for before, after in zip(trace, trace[1:]):
-            if cursor + params.batch_size > size:
-                order = sampler.permutation(size)
-                cursor = 0
-            subset = order[cursor:cursor + params.batch_size]
-            cursor += params.batch_size
+            if batch < size:
+                if cursor + batch > size:
+                    order = sampler.permutation(size)
+                    cursor = 0
+                subset = order[cursor:cursor + batch]
+                cursor += batch
             current = np.array(before.lambdas)
             gradient = -corpus_sums(packed, current, subset)[1]
             rate = params.lr0 * params.decay**before.iteration
-            expected = np.maximum(current + rate * gradient * size / params.batch_size, 0.0)
+            expected = np.maximum(current + rate * gradient * size / batch, 0.0)
             np.testing.assert_allclose(after.lambdas, expected, rtol=0, atol=1e-12)
             full, _ = corpus_sums(packed, current)
             assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
-        np.testing.assert_array_equal(lam, trace[-1].lambdas)
-
-
-def test_full_batch_steps_use_corpus_totals(monkeypatch):
-    rng = np.random.default_rng(61)
-    corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
-    passes = {"evaluate": 0, "corpus_total": 0}
-    for name in passes:
-        real = getattr(PackedColumns, name)
-
-        def counted(self, lambdas, name=name, real=real):
-            passes[name] += 1
-            return real(self, lambdas)
-
-        monkeypatch.setattr(PackedColumns, name, counted)
-    size = len(corpus)
-    for batch_size, expected in ((size, "corpus_total"), (128, "corpus_total"), (4, "evaluate")):
-        passes.update(evaluate=0, corpus_total=0)
-        params = cip.PrParams(
-            batch_size=batch_size, max_iter=12, optimizer="plain_sgd", grad_tol=0.0, seed=3
-        )
-        lam, trace = cip.solve_dual(packed, params)
-        assert passes[expected] == len(trace) == params.max_iter + 1
-        assert sum(passes.values()) == passes[expected]
-        if expected == "evaluate":
-            continue
-        # Every full-batch step follows the full gradient at the traced
-        # multipliers.
-        for before, after in zip(trace, trace[1:]):
-            current = np.array(before.lambdas)
-            log_z, gradient = packed.corpus_total(current)
-            rate = params.lr0 * params.decay**before.iteration
-            expected_lam = np.maximum(current - rate * gradient, 0.0)
-            np.testing.assert_allclose(after.lambdas, expected_lam, rtol=0, atol=1e-12)
-            assert before.neg_log_z == -log_z
+            assert before.neg_log_z == -packed.columns(current).sum(axis=0)[0]
         np.testing.assert_array_equal(lam, trace[-1].lambdas)
 
 
@@ -605,12 +564,16 @@ class TestPosteriorArcProbs:
 
 class TestPrInfer:
     def test_empty_constraints_identity(self):
+        # With nothing to satisfy, both methods decode the baseline and
+        # report convergence.
         rng = np.random.default_rng(50)
         corpus = random_corpus(rng, 5, [2, 3, 4, 5])
         baseline = cip.decode_corpus(corpus)
-        result = cip.pr_infer(corpus, [])
-        assert result.lambdas.size == 0
-        assert [t.heads for t in result.trees] == [t.heads for t in baseline]
+        for infer in (cip.lr_infer, cip.pr_infer):
+            result = infer(corpus, [])
+            assert result.lambdas.size == 0
+            assert [t.heads for t in result.trees] == [t.heads for t in baseline]
+            assert result.converged
 
     def test_map_decode_invariant_to_normalization(self):
         rng = np.random.default_rng(51)
