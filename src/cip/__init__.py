@@ -2,21 +2,17 @@
 
 from .config import InferenceConfig
 from .constraints import (
-    ArcClass,
     Constraint,
     Direction,
-    classify_arc,
     coverage,
     expected_ratio,
     is_satisfied,
     load_constraints,
-    phi,
     ratio,
     ratio_gap,
     save_constraints,
 )
 from .core import (
-    ArcDistribution,
     Corpus,
     FormatError,
     ParseTree,
@@ -25,7 +21,6 @@ from .core import (
     pair_corpus,
     read_conllu,
     read_scores,
-    to_distribution,
     uas,
     write_conllu,
     write_scores,
@@ -39,7 +34,7 @@ from .decoder import (
     mst_decode,
     projective_decode,
 )
-from .lagrangian import LrParams, augment_scores, lr_infer
+from .lagrangian import LrParams, lr_infer
 from .posterior import PrParams, posterior_arc_probs, pr_infer, solve_dual
 from .synthetic import SyntheticSpec, generate_synthetic
 from .typology import (
@@ -54,8 +49,6 @@ from .view import InferenceResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcClass",
-    "ArcDistribution",
     "Constraint",
     "Corpus",
     "Direction",
@@ -71,10 +64,8 @@ __all__ = [
     "Sentence",
     "SyntheticSpec",
     "TypologyTable",
-    "augment_scores",
     "brute_force_constrained",
     "brute_force_decode",
-    "classify_arc",
     "compile_binary",
     "coverage",
     "decode_corpus",
@@ -88,7 +79,6 @@ __all__ = [
     "lr_infer",
     "mst_decode",
     "pair_corpus",
-    "phi",
     "posterior_arc_probs",
     "pr_infer",
     "projective_decode",
@@ -98,7 +88,6 @@ __all__ = [
     "read_scores",
     "save_constraints",
     "solve_dual",
-    "to_distribution",
     "uas",
     "write_conllu",
     "write_scores",

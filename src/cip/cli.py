@@ -31,6 +31,10 @@ def _atomic_write(path: str, render: Callable) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             render(handle)
+        # mkstemp makes the file 0600; give it the mode that open() gives.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,16 +150,13 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
         sentences = core.read_conllu(handle)
     constraint_list = _load_constraints(args.constraints)
     config = _load_config(args.config)
-    total_arcs = sum(len(s) for s in sentences)
+    chosen = typology.sample_sentences(sentences, args.sample, args.seed)
+    total_arcs = sum(len(s) for s in chosen)
     rows = []
     oracle = []
     for constraint in constraint_list:
         measured, count = typology.estimate_ratio(
-            sentences,
-            constraint,
-            sample_size=args.sample,
-            seed=args.seed,
-            root_counts_left=config.root_counts_left,
+            chosen, constraint, root_counts_left=config.root_counts_left
         )
         rows.append(
             {
@@ -270,6 +271,8 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
         src.append(float(s["ratio"]))
         tgt.append(float(t["ratio"]))
         cov.append(float(t["coverage"]))
+    if not kept:
+        raise ValueError("no constraint has a defined ratio in both reports")
     gap = cns.ratio_gap(kept, src, tgt, cov)
     payload = {"ratio_gap": gap}
     print(json.dumps(payload))

@@ -20,17 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Any, Sequence
 
 import numpy as np
 
-from .core import ArcDistribution, Corpus, ParseTree, Sentence
-
-
-class ArcClass(Enum):
-    PLUS = 1
-    MINUS = -1
-    NEITHER = 0
+from .core import Corpus, ParseTree, Sentence
 
 
 class Direction(Enum):
@@ -73,51 +67,17 @@ class Constraint:
         return min(1.0, self.r + self.theta)
 
 
-def classify_arc(
-    constraint: Constraint,
-    sentence: Sentence,
-    head: int,
-    dep: int,
-    *,
-    root_counts_left: bool = False,
-) -> ArcClass:
-    """Class of the arc head -> dep under the constraint.
-
-    Exactly one class is returned; binary classification is symmetric in the
-    head/dependent roles.
-    """
-    n = len(sentence)
-    if not 0 <= head <= n or not 1 <= dep <= n or head == dep:
-        raise ValueError(f"invalid arc ({head}, {dep}) for a {n}-token sentence")
-    if constraint.kind == "unary":
-        if sentence.upos[dep - 1] != constraint.pos:
-            return ArcClass.NEITHER
-        if head == 0:
-            return ArcClass.PLUS if root_counts_left else ArcClass.NEITHER
-        return ArcClass.PLUS if head < dep else ArcClass.MINUS
-    if head == 0:
-        return ArcClass.NEITHER  # the root carries no POS tag
-    pos_head = sentence.upos[head - 1]
-    pos_dep = sentence.upos[dep - 1]
-    if pos_head == constraint.pos and pos_dep == constraint.pos2:
-        first = head
-    elif pos_head == constraint.pos2 and pos_dep == constraint.pos:
-        first = dep
-    else:
-        return ArcClass.NEITHER
-    return ArcClass.PLUS if first == min(head, dep) else ArcClass.MINUS
-
-
 def class_matrix(
     constraint: Constraint,
     sentence: Sentence,
     *,
     root_counts_left: bool = False,
 ) -> np.ndarray:
-    """(n+1) x n int8 grid of arc classes (+1 / -1 / 0), self positions 0.
+    """(n+1) x n int8 grid of arc classes, self positions 0.
 
-    ``grid[head, dep - 1]`` is ``classify_arc(...).value`` of the arc
-    head -> dep, computed for every arc at once from the sentence's tags.
+    ``grid[head, dep - 1]`` is +1 if the arc head -> dep is positive, -1 if
+    it is negative and 0 if the constraint does not match it (see the module
+    docstring); binary classes are symmetric in the head/dependent roles.
     """
     return _arc_classes(constraint, np.asarray(sentence.upos), root_counts_left)
 
@@ -145,24 +105,6 @@ def _arc_classes(
     return order * (first[..., :, None] & second[..., None, 1:]) - order * (
         second[..., :, None] & first[..., None, 1:]
     )
-
-
-def arc_counts(
-    constraint: Constraint,
-    sentence: Sentence,
-    heads: Sequence[int],
-    *,
-    root_counts_left: bool = False,
-) -> tuple[int, int]:
-    """(positive, negative) arc counts of one head assignment."""
-    n = len(sentence)
-    idx = np.asarray(heads, dtype=int)
-    deps = np.arange(1, idx.size + 1)
-    if deps.size > n or np.any((idx < 0) | (idx > n) | (idx == deps)):
-        raise ValueError(f"invalid head assignment {tuple(heads)} for a {n}-token sentence")
-    grid = _arc_classes(constraint, np.asarray(sentence.upos), root_counts_left)
-    picked = grid[idx, deps - 1]
-    return int((picked == 1).sum()), int((picked == -1).sum())
 
 
 def _by_length(lengths: Sequence[int]) -> dict[int, list[int]]:
@@ -216,20 +158,24 @@ def ratio(
 def expected_ratio(
     constraint: Constraint,
     corpus: Corpus,
-    dists: Sequence[ArcDistribution],
+    probs: Sequence[np.ndarray],
     *,
     root_counts_left: bool = False,
 ) -> float | None:
-    """Ratio with tree indicators replaced by arc marginal probabilities."""
-    if len(dists) != len(corpus):
+    """Ratio with tree indicators replaced by arc marginal probabilities:
+    ``probs[k][head, dep - 1]`` is the probability that the head of
+    dependent ``dep`` of sentence ``k`` is ``head``."""
+    if len(probs) != len(corpus):
         raise ValueError("distributions and corpus differ in length")
     plus = minus = 0.0
-    for (sentence, _), dist in zip(corpus, dists):
-        if dist.n != len(sentence):
-            raise ValueError("distribution and sentence lengths differ")
+    for (sentence, _), p in zip(corpus, probs):
+        p = np.asarray(p)
+        n = len(sentence)
+        if p.shape != (n + 1, n):
+            raise ValueError(f"expected {n + 1} x {n} probabilities, got {p.shape}")
         classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-        plus += float(dist.probs[classes == 1].sum())
-        minus += float(dist.probs[classes == -1].sum())
+        plus += float(p[classes == 1].sum())
+        minus += float(p[classes == -1].sum())
     if plus + minus == 0.0:
         return None
     return plus / (plus + minus)
@@ -249,47 +195,17 @@ def coverage(
     return (plus + minus) / total if total else 0.0
 
 
-def phi(
-    constraint: Constraint,
-    direction: Direction,
-    sentence: Sentence,
-    head: int,
-    dep: int,
-    *,
-    root_counts_left: bool = False,
-) -> float:
-    """Per-arc feature whose expectation's sign encodes one side of the band.
-
-    The margin is folded into an effective ratio: the UPPER row uses
-    ``min(1, r + theta)`` with values (1 - r_eff, -r_eff, 0) for positive /
-    negative / unmatched arcs; the LOWER row uses ``max(0, r - theta)`` with
-    the signs flipped.  A nonpositive expectation of the row then means the
-    corresponding bound holds.
-    """
-    cls = classify_arc(constraint, sentence, head, dep, root_counts_left=root_counts_left)
-    return float(_phi_table(constraint, direction)[cls.value])
-
-
 def _phi_table(constraint: Constraint, direction: Direction) -> np.ndarray:
-    """Values of one constraint row on arcs of class 0, +1 and -1 (the
-    last), so a class grid indexes it directly."""
+    """Values of one feature row on arcs of class 0, +1 and -1 (the last),
+    so a class grid indexes it directly.  The UPPER row is (0, 1 - r_eff,
+    -r_eff) with ``r_eff = min(1, r + theta)``; the LOWER row flips the
+    signs, with ``r_eff = max(0, r - theta)``.  A nonpositive expectation of
+    the row means that its bound holds."""
     if direction is Direction.UPPER:
         eff = constraint.upper
         return np.array([0.0, 1.0 - eff, -eff])
     eff = constraint.lower
     return np.array([0.0, -(1.0 - eff), eff])
-
-
-def phi_matrix(
-    constraint: Constraint,
-    direction: Direction,
-    sentence: Sentence,
-    *,
-    root_counts_left: bool = False,
-) -> np.ndarray:
-    """(n+1) x n grid of phi values for one constraint row."""
-    classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
-    return _phi_table(constraint, direction).take(classes)
 
 
 def is_satisfied(constraint: Constraint, measured: float | None) -> bool:
@@ -323,24 +239,33 @@ def ratio_gap(
 # Constraint files
 # ---------------------------------------------------------------------------
 
+def read_constraint(obj: Any, where: str, **defaults: Any) -> Constraint:
+    """The constraint of one JSON object, with ``defaults`` for its absent
+    keys.  A malformed object raises ``ValueError`` naming ``where``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {obj!r}")
+    obj = {**defaults, **obj}
+    try:
+        return Constraint(
+            id=str(obj["id"]),
+            kind=str(obj["kind"]),
+            pos=str(obj["pos"]),
+            r=float(obj["r"]),
+            theta=float(obj["theta"]),
+            pos2=str(obj["pos2"]) if obj.get("pos2") is not None else None,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_constraints(stream: IO[str]) -> list[Constraint]:
     """Read a JSON array of constraint objects."""
     data = json.load(stream)
     if not isinstance(data, list):
         raise ValueError("constraint file must contain a JSON array")
-    out = []
-    for obj in data:
-        out.append(
-            Constraint(
-                id=str(obj["id"]),
-                kind=str(obj["kind"]),
-                pos=str(obj["pos"]),
-                r=float(obj["r"]),
-                theta=float(obj["theta"]),
-                pos2=str(obj["pos2"]) if obj.get("pos2") is not None else None,
-            )
-        )
-    return out
+    return [read_constraint(obj, f"constraint {k}") for k, obj in enumerate(data)]
 
 
 def save_constraints(constraints: Sequence[Constraint], stream: IO[str]) -> None:

@@ -112,35 +112,6 @@ class ScoreMatrix:
         return float(np.sum(self.scores[idx, np.arange(self.n)]))
 
 
-@dataclass(frozen=True, eq=False)
-class ArcDistribution:
-    """Per-dependent head distributions: ``probs[i, j-1] = P(head(j) = i)``.
-
-    Every column sums to 1; self positions are exactly 0.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] + 1 or p.shape[1] < 1:
-            raise ValueError(f"expected (n+1) x n probability array, got {p.shape}")
-        n = p.shape[1]
-        deps = np.arange(1, n + 1)
-        if np.any(p[deps, deps - 1] != 0.0):
-            raise ValueError("self positions must carry probability 0")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("probabilities outside [0, 1]")
-        if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("columns must sum to 1 within 1e-9")
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[1]
-
-
 @dataclass(frozen=True)
 class ParseTree:
     """Head assignment per token; ``heads[j-1]`` is the head of position ``j``."""
@@ -408,20 +379,8 @@ def write_scores(matrices: Sequence[ScoreMatrix], stream: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Probabilities and evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
-
-def to_distribution(matrix: ScoreMatrix) -> ArcDistribution:
-    """Per-dependent softmax over candidate heads.
-
-    Adding a constant to a whole column of the score matrix leaves the
-    result unchanged (the per-dependent normalizer absorbs it).
-    """
-    s = matrix.scores
-    shifted = s - s.max(axis=0)
-    e = np.exp(shifted)
-    return ArcDistribution(e / e.sum(axis=0))
-
 
 def uas(predicted: Sequence[ParseTree], gold: Sequence[Sentence]) -> float:
     """Unlabeled attachment score, micro-averaged over tokens."""

@@ -23,8 +23,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, class_matrix
-from .core import Corpus, ScoreMatrix, Sentence
+from .constraints import Constraint
+from .core import Corpus
 from .view import CorpusView, InferenceResult, _lookup
 
 
@@ -60,22 +60,6 @@ def _coefficients(constraints: Sequence[Constraint]) -> np.ndarray:
     """One ``(0, 1 - r, -r)`` row per constraint: the coefficient of an arc
     of class 0, +1 and -1, so ``lambda * coef`` is a table lookup."""
     return np.array([[0.0, 1.0 - c.r, -c.r] for c in constraints])
-
-
-def augment_scores(
-    matrix: ScoreMatrix,
-    sentence: Sentence,
-    constraints: Sequence[Constraint],
-    lambdas: Sequence[float],
-    *,
-    root_counts_left: bool = False,
-) -> ScoreMatrix:
-    """Add every constraint's multiplier-weighted coefficients to the scores."""
-    if len(constraints) != len(lambdas):
-        raise ValueError("constraints and lambdas differ in length")
-    classes = [class_matrix(c, sentence, root_counts_left=root_counts_left) for c in constraints]
-    adjust = _lookup(lambdas, _coefficients(constraints), classes)
-    return ScoreMatrix(matrix.scores + adjust, sent_id=matrix.sent_id)
 
 
 def lr_decode(

@@ -38,7 +38,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .constraints import Constraint, Direction, _phi_table
-from .core import ArcDistribution, Corpus
+from .core import Corpus
 from .view import CorpusView, InferenceResult, _lookup
 
 _ADAM_BETA1 = 0.9
@@ -52,7 +52,6 @@ class PrParams:
     decay: float = 0.98
     max_iter: int = 100
     batch_size: int = 128
-    optimizer: str = "adaptive_moments"  # or "plain_sgd"
     grad_tol: float = 1e-4
     seed: int = 0
 
@@ -65,8 +64,6 @@ class PrParams:
             raise ValueError("batch_size must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.optimizer not in ("adaptive_moments", "plain_sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +123,8 @@ def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], n
 
 
 def _head_probs(scores: np.ndarray) -> np.ndarray:
-    """Softmax of a ``(B, n+1, n)`` score stack over its head axis, in the
-    steps of ``core.to_distribution``, so each sentence's slice equals its
-    ``ArcDistribution`` bit for bit."""
+    """Softmax of a ``(B, n+1, n)`` score stack over its head axis: each
+    sentence's per-dependent head distributions, 0 on the self positions."""
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -198,7 +194,8 @@ class DualTraceRecord:
 def solve_dual(
     packed: PackedColumns, params: PrParams = PrParams()
 ) -> tuple[np.ndarray, list[DualTraceRecord]]:
-    """Projected stochastic ascent on ``-log Z`` over the nonnegative orthant.
+    """Projected stochastic ascent on ``-log Z`` over the nonnegative orthant,
+    by Adam steps (bias-corrected moment estimates) with a decaying rate.
 
     Batches are sampled without replacement per epoch and the batch gradient
     is rescaled to full-corpus magnitude.  The loop stops at the iteration
@@ -226,7 +223,6 @@ def solve_dual(
     lambdas = [0.0] * d
     moment1 = [0.0] * d
     moment2 = [0.0] * d
-    steps = 0
 
     def record(iteration: int) -> tuple[float, list[float], np.ndarray]:
         """Trace the full-corpus state at ``lambdas``; return the projected
@@ -259,18 +255,13 @@ def solve_dual(
             cursor += batch
             gradient = (columns[in_batch[packed.sentence], 1:].sum(axis=0) * scale).tolist()
         rate = params.lr0 * params.decay**iteration
-        if params.optimizer == "adaptive_moments":
-            steps += 1
-            bias1 = 1 - _ADAM_BETA1**steps
-            bias2 = 1 - _ADAM_BETA2**steps
-            for i, g in enumerate(gradient):
-                moment1[i] = _ADAM_BETA1 * moment1[i] + (1 - _ADAM_BETA1) * g
-                moment2[i] = _ADAM_BETA2 * moment2[i] + (1 - _ADAM_BETA2) * (g * g)
-                step = rate * (moment1[i] / bias1) / (math.sqrt(moment2[i] / bias2) + _ADAM_EPS)
-                lambdas[i] = max(lambdas[i] + step, 0.0)
-        else:
-            for i, g in enumerate(gradient):
-                lambdas[i] = max(lambdas[i] + rate * g, 0.0)
+        bias1 = 1 - _ADAM_BETA1 ** (iteration + 1)
+        bias2 = 1 - _ADAM_BETA2 ** (iteration + 1)
+        for i, g in enumerate(gradient):
+            moment1[i] = _ADAM_BETA1 * moment1[i] + (1 - _ADAM_BETA1) * g
+            moment2[i] = _ADAM_BETA2 * moment2[i] + (1 - _ADAM_BETA2) * (g * g)
+            step = rate * (moment1[i] / bias1) / (math.sqrt(moment2[i] / bias2) + _ADAM_EPS)
+            lambdas[i] = max(lambdas[i] + step, 0.0)
 
     record(params.max_iter)
     return np.array(lambdas), trace
@@ -284,15 +275,16 @@ def _reweighted(view: CorpusView, lambdas: np.ndarray, table: np.ndarray) -> Ite
         yield bucket.scores - _lookup(lambdas, table, grids)
 
 
-def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[ArcDistribution]:
+def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[np.ndarray]:
     """The reweighted head distributions ``q ~ p * exp(-lambda . phi)`` of
-    every sentence, in corpus order: the per-dependent softmax of
-    ``scores - lambda . phi``, since ``p`` is the softmax of the scores."""
+    every sentence, in corpus order, as ``(n+1, n)`` arrays indexed like the
+    scores: the per-dependent softmax of ``scores - lambda . phi``, since
+    ``p`` is the softmax of the scores."""
     _, table = _feature_rows(view.constraints)
-    probs: list[ArcDistribution] = [None] * len(view.corpus)  # type: ignore[list-item]
+    probs: list[np.ndarray] = [None] * len(view.corpus)  # type: ignore[list-item]
     for bucket, scores in zip(view.buckets, _reweighted(view, lambdas, table)):
         for k, q in zip(bucket.index, _head_probs(scores)):
-            probs[k] = ArcDistribution(q)
+            probs[k] = q
     return probs
 
 

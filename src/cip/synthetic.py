@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import Constraint, class_matrix, ratio
+from .constraints import Constraint, class_matrix, ratio, read_constraint
 from .core import Corpus, ParseTree, ScoreMatrix, Sentence
 
 
@@ -60,30 +60,29 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SyntheticSpec":
+        """The spec of a JSON object; a malformed one raises ``ValueError``."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"spec: expected a JSON object, got {obj!r}")
         planted = tuple(
-            Constraint(
-                id=str(c["id"]),
-                kind=str(c["kind"]),
-                pos=str(c["pos"]),
-                r=float(c["r"]),
-                theta=float(c.get("theta", 0.0)),
-                pos2=str(c["pos2"]) if c.get("pos2") is not None else None,
+            read_constraint(c, f"spec: planted constraint {k}", theta=0.0)
+            for k, c in enumerate(obj.get("planted", ()))
+        )
+        try:
+            return cls(
+                n_sentences=int(obj["n_sentences"]),
+                min_len=int(obj["min_len"]),
+                max_len=int(obj["max_len"]),
+                pos_weights=tuple((str(p), float(w)) for p, w in obj["pos_weights"].items()),
+                planted=planted,
+                sigma=float(obj.get("sigma", 0.0)),
+                margin=float(obj.get("margin", 1.0)),
+                flip_prob=float(obj.get("flip_prob", 0.0)),
+                flip_boost=float(obj.get("flip_boost", 0.5)),
+                allow_nonprojective=bool(obj.get("allow_nonprojective", False)),
+                seed=int(obj.get("seed", 0)),
             )
-            for c in obj.get("planted", ())
-        )
-        return cls(
-            n_sentences=int(obj["n_sentences"]),
-            min_len=int(obj["min_len"]),
-            max_len=int(obj["max_len"]),
-            pos_weights=tuple((str(p), float(w)) for p, w in obj["pos_weights"].items()),
-            planted=planted,
-            sigma=float(obj.get("sigma", 0.0)),
-            margin=float(obj.get("margin", 1.0)),
-            flip_prob=float(obj.get("flip_prob", 0.0)),
-            flip_boost=float(obj.get("flip_boost", 0.5)),
-            allow_nonprojective=bool(obj.get("allow_nonprojective", False)),
-            seed=int(obj.get("seed", 0)),
-        )
+        except KeyError as exc:
+            raise ValueError(f"spec: missing key {exc}") from None
 
 
 def _random_projective_heads(length: int, rng: np.random.Generator) -> list[int]:

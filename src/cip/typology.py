@@ -153,6 +153,20 @@ def fit_unary_ratio(
     return min(1.0, max(0.0, prediction))
 
 
+def sample_sentences(
+    sentences: Sequence[Sentence], sample_size: int | None = None, seed: int = 0
+) -> list[Sentence]:
+    """A uniform without-replacement sample of ``sample_size`` sentences
+    (seeded), in corpus order; every sentence when ``sample_size`` is None."""
+    if sample_size is None:
+        return list(sentences)
+    if sample_size > len(sentences):
+        raise ValueError("sample_size exceeds corpus size")
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(len(sentences), size=sample_size, replace=False)
+    return [sentences[int(i)] for i in sorted(picked)]
+
+
 def estimate_ratio(
     sentences: Sequence[Sentence],
     constraint: Constraint,
@@ -166,14 +180,7 @@ def estimate_ratio(
     ``sample_size`` restricts the estimate to a uniform without-replacement
     sample of sentences (seeded).  Returns (None, 0) when no arc matches.
     """
-    if sample_size is not None:
-        if sample_size > len(sentences):
-            raise ValueError("sample_size exceeds corpus size")
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(sentences), size=sample_size, replace=False)
-        chosen = [sentences[int(i)] for i in sorted(picked)]
-    else:
-        chosen = list(sentences)
+    chosen = sample_sentences(sentences, sample_size, seed)
     for sentence in chosen:
         if sentence.gold_heads is None:
             raise ValueError(f"sentence {sentence.sent_id!r} has no gold heads")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -481,6 +482,125 @@ def test_missing_file_is_a_clean_error(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pr": {"optimizer": "adaptive_moments"}}))
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--config", str(config),
+            "--out", str(workspace["out"]),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("cip: bad config: ")
+
+
+def test_output_files_get_the_mode_open_gives(workspace, tmp_path):
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--out", str(workspace["out"]),
+        ]
+    )
+    assert code == 0
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8") as handle:
+        handle.write("x\n")
+    assert stat.S_IMODE(os.stat(workspace["out"]).st_mode) == stat.S_IMODE(
+        os.stat(plain).st_mode
+    )
+
+
+def test_sampled_coverage_matches_full_coverage(tmp_path):
+    # Every sentence is the same, so a sample's matched-arc share equals the
+    # corpus's.
+    sentence = cip.Sentence(
+        forms=("a", "b", "c", "d"), upos=("DET", "NOUN", "VERB", "NOUN"), gold_heads=(2, 3, 0, 3)
+    )
+    gold = tmp_path / "gold.conllu"
+    with open(gold, "w", encoding="utf-8") as handle:
+        cip.write_conllu([sentence] * 20, handle)
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(
+        json.dumps([{"id": "noun-left", "kind": "unary", "pos": "NOUN", "r": 0.5, "theta": 0.1}])
+    )
+    coverage = {}
+    for name, extra in (("full", []), ("sampled", ["--sample", "5", "--seed", "3"])):
+        out = tmp_path / f"{name}.json"
+        argv = ["estimate-ratios", "--conllu", str(gold), "--constraints", str(constraints)]
+        assert main([*argv, "--out", str(out), *extra]) == 0
+        (row,) = json.loads(out.read_text())["ratios"]
+        coverage[name] = row["coverage"]
+    assert coverage["full"] == coverage["sampled"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.5},
+            "cip: constraint 0: missing key 'theta'",
+        ),
+        ([1], "cip: constraint 0: expected a JSON object"),
+    ],
+    ids=["missing-theta", "not-an-object"],
+)
+def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entry, message):
+    constraints = tmp_path / "bad.json"
+    constraints.write_text(json.dumps([entry]))
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(constraints),
+            "--method", "lr",
+            "--out", str(workspace["out"]),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_spec_without_pos_weights_is_a_clean_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({k: v for k, v in SPEC.items() if k != "pos_weights"}))
+    code = main(
+        [
+            "synth",
+            "--spec", str(spec),
+            "--out-conllu", str(tmp_path / "gold.conllu"),
+            "--out-scores", str(tmp_path / "scores.jsonl"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "cip: spec: missing key 'pos_weights'\n"
+
+
+def test_ratio_gap_without_shared_ratios_names_the_reason(workspace, tmp_path, capsys):
+    reports = {}
+    for name, ratio in (("source", None), ("target", 0.9)):
+        reports[name] = tmp_path / f"{name}.json"
+        row = {"id": "noun-left", "ratio": ratio, "count": 3, "coverage": 0.2}
+        reports[name].write_text(json.dumps({"ratios": [row]}))
+    code = main(
+        [
+            "ratio-gap",
+            "--constraints", str(workspace["constraints"]),
+            "--source", str(reports["source"]),
+            "--target", str(reports["target"]),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("cip: no constraint has a defined ratio in both reports\n")
 
 
 def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkeypatch):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import (
-    ArcClass,
-    Direction,
-    _arc_classes,
-    arc_counts,
-    class_matrix,
-    phi_matrix,
-)
+from cip.constraints import Direction, _arc_classes, class_matrix
 
-from conftest import make_sentence, random_corpus
+from conftest import (
+    ArcClass,
+    classify_arc,
+    make_sentence,
+    phi,
+    phi_grid,
+    random_corpus,
+    to_distribution,
+)
 
 
 UNARY = cip.Constraint(id="c1", kind="unary", pos="NOUN", r=0.5, theta=0.1)
@@ -44,48 +45,48 @@ class TestConstraintType:
 class TestClassifyArc:
     def test_unary_left_head(self):
         s = make_sentence(("DET", "NOUN"))
-        assert cip.classify_arc(UNARY, s, 1, 2) is ArcClass.PLUS
+        assert classify_arc(UNARY, s, 1, 2) is ArcClass.PLUS
 
     def test_unary_right_head(self):
         s = make_sentence(("NOUN", "VERB"))
-        assert cip.classify_arc(UNARY, s, 2, 1) is ArcClass.MINUS
+        assert classify_arc(UNARY, s, 2, 1) is ArcClass.MINUS
 
     def test_unary_other_pos(self):
         s = make_sentence(("DET", "NOUN"))
-        assert cip.classify_arc(UNARY, s, 2, 1) is ArcClass.NEITHER
+        assert classify_arc(UNARY, s, 2, 1) is ArcClass.NEITHER
 
     def test_root_policy_default(self):
         s = make_sentence(("DET", "NOUN"))
-        assert cip.classify_arc(UNARY, s, 0, 2) is ArcClass.NEITHER
+        assert classify_arc(UNARY, s, 0, 2) is ArcClass.NEITHER
 
     def test_root_policy_literal(self):
         s = make_sentence(("DET", "NOUN"))
-        assert cip.classify_arc(UNARY, s, 0, 2, root_counts_left=True) is ArcClass.PLUS
+        assert classify_arc(UNARY, s, 0, 2, root_counts_left=True) is ArcClass.PLUS
 
     def test_binary_either_role(self):
         # Postposition pattern NOUN ADP: the noun precedes the adposition,
         # whichever endpoint is the head.
         s = make_sentence(("NOUN", "ADP"))
-        assert cip.classify_arc(BINARY, s, 1, 2) is ArcClass.PLUS
-        assert cip.classify_arc(BINARY, s, 2, 1) is ArcClass.PLUS
+        assert classify_arc(BINARY, s, 1, 2) is ArcClass.PLUS
+        assert classify_arc(BINARY, s, 2, 1) is ArcClass.PLUS
 
     def test_binary_reversed_order(self):
         s = make_sentence(("ADP", "NOUN"))
-        assert cip.classify_arc(BINARY, s, 1, 2) is ArcClass.MINUS
-        assert cip.classify_arc(BINARY, s, 2, 1) is ArcClass.MINUS
+        assert classify_arc(BINARY, s, 1, 2) is ArcClass.MINUS
+        assert classify_arc(BINARY, s, 2, 1) is ArcClass.MINUS
 
     def test_binary_unmatched(self):
         s = make_sentence(("NOUN", "NOUN"))
-        assert cip.classify_arc(BINARY, s, 1, 2) is ArcClass.NEITHER
+        assert classify_arc(BINARY, s, 1, 2) is ArcClass.NEITHER
 
     def test_binary_root_is_neither(self):
         s = make_sentence(("NOUN", "ADP"))
-        assert cip.classify_arc(BINARY, s, 0, 1) is ArcClass.NEITHER
+        assert classify_arc(BINARY, s, 0, 1) is ArcClass.NEITHER
 
     def test_invalid_arc(self):
         s = make_sentence(("NOUN",))
         with pytest.raises(ValueError):
-            cip.classify_arc(UNARY, s, 1, 1)
+            classify_arc(UNARY, s, 1, 1)
 
     def test_binary_symmetry_randomized(self):
         rng = np.random.default_rng(20)
@@ -94,8 +95,8 @@ class TestClassifyArc:
             upos = tuple(str(rng.choice(["NOUN", "ADP", "DET"])) for _ in range(n))
             s = make_sentence(upos)
             head, dep = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-            a = cip.classify_arc(BINARY, s, int(head), int(dep))
-            b = cip.classify_arc(BINARY, s, int(dep), int(head))
+            a = classify_arc(BINARY, s, int(head), int(dep))
+            b = classify_arc(BINARY, s, int(dep), int(head))
             assert a is b
 
 
@@ -107,7 +108,7 @@ def loop_class_matrix(constraint, sentence, root_counts_left):
     for dep in range(1, n + 1):
         for head in range(n + 1):
             if head != dep:
-                cls = cip.classify_arc(
+                cls = classify_arc(
                     constraint, sentence, head, dep, root_counts_left=root_counts_left
                 )
                 grid[head, dep - 1] = cls.value
@@ -150,7 +151,7 @@ class TestClassMatrix:
         for c in (UNARY, BINARY):
             for root_counts_left in (False, True):
                 classes = [
-                    cip.classify_arc(c, s, h, d, root_counts_left=root_counts_left)
+                    classify_arc(c, s, h, d, root_counts_left=root_counts_left)
                     for (s, _), t in zip(corpus, trees)
                     for h, d in t.arcs()
                 ]
@@ -159,12 +160,6 @@ class TestClassMatrix:
                 kw = dict(root_counts_left=root_counts_left)
                 assert cip.ratio(c, corpus, trees, **kw) == plus / (plus + minus)
                 assert cip.coverage(c, corpus, trees, **kw) == (plus + minus) / len(classes)
-
-    def test_arc_counts_rejects_invalid_heads(self):
-        s = make_sentence(("DET", "NOUN"))
-        for heads in ((0, 2), (3, 0), (-1, 0), (2, 0, 1)):
-            with pytest.raises(ValueError):
-                arc_counts(UNARY, s, heads)
 
 
 class TestRatio:
@@ -191,9 +186,9 @@ class TestRatio:
         trees = [cip.mst_decode(m) for _, m in corpus]
         plus = minus = 0
         for (s, _), t in zip(corpus, trees):
-            p, m = arc_counts(UNARY, s, t.heads)
-            plus += p
-            minus += m
+            picked = class_matrix(UNARY, s)[list(t.heads), np.arange(len(s))]
+            plus += int((picked == 1).sum())
+            minus += int((picked == -1).sum())
         measured = cip.ratio(UNARY, corpus, trees)
         if plus + minus:
             assert measured == pytest.approx(plus / (plus + minus))
@@ -212,14 +207,14 @@ class TestExpectedRatio:
             probs = np.zeros((n + 1, n))
             for head, dep in t.arcs():
                 probs[head, dep - 1] = 1.0
-            dists.append(cip.ArcDistribution(probs))
+            dists.append(probs)
         assert cip.expected_ratio(UNARY, corpus, dists) == cip.ratio(UNARY, corpus, trees)
 
     def test_uniform_two_token(self):
         s = make_sentence(("DET", "NOUN"))
         m = cip.ScoreMatrix(np.zeros((3, 2)))
         corpus = cip.Corpus(((s, m),))
-        dist = cip.to_distribution(m)
+        dist = to_distribution(m)
         # Matched mass: only the det->noun arc (the root arc does not count).
         assert cip.expected_ratio(UNARY, corpus, [dist]) == 1.0
 
@@ -227,33 +222,39 @@ class TestExpectedRatio:
         s = make_sentence(("DET", "VERB"))
         m = cip.ScoreMatrix(np.zeros((3, 2)))
         corpus = cip.Corpus(((s, m),))
-        assert cip.expected_ratio(UNARY, corpus, [cip.to_distribution(m)]) is None
+        assert cip.expected_ratio(UNARY, corpus, [to_distribution(m)]) is None
+
+    def test_rejects_misshapen_probabilities(self):
+        s = make_sentence(("DET", "NOUN"))
+        corpus = cip.Corpus(((s, cip.ScoreMatrix(np.zeros((3, 2)))),))
+        with pytest.raises(ValueError, match="3 x 2"):
+            cip.expected_ratio(UNARY, corpus, [np.full((2, 3), 0.5)])
 
 
 class TestPhi:
     def test_plain_upper(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.0)
         s = make_sentence(("DET", "NOUN"))
-        assert cip.phi(c, Direction.UPPER, s, 1, 2) == 0.5
+        assert phi(c, Direction.UPPER, s, 1, 2) == 0.5
         s2 = make_sentence(("NOUN", "VERB"))
-        assert cip.phi(c, Direction.UPPER, s2, 2, 1) == -0.5
+        assert phi(c, Direction.UPPER, s2, 2, 1) == -0.5
 
     def test_vacuous_upper_bound(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.875, theta=0.125)
         s = make_sentence(("DET", "NOUN"))
-        assert cip.phi(c, Direction.UPPER, s, 1, 2) == 0.0
+        assert phi(c, Direction.UPPER, s, 1, 2) == 0.0
 
     def test_neither_is_zero(self):
         s = make_sentence(("DET", "VERB"))
         for direction in Direction:
-            assert cip.phi(UNARY, direction, s, 1, 2) == 0.0
+            assert phi(UNARY, direction, s, 1, 2) == 0.0
 
     def test_lower_signs(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.6, theta=0.1)
         s = make_sentence(("DET", "NOUN"))
-        assert cip.phi(c, Direction.LOWER, s, 1, 2) == pytest.approx(-0.5)
+        assert phi(c, Direction.LOWER, s, 1, 2) == pytest.approx(-0.5)
         s2 = make_sentence(("NOUN", "VERB"))
-        assert cip.phi(c, Direction.LOWER, s2, 2, 1) == pytest.approx(0.5)
+        assert phi(c, Direction.LOWER, s2, 2, 1) == pytest.approx(0.5)
 
     def test_expectation_sign_encodes_bound(self):
         # The sign of the expected upper feature row must agree with the
@@ -261,7 +262,7 @@ class TestPhi:
         rng = np.random.default_rng(23)
         for _ in range(50):
             corpus = random_corpus(rng, 3, [2, 3, 4])
-            dists = [cip.to_distribution(m) for _, m in corpus]
+            dists = [to_distribution(m) for _, m in corpus]
             c = cip.Constraint(
                 id="x", kind="unary", pos="NOUN",
                 r=float(rng.uniform(0.1, 0.9)), theta=float(rng.uniform(0, 0.1)),
@@ -270,12 +271,12 @@ class TestPhi:
             if measured is None:
                 continue
             upper = sum(
-                float(np.sum(phi_matrix(c, Direction.UPPER, s) * d.probs))
+                float(np.sum(phi_grid(c, Direction.UPPER, s) * d))
                 for (s, _), d in zip(corpus, dists)
             )
             assert (upper <= 1e-12) == (measured <= c.upper + 1e-12)
             lower = sum(
-                float(np.sum(phi_matrix(c, Direction.LOWER, s) * d.probs))
+                float(np.sum(phi_grid(c, Direction.LOWER, s) * d))
                 for (s, _), d in zip(corpus, dists)
             )
             assert (lower <= 1e-12) == (measured >= c.lower - 1e-12)

@@ -1,4 +1,4 @@
-"""Domain types, file formats, normalization, and UAS."""
+"""Domain types, file formats, head distributions, and UAS."""
 
 import io
 import math
@@ -8,8 +8,9 @@ import pytest
 
 import cip
 from cip.core import NEG_INF
+from cip.posterior import _head_probs
 
-from conftest import make_sentence
+from conftest import make_sentence, to_distribution
 
 
 CONLLU_TWO = """\
@@ -173,33 +174,41 @@ class TestScoreFile:
         assert back[0].sent_id == "a"
 
 
+def head_distributions(matrix):
+    """The head distributions of ``matrix`` from the scalar reference and
+    from the bucket kernel that PR runs."""
+    return [to_distribution(matrix), _head_probs(matrix.scores[None])[0]]
+
+
 class TestToDistribution:
     def test_equal_scores_give_uniform(self):
         matrix = cip.ScoreMatrix(np.zeros((4, 3)))
-        dist = cip.to_distribution(matrix)
-        for j in range(3):
-            column = dist.probs[:, j]
-            nonzero = column[column > 0]
-            np.testing.assert_allclose(nonzero, 1 / 3)
+        for dist in head_distributions(matrix):
+            for j in range(3):
+                column = dist[:, j]
+                nonzero = column[column > 0]
+                np.testing.assert_allclose(nonzero, 1 / 3)
 
     def test_single_token(self):
         matrix = cip.ScoreMatrix(np.array([[3.0], [0.0]]))
-        dist = cip.to_distribution(matrix)
-        assert dist.probs[0, 0] == 1.0
+        for dist in head_distributions(matrix):
+            assert dist[0, 0] == 1.0
 
     def test_hand_softmax(self):
         # dependent 2 with candidate heads 0 and 1 scoring (0, log 3)
         scores = np.zeros((3, 2))
         scores[1, 1] = math.log(3)
-        dist = cip.to_distribution(cip.ScoreMatrix(scores))
-        np.testing.assert_allclose(dist.probs[:, 1], [0.25, 0.75, 0.0], atol=1e-12)
+        for dist in head_distributions(cip.ScoreMatrix(scores)):
+            np.testing.assert_allclose(dist[:, 1], [0.25, 0.75, 0.0], atol=1e-12)
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             n = int(rng.integers(1, 7))
-            dist = cip.to_distribution(cip.ScoreMatrix(rng.normal(0, 5, (n + 1, n))))
-            np.testing.assert_allclose(dist.probs.sum(axis=0), 1.0, atol=1e-9)
+            matrix = cip.ScoreMatrix(rng.normal(0, 5, (n + 1, n)))
+            reference, kernel = head_distributions(matrix)
+            np.testing.assert_array_equal(kernel, reference)
+            np.testing.assert_allclose(reference.sum(axis=0), 1.0, atol=1e-9)
 
     def test_column_shift_invariance(self):
         rng = np.random.default_rng(2)
@@ -207,9 +216,10 @@ class TestToDistribution:
             n = int(rng.integers(2, 6))
             base = rng.normal(0, 2, (n + 1, n))
             shifted = base + rng.normal(0, 10, n)  # one constant per column
-            a = cip.to_distribution(cip.ScoreMatrix(base))
-            b = cip.to_distribution(cip.ScoreMatrix(shifted))
-            np.testing.assert_allclose(a.probs, b.probs, atol=1e-9)
+            a = head_distributions(cip.ScoreMatrix(base))
+            b = head_distributions(cip.ScoreMatrix(shifted))
+            for x, y in zip(a, b):
+                np.testing.assert_allclose(x, y, atol=1e-9)
 
 
 class TestUas:
@@ -298,10 +308,6 @@ class TestTypeInvariants:
         matrix = cip.ScoreMatrix(np.zeros((2, 1)), sent_id="y")
         with pytest.raises(ValueError, match="sent_id"):
             cip.pair_corpus([sentence], [matrix])
-
-    def test_arc_distribution_validates_columns(self):
-        with pytest.raises(ValueError, match="sum"):
-            cip.ArcDistribution(np.array([[0.5], [0.0]]))
 
 
 def test_public_names_resolve():

@@ -8,14 +8,35 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cip
+from cip.constraints import class_matrix
 from cip.core import NEG_INF
 from cip.decoder import projective_tree_table
-from cip.lagrangian import IterationRecord, write_lr_trace
-from cip.view import InferenceResult
+from cip.lagrangian import IterationRecord, _coefficients, write_lr_trace
+from cip.view import InferenceResult, _lookup
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
 
 NOUN_LEFT = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=1.0, theta=0.01)
+
+
+def augment_scores(matrix, sentence, constraints, lambdas, *, root_counts_left=False):
+    """Add every constraint's multiplier-weighted coefficients, ``lambda *
+    (1 - r)`` on positive arcs and ``-lambda * r`` on negative ones, to one
+    sentence's scores: the per-sentence reference of LR's bucket lookup."""
+    if len(constraints) != len(lambdas):
+        raise ValueError("constraints and lambdas differ in length")
+    adjust = 0.0
+    for c, lam in zip(constraints, lambdas):
+        if lam != 0.0:
+            grid = class_matrix(c, sentence, root_counts_left=root_counts_left)
+            adjust = adjust + lam * ((grid == 1) - c.r * (grid != 0))
+    return cip.ScoreMatrix(matrix.scores + adjust, sent_id=matrix.sent_id)
+
+
+def lookup_scores(matrix, sentence, constraints, lambdas):
+    """The same sum from the table lookup that ``lr_decode`` runs."""
+    grids = [class_matrix(c, sentence) for c in constraints]
+    return matrix.scores + _lookup(lambdas, _coefficients(constraints), grids)
 
 
 def loop_lr_infer(
@@ -114,14 +135,18 @@ class TestParams:
 class TestAugmentScores:
     def test_zero_lambda_is_identity(self):
         sentence, matrix = noun_toy_entry(0.5)
-        out = cip.augment_scores(matrix, sentence, [NOUN_LEFT], [0.0])
+        out = augment_scores(matrix, sentence, [NOUN_LEFT], [0.0])
         np.testing.assert_array_equal(out.scores, matrix.scores)
+        np.testing.assert_array_equal(
+            lookup_scores(matrix, sentence, [NOUN_LEFT], [0.0]), matrix.scores
+        )
 
     def test_coefficients(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.25, theta=0.0)
         sentence = make_sentence(("DET", "NOUN", "VERB"))
         matrix = cip.ScoreMatrix(np.zeros((4, 3)))
-        out = cip.augment_scores(matrix, sentence, [c], [2.0])
+        out = augment_scores(matrix, sentence, [c], [2.0])
+        np.testing.assert_array_equal(lookup_scores(matrix, sentence, [c], [2.0]), out.scores)
         assert out.scores[1, 1] == pytest.approx(1.5)  # plus arc: +lambda*(1-r)
         assert out.scores[3, 1] == pytest.approx(-0.5)  # minus arc: -lambda*r
         assert out.scores[0, 0] == 0.0  # unmatched arc untouched
@@ -132,7 +157,10 @@ class TestAugmentScores:
         c2 = cip.Constraint(id="b", kind="unary", pos="NOUN", r=0.5, theta=0.0)
         sentence = make_sentence(("DET", "NOUN"))
         matrix = cip.ScoreMatrix(np.zeros((3, 2)))
-        out = cip.augment_scores(matrix, sentence, [c1, c2], [2.0, 1.0])
+        out = augment_scores(matrix, sentence, [c1, c2], [2.0, 1.0])
+        np.testing.assert_array_equal(
+            lookup_scores(matrix, sentence, [c1, c2], [2.0, 1.0]), out.scores
+        )
         assert out.scores[1, 1] == pytest.approx(2 * 0.75 + 1 * 0.5)
 
 
@@ -180,14 +208,14 @@ class TestLrInfer:
 
         def plus_count(record_trees):
             return sum(
-                cip.constraints.arc_counts(c, s, t.heads)[0]
+                int((class_matrix(c, s)[list(t.heads), np.arange(len(s))] == 1).sum())
                 for (s, _), t in zip(corpus, record_trees)
             )
 
         lam0 = np.array(first.lambdas)
         lam1 = np.array(second.lambdas)
         decode = lambda lam: [
-            cip.mst_decode(cip.augment_scores(m, s, [c], lam))
+            cip.mst_decode(augment_scores(m, s, [c], lam))
             for s, m in corpus
         ]
         assert plus_count(decode(lam1)) <= plus_count(decode(lam0))
@@ -204,7 +232,7 @@ class TestLrInfer:
                 cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.3, theta=0.0),
             ]
             for sentence, matrix in corpus:
-                augmented = cip.augment_scores(matrix, sentence, cons, lambdas)
+                augmented = augment_scores(matrix, sentence, cons, lambdas)
                 fast = cip.mst_decode(augmented)
                 _, best = cip.brute_force_decode(augmented)
                 assert augmented.tree_score(fast.heads) == best
@@ -258,7 +286,7 @@ class TestLrInfer:
         assert tuple(result.lambdas) == returned.lambdas
         assert returned is not result.trace[-1]
         redecoded = [
-            cip.mst_decode(cip.augment_scores(matrix, sentence, cons, result.lambdas))
+            cip.mst_decode(augment_scores(matrix, sentence, cons, result.lambdas))
             for sentence, matrix in corpus
         ]
         assert [t.heads for t in redecoded] == [t.heads for t in result.trees]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import arc_counts
+from cip.constraints import class_matrix
 
 
 POS = (("NOUN", 0.3), ("VERB", 0.25), ("DET", 0.25), ("ADJ", 0.2))
@@ -121,11 +121,12 @@ class TestGeneration:
         tokens = sum(len(s) for s in corpus.sentences)
         count = round(dict(POS)["ADJ"] * tokens)
         placed_plus = round(0.8 * count)
-        matched = [
-            arc_counts(spec.planted[0], s, s.gold_heads) for s in corpus.sentences
-        ]
-        assert sum(p for p, _ in matched) == placed_plus
-        assert sum(m for _, m in matched) == count - placed_plus
+        matched = np.concatenate([
+            class_matrix(spec.planted[0], s)[list(s.gold_heads), np.arange(len(s))]
+            for s in corpus.sentences
+        ])
+        assert (matched == 1).sum() == placed_plus
+        assert (matched == -1).sum() == count - placed_plus
         assert true_ratios["adj-noun"] == placed_plus / count
 
     def test_infeasible_planting(self):
