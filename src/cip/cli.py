@@ -78,6 +78,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         return 2
 
     view = CorpusView.of(corpus, constraint_list, config.root_counts_left)
+    # From here on the view holds the scores: once, as its stacked copy.
+    del corpus
     decode = {"projective": args.projective, "single_root": config.single_root}
     baseline = view.decode(**decode)
     if args.method == "lr":
@@ -91,7 +93,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.trace:
         _atomic_write(args.trace, write_trace)
 
-    _atomic_write(args.out, lambda h: core.write_conllu(corpus.sentences, h, result.trees))
+    _atomic_write(args.out, lambda h: core.write_conllu(view.sentences, h, result.trees))
 
     _, _, ratios_before = view.gather(baseline)
     objective, _, ratios_after = view.gather(view.stack(result.trees))
@@ -107,10 +109,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
         for constraint, before, after in zip(constraint_list, ratios_before, ratios_after)
     ]
     if args.report:
-        has_gold = all(s.gold_heads is not None for s in corpus.sentences)
+        has_gold = all(s.gold_heads is not None for s in view.sentences)
         report = {
             "constraints": rows,
-            "uas": core.uas(result.trees, corpus.sentences) if has_gold else None,
+            "uas": core.uas(result.trees, view.sentences) if has_gold else None,
             "objective": objective,
             "iterations": len(result.trace),
             "converged": result.converged,
@@ -254,23 +256,55 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_ratio_report(path: str) -> dict[str, tuple[float | None, float]]:
+    """``(ratio, coverage)`` by constraint id from an ``estimate-ratios``
+    report.  A malformed report raises ``ValueError`` naming ``path`` and,
+    for a bad row, the row and the key."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            report = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    rows = report.get("ratios") if isinstance(report, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON object with a 'ratios' list")
+    out = {}
+    for k, row in enumerate(rows):
+        where = f"{path}: ratios row {k}"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {row!r}")
+        for key in ("id", "ratio", "coverage"):
+            if key not in row:
+                raise ValueError(f"{where}: missing key {key!r}")
+        if not isinstance(row["id"], str):
+            raise ValueError(f"{where}: 'id': expected a string, got {row['id']!r}")
+        try:
+            ratio = None if row["ratio"] is None else float(row["ratio"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: 'ratio': {exc}") from None
+        try:
+            coverage = float(row["coverage"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: 'coverage': {exc}") from None
+        out[row["id"]] = (ratio, coverage)
+    return out
+
+
 def cmd_ratio_gap(args: argparse.Namespace) -> int:
-    with open(args.source, encoding="utf-8") as handle:
-        source = {row["id"]: row for row in json.load(handle)["ratios"]}
-    with open(args.target, encoding="utf-8") as handle:
-        target = {row["id"]: row for row in json.load(handle)["ratios"]}
+    source = _load_ratio_report(args.source)
+    target = _load_ratio_report(args.target)
     constraint_list = _load_constraints(args.constraints)
     kept, src, tgt, cov = [], [], [], []
     for constraint in constraint_list:
-        s = source.get(constraint.id)
-        t = target.get(constraint.id)
-        if not s or not t or s["ratio"] is None or t["ratio"] is None:
+        s = source.get(constraint.id, (None, 0.0))[0]
+        t, coverage = target.get(constraint.id, (None, 0.0))
+        if s is None or t is None:
             print(f"warning: skipping {constraint.id} (undefined ratio)", file=sys.stderr)
             continue
         kept.append(constraint)
-        src.append(float(s["ratio"]))
-        tgt.append(float(t["ratio"]))
-        cov.append(float(t["coverage"]))
+        src.append(s)
+        tgt.append(t)
+        cov.append(coverage)
     if not kept:
         raise ValueError("no constraint has a defined ratio in both reports")
     gap = cns.ratio_gap(kept, src, tgt, cov)

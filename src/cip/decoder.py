@@ -159,9 +159,25 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
 # Eisner projective decoding
 # ---------------------------------------------------------------------------
 
-_LEFT, _RIGHT = 0, 1  # _LEFT: head at the right span end; _RIGHT: head at the left end
-_INCOMP = 2  # row of the incomplete spans (either head) in the chart sums
-_FIRST_SPLIT = np.array([[0], [1]])  # first k - i of a complete span: head j, head i
+# The rows of the three chart sums (see ``_eisner_chart``): _LEFT builds the
+# complete spans headed at their right end, _RIGHT those headed at their
+# left end, _INCOMP the incomplete spans.
+_LEFT, _INCOMP, _RIGHT = 0, 1, 2
+_PAIR = np.array([[0], [1]])  # the first axis of the two complete sums
+
+
+@lru_cache(maxsize=None)
+def _arc_index(size: int) -> np.ndarray:
+    """Flat indices into a ``size x size`` weight matrix of both arcs of
+    every span [i, i + w]: ``[w, 0, i]`` of the arc from i + w to i,
+    ``[w, 1, i]`` of the arc from i to i + w.  Spans that end past the
+    last node index entry 0, which the chart never reads."""
+    i = np.arange(size)
+    w = i[:, None]
+    index = np.stack((i * (size + 1) + w * size, i * (size + 1) + w), axis=1)
+    index = np.where((i + w < size)[:, None], index, 0)
+    index.flags.writeable = False
+    return index
 
 
 def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
@@ -169,42 +185,48 @@ def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
 
     Every span [i, j] of width w is a left half that starts at i plus a
     right half that ends at j, at each split point k.  Row r of ``left``
-    holds the left halves by start and row r of ``right`` the right halves
-    by end, both indexed by width, for the three sums:
+    holds the left halves by start i at column w, and row r of ``right``
+    the right halves by end j at column ``hi - w``, for the three sums:
 
     - ``_LEFT`` (complete, head j): complete [i, k] with head k plus
       incomplete [k, j] with head j, k = i .. j - 1;
-    - ``_RIGHT`` (complete, head i): incomplete [i, k] with head i plus
-      complete [k, j] with head k, k = i + 1 .. j;
     - ``_INCOMP`` (incomplete, either head): complete [i, k] with head i
-      plus complete [k + 1, j] with head j, k = i .. j - 1.
+      plus complete [k + 1, j] with head j, k = i .. j - 1;
+    - ``_RIGHT`` (complete, head i): incomplete [i, k] with head i plus
+      complete [k, j] with head k, k = i + 1 .. j.
 
     Incomplete spans are never of width 0 and sit at width - 1, so the w
     split points of all spans of width w are ``left[r, starts, :w] +
-    right[r, ends, w - 1::-1]``: one numpy sum over every start position.
-    ``split[r, i, w]`` is the split point of span [i, i + w], and each
-    ``argmax`` takes the first maximum, so it is the lowest best one.
-    Returns ``(left, right, split)``.
+    right[r, ends, hi - w + 1:]``: two forward slices and one numpy sum
+    over every start position.  The incomplete sum goes, plus each arc, to
+    ``right[_LEFT]`` (head j) and ``left[_RIGHT]`` (head i); the two
+    complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
+    ``right[_INCOMP:]``, where the wider spans read them as halves.  Each
+    best value is read at its ``argmax``, the first maximum, so
+    ``split[r, i, w]`` is the lowest best split of span [i, i + w], counted
+    from its first: ``k - i`` for ``_LEFT`` and ``_INCOMP``, ``k - i - 1``
+    for ``_RIGHT``.  Returns ``(left, right, split)``.
     """
     size = hi + 1
-    left = np.full((3, size, size), NEG_INF)
-    right = np.full((3, size, size), NEG_INF)
-    left[_LEFT, lo:, 0] = left[_INCOMP, lo:, 0] = 0.0
-    right[_INCOMP, lo:, 0] = right[_RIGHT, lo:, 0] = 0.0
+    left, right = np.full((2, 3, size, size), NEG_INF)
+    left[:_RIGHT, lo:, 0] = right[_INCOMP:, lo:, hi] = 0.0
     split = np.zeros((3, size, size), dtype=int)
-    nodes = np.arange(size)
-    for w in range(1, hi - lo + 1):
-        i, j = slice(lo, size - w), slice(lo + w, size)
-        halves = left[_INCOMP, i, :w] + right[_INCOMP, j, w - 1::-1]
-        split[_INCOMP, i, w] = nodes[i] + halves.argmax(axis=1)
-        best = halves.max(axis=1)
-        right[_LEFT, j, w - 1] = best + weights.diagonal(-w)[lo:]
-        left[_RIGHT, i, w - 1] = best + weights.diagonal(w)[lo:]
-        halves = left[:_INCOMP, i, :w] + right[:_INCOMP, j, w - 1::-1]
-        split[:_INCOMP, i, w] = nodes[i] + _FIRST_SPLIT + halves.argmax(axis=2)
-        comp_l, comp_r = halves.max(axis=2)
-        left[_LEFT, i, w] = right[_INCOMP, j, w] = comp_l
-        left[_INCOMP, i, w] = right[_RIGHT, j, w] = comp_r
+    arcs = weights.take(_arc_index(size))
+    rows = np.arange(size - lo)
+    for w in range(1, size - lo):
+        i, j, c = slice(lo, size - w), slice(lo + w, size), hi - w
+        starts = rows[: size - lo - w]
+        halves = left[_INCOMP, i, :w] + right[_INCOMP, j, c + 1:]
+        k = halves.argmax(axis=1)
+        split[_INCOMP, i, w] = k
+        incomplete = halves[starts, k] + arcs[w, :, i]
+        right[_LEFT, j, c + 1] = incomplete[0]
+        left[_RIGHT, i, w - 1] = incomplete[1]
+        halves = left[::2, i, :w] + right[::2, j, c + 1:]
+        k = halves.argmax(axis=2)
+        split[::2, i, w] = k
+        best = halves[_PAIR, starts, k]
+        left[:_RIGHT, i, w] = right[_INCOMP:, j, c] = best
     return left, right, split
 
 
@@ -213,15 +235,15 @@ def _eisner_backtrack(split: np.ndarray, i: int, j: int, direction: int,
     if i == j:
         return
     if complete:
-        k = int(split[direction, i, j - i])
+        k = i + int(split[direction, i, j - i])
         if direction == _LEFT:
             _eisner_backtrack(split, i, k, _LEFT, True, heads)
             _eisner_backtrack(split, k, j, _LEFT, False, heads)
         else:
-            _eisner_backtrack(split, i, k, _RIGHT, False, heads)
-            _eisner_backtrack(split, k, j, _RIGHT, True, heads)
+            _eisner_backtrack(split, i, k + 1, _RIGHT, False, heads)
+            _eisner_backtrack(split, k + 1, j, _RIGHT, True, heads)
     else:
-        k = int(split[_INCOMP, i, j - i])
+        k = i + int(split[_INCOMP, i, j - i])
         if direction == _LEFT:
             heads[i - 1] = j
         else:
@@ -248,7 +270,7 @@ def _projective_heads(scores: np.ndarray, single_root: bool = False) -> list[int
     else:
         left, right, split = _eisner_chart(weights, 1, n)
         # Root child m = 1 .. n heads the spans [1, m] and [m, n].
-        value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, n - 1::-1]
+        value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
         best_m = 1 + int(np.argmax(value))
         heads[best_m - 1] = 0
         _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)

@@ -177,7 +177,7 @@ def pack_columns(view: CorpusView) -> PackedColumns:
         phi=table[features, digits[:, features // 2]],
         sentence=np.concatenate(sentence)[order],
         column=np.concatenate(column)[order],
-        n_sentences=len(view.corpus),
+        n_sentences=len(view.sentences),
         labels=labels,
         table=table,
     )
@@ -281,7 +281,7 @@ def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[np.ndarra
     scores: the per-dependent softmax of ``scores - lambda . phi``, since
     ``p`` is the softmax of the scores."""
     _, table = _feature_rows(view.constraints)
-    probs: list[np.ndarray] = [None] * len(view.corpus)  # type: ignore[list-item]
+    probs: list[np.ndarray] = [None] * len(view.sentences)  # type: ignore[list-item]
     for bucket, scores in zip(view.buckets, _reweighted(view, lambdas, table)):
         for k, q in zip(bucket.index, _head_probs(scores)):
             probs[k] = q

@@ -12,7 +12,7 @@ each matched arc, biasing the baseline decode against the planted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -63,26 +63,52 @@ class SyntheticSpec:
         """The spec of a JSON object; a malformed one raises ``ValueError``."""
         if not isinstance(obj, Mapping):
             raise ValueError(f"spec: expected a JSON object, got {obj!r}")
+        entries = obj.get("planted", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"spec: planted: expected a JSON array, got {entries!r}")
         planted = tuple(
             read_constraint(c, f"spec: planted constraint {k}", theta=0.0)
-            for k, c in enumerate(obj.get("planted", ()))
+            for k, c in enumerate(entries)
         )
-        try:
-            return cls(
-                n_sentences=int(obj["n_sentences"]),
-                min_len=int(obj["min_len"]),
-                max_len=int(obj["max_len"]),
-                pos_weights=tuple((str(p), float(w)) for p, w in obj["pos_weights"].items()),
-                planted=planted,
-                sigma=float(obj.get("sigma", 0.0)),
-                margin=float(obj.get("margin", 1.0)),
-                flip_prob=float(obj.get("flip_prob", 0.0)),
-                flip_boost=float(obj.get("flip_boost", 0.5)),
-                allow_nonprojective=bool(obj.get("allow_nonprojective", False)),
-                seed=int(obj.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"spec: missing key {exc}") from None
+        return cls(
+            n_sentences=_spec_field(obj, "n_sentences", int),
+            min_len=_spec_field(obj, "min_len", int),
+            max_len=_spec_field(obj, "max_len", int),
+            pos_weights=_spec_field(obj, "pos_weights", _pos_weights),
+            planted=planted,
+            sigma=_spec_field(obj, "sigma", float, 0.0),
+            margin=_spec_field(obj, "margin", float, 1.0),
+            flip_prob=_spec_field(obj, "flip_prob", float, 0.0),
+            flip_boost=_spec_field(obj, "flip_boost", float, 0.5),
+            allow_nonprojective=_spec_field(obj, "allow_nonprojective", _boolean, False),
+            seed=_spec_field(obj, "seed", int, 0),
+        )
+
+
+_REQUIRED = object()
+
+
+def _spec_field(obj: Mapping, key: str, convert: Callable, default: Any = _REQUIRED) -> Any:
+    """``convert`` of a spec field; a missing or unconvertible value raises
+    ``ValueError`` naming ``key``."""
+    if key not in obj and default is _REQUIRED:
+        raise ValueError(f"spec: missing key {key!r}")
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec: {key}: {exc}") from None
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return tuple((str(pos), float(weight)) for pos, weight in value.items())
 
 
 def _random_projective_heads(length: int, rng: np.random.Generator) -> list[int]:

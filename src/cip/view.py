@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constraints import Constraint, _arc_classes, _by_length
-from .core import Corpus, ParseTree
+from .core import Corpus, ParseTree, Sentence
 from .decoder import _mst_heads, _projective_heads
 
 
@@ -53,11 +53,13 @@ class _Bucket:
 class CorpusView:
     """A corpus with its scores and class grids stacked per sentence length.
 
-    Heads travel as one ``(B, n)`` array per bucket, and so do score arrays
-    that stand in for the bucket scores.
+    The view keeps the sentences and the stacked scores, not the corpus, so
+    the scores are held once when the caller drops the corpus.  Heads travel
+    as one ``(B, n)`` array per bucket, and so do score arrays that stand in
+    for the bucket scores.
     """
 
-    corpus: Corpus
+    sentences: tuple[Sentence, ...]
     constraints: tuple[Constraint, ...]
     buckets: tuple[_Bucket, ...]
     # The heads of ``decode()`` without ``scores``, by (projective, single_root).
@@ -77,7 +79,7 @@ class CorpusView:
                 classes[c] = _arc_classes(constraint, upos, root_counts_left)
             scores = np.stack([corpus[k][1].scores for k in index])
             buckets.append(_Bucket(index, scores, classes))
-        return cls(corpus, tuple(constraints), tuple(buckets))
+        return cls(corpus.sentences, tuple(constraints), tuple(buckets))
 
     def decode(
         self,
@@ -123,7 +125,7 @@ class CorpusView:
         sentence in corpus order (the lookup is elementwise, so no augmented
         array need be kept), and per constraint the fraction of +1 arcs
         among its picked matched arcs (None when it matches none)."""
-        sums = np.zeros((2, len(self.corpus)))
+        sums = np.zeros((2, len(self.sentences)))
         counts = np.zeros((2, len(self.constraints)))  # +1 arcs, -1 arcs
         for bucket, rows in zip(self.buckets, heads):
             arcs = (np.arange(len(rows))[:, None], rows, np.arange(rows.shape[1]))

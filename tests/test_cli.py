@@ -1,10 +1,12 @@
 """End-to-end command-line workflows on temporary files."""
 
+import gc
 import json
 import os
 import stat
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -601,6 +603,109 @@ def test_ratio_gap_without_shared_ratios_names_the_reason(workspace, tmp_path, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.endswith("cip: no constraint has a defined ratio in both reports\n")
+
+
+GOOD_ROW = {"id": "noun-left", "ratio": 0.9, "count": 3, "coverage": 0.2}
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"rows": []}, "expected a JSON object with a 'ratios' list"),
+        ([GOOD_ROW], "expected a JSON object with a 'ratios' list"),
+        ({"ratios": ["x"]}, "ratios row 0: expected a JSON object, got 'x'"),
+        ({"ratios": [{"id": "x"}]}, "ratios row 0: missing key 'ratio'"),
+        (
+            {"ratios": [GOOD_ROW, {k: v for k, v in GOOD_ROW.items() if k != "id"}]},
+            "ratios row 1: missing key 'id'",
+        ),
+        (
+            {"ratios": [{k: v for k, v in GOOD_ROW.items() if k != "coverage"}]},
+            "ratios row 0: missing key 'coverage'",
+        ),
+        ({"ratios": [{**GOOD_ROW, "coverage": None}]}, "ratios row 0: 'coverage': "),
+        ({"ratios": [{**GOOD_ROW, "ratio": [0.9]}]}, "ratios row 0: 'ratio': "),
+        ({"ratios": [{**GOOD_ROW, "id": ["noun-left"]}]}, "ratios row 0: 'id': "),
+    ],
+    ids=[
+        "no-ratios", "not-an-object", "row-not-an-object", "row-without-ratio",
+        "row-without-id", "row-without-coverage", "null-coverage", "list-ratio", "list-id",
+    ],
+)
+def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, report, message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"ratios": [GOOD_ROW]}))
+    bad.write_text(json.dumps(report))
+    for source, target in ((bad, good), (good, bad)):
+        code = main(
+            [
+                "ratio-gap",
+                "--constraints", str(workspace["constraints"]),
+                "--source", str(source),
+                "--target", str(target),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"cip: {bad}: {message}")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("pos_weights", [["NOUN", 1.0]], "cip: spec: pos_weights: expected a JSON object"),
+        ("n_sentences", None, "cip: spec: n_sentences: int() argument"),
+        ("sigma", "wide", "cip: spec: sigma: could not convert"),
+        ("planted", 5, "cip: spec: planted: expected a JSON array"),
+        ("allow_nonprojective", "no", "cip: spec: allow_nonprojective: expected true or false"),
+    ],
+    ids=[
+        "list-pos-weights", "null-n-sentences", "string-sigma", "int-planted", "string-flag",
+    ],
+)
+def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, key: value}))
+    code = main(
+        [
+            "synth",
+            "--spec", str(spec),
+            "--out-conllu", str(tmp_path / "gold.conllu"),
+            "--out-scores", str(tmp_path / "scores.jsonl"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_decode_holds_the_scores_once(workspace, monkeypatch):
+    # Once the view is built, cmd_decode drops the corpus: its score
+    # matrices are gone by the time the trees are written.
+    refs, alive = [], []
+    real_of, real_write = cli.CorpusView.of, cip.core.write_conllu
+
+    def of(corpus, *args):
+        refs.extend(weakref.ref(matrix) for matrix in corpus.matrices)
+        return real_of(corpus, *args)
+
+    def write_conllu(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_write(*args)
+
+    monkeypatch.setattr(cli.CorpusView, "of", of)
+    monkeypatch.setattr(cip.core, "write_conllu", write_conllu)
+    argv = [
+        "decode",
+        "--conllu", str(workspace["gold"]),
+        "--scores", str(workspace["scores"]),
+        "--out", str(workspace["out"]),
+        "--report", str(workspace["report"]),
+    ]
+    assert main(argv) == 0
+    assert len(refs) == SPEC["n_sentences"] and alive == [0]
+    report = json.loads(workspace["report"].read_text())
+    assert report["uas"] is not None
 
 
 def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkeypatch):

@@ -109,20 +109,24 @@ def chart_by_span(weights, lo, hi):
     left, right, split = _eisner_chart(weights, lo, hi)
     size = hi + 1
     i, j = np.triu_indices(size)
-    # Complete spans are kept twice: by start in ``left``, by end in ``right``.
+    # Complete spans are kept twice: by start and width in ``left``, by end
+    # and ``hi - width`` in ``right``.
     comp_l, comp_r = left[_LEFT, i, j - i], left[_INCOMP, i, j - i]
-    assert np.array_equal(comp_l, right[_INCOMP, j, j - i])
-    assert np.array_equal(comp_r, right[_RIGHT, j, j - i])
+    assert np.array_equal(comp_l, right[_INCOMP, j, hi - (j - i)])
+    assert np.array_equal(comp_r, right[_RIGHT, j, hi - (j - i)])
     comp = np.full((size, size, 2), NEG_INF)
     comp[i, j, 0], comp[i, j, 1] = comp_l, comp_r
-    comp_bp = np.zeros((size, size, 2), dtype=int)
-    comp_bp[i, j, 0], comp_bp[i, j, 1] = split[_LEFT, i, j - i], split[_RIGHT, i, j - i]
-    incomp_bp = np.zeros((size, size, 2), dtype=int)
-    incomp_bp[i, j, 0] = incomp_bp[i, j, 1] = split[_INCOMP, i, j - i]
-    # Incomplete spans sit at width - 1: head j by end, head i by start.
+    # Spans of width 0 have no split.  The others count theirs from their
+    # first: k - i, or k - i - 1 for a complete span headed at i.
     i, j = np.triu_indices(size, 1)
+    comp_bp = np.zeros((size, size, 2), dtype=int)
+    comp_bp[i, j, 0] = i + split[_LEFT, i, j - i]
+    comp_bp[i, j, 1] = i + 1 + split[_RIGHT, i, j - i]
+    incomp_bp = np.zeros((size, size, 2), dtype=int)
+    incomp_bp[i, j, 0] = incomp_bp[i, j, 1] = i + split[_INCOMP, i, j - i]
+    # Incomplete spans sit at width - 1: head j by end, head i by start.
     incomp = np.full((size, size, 2), NEG_INF)
-    incomp[i, j, 0] = right[_LEFT, j, j - i - 1]
+    incomp[i, j, 0] = right[_LEFT, j, hi - (j - i - 1)]
     incomp[i, j, 1] = left[_RIGHT, i, j - i - 1]
     return comp, incomp, comp_bp, incomp_bp
 
@@ -135,9 +139,9 @@ def loop_projective_heads(weights, chart, single_root):
     n = comp.shape[0] - 1
     split = np.zeros((3, n + 1, n + 1), dtype=int)
     i, j = np.triu_indices(n + 1)
-    split[_LEFT, i, j - i] = comp_bp[i, j, 0]
-    split[_RIGHT, i, j - i] = comp_bp[i, j, 1]
-    split[_INCOMP, i, j - i] = incomp_bp[i, j, 1]
+    split[_LEFT, i, j - i] = comp_bp[i, j, 0] - i
+    split[_RIGHT, i, j - i] = comp_bp[i, j, 1] - i - 1
+    split[_INCOMP, i, j - i] = incomp_bp[i, j, 1] - i
     heads = [0] * n
     if not single_root:
         _eisner_backtrack(split, 0, n, _RIGHT, True, heads)
@@ -410,6 +414,8 @@ class TestProjectiveDecode:
         ]
         cases = [(int(rng.integers(1, 26)), draws[t % 3]) for t in range(300)]
         cases.append((80, draws[1]))
+        cases += [(n, draws[t % 3]) for t, n in enumerate((2, 3, 4, 5, 6) * 3)]
+        cases.append((70, draws[0]))
         for n, draw in cases:
             matrix = cip.ScoreMatrix(draw((n + 1, n)))
             weights = _square(matrix.scores)
@@ -424,6 +430,17 @@ class TestProjectiveDecode:
                 assert cip.projective_decode(
                     matrix, single_root=single_root
                 ).heads == loop_projective_heads(weights, ref, single_root)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_single_root_chart_ignores_root_row_and_column(self, n):
+        # Over [1, n] no span reads an arc into or out of node 0, so
+        # poisoning row 0 and column 0 with NaN changes no value and no split.
+        rng = np.random.default_rng(21 + n)
+        weights = _square(rng.integers(-2, 3, (n + 1, n)).astype(float))
+        poisoned = weights.copy()
+        poisoned[0, :] = poisoned[:, 0] = np.nan
+        for got, want in zip(_eisner_chart(poisoned, 1, n), _eisner_chart(weights, 1, n)):
+            assert np.array_equal(got, want)
 
 
 class TestBruteForce:
