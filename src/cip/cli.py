@@ -15,14 +15,15 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import constraints as cns
 from . import core, lagrangian, posterior, synthetic, typology
 from .config import InferenceConfig
-from .view import CorpusView, InferenceResult
+from .core import _field, _number, _object
+from .view import CorpusView, InferenceResult, write_trace
 
 
 def _atomic_write(path: str, render: Callable) -> None:
@@ -61,6 +62,16 @@ def _load_config(path: str | None) -> InferenceConfig:
         return InferenceConfig.from_stream(handle)
 
 
+def _load_json(path: str) -> Any:
+    """The JSON value in ``path``; invalid JSON raises ``ValueError`` naming
+    ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_constraints(path: str) -> list[cns.Constraint]:
     with open(path, encoding="utf-8") as handle:
         return cns.load_constraints(handle)
@@ -84,14 +95,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     baseline = view.decode(**decode)
     if args.method == "lr":
         result = lagrangian.lr_decode(view, config.lr, **decode)
-        write_trace = lambda h: lagrangian.write_lr_trace(result, constraint_list, h)
     elif args.method == "pr":
         result = posterior.pr_decode(view, config.pr, **decode)
-        write_trace = lambda h: posterior.write_pr_trace(result.trace, result.labels, h)
     else:
         result = InferenceResult(view.trees(baseline), np.zeros(0), (), [], True)
     if args.trace:
-        _atomic_write(args.trace, write_trace)
+        _atomic_write(args.trace, lambda h: write_trace(result, h))
 
     _atomic_write(args.out, lambda h: core.write_conllu(view.sentences, h, result.trees))
 
@@ -182,65 +191,49 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
 def cmd_compile_constraints(args: argparse.Namespace) -> int:
     with open(args.wals, encoding="utf-8") as handle:
         table = typology.TypologyTable.from_csv(handle)
-    with open(args.templates, encoding="utf-8") as handle:
-        templates = json.load(handle)
-    unary_ratios = {}
-    if args.unary_ratios:
-        with open(args.unary_ratios, encoding="utf-8") as handle:
-            unary_ratios = {str(k): float(v) for k, v in json.load(handle).items()}
+    templates = _load_json(args.templates)
+    if not isinstance(templates, list):
+        raise ValueError(f"{args.templates}: expected a JSON array, got {templates!r}")
+    ratios = _load_json(args.unary_ratios) if args.unary_ratios else {}
+    if not isinstance(ratios, dict):
+        raise ValueError(f"{args.unary_ratios}: expected a JSON object, got {ratios!r}")
+    unary_ratios = {lang: _field(ratios, lang, _number, args.unary_ratios) for lang in ratios}
 
     compiled = []
-    for template in templates:
-        kind = template["kind"]
+    for k, template in enumerate(templates):
+        where = f"{args.templates}: template {k}"
+        if not isinstance(template, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {template!r}")
+        kind = _field(template, "kind", str, where)
         if kind == "binary":
-            value = table.value(args.target, template["feature"])
-            r, theta = typology.compile_binary(value, template["orientations"])
-            compiled.append(
-                cns.Constraint(
-                    id=template["id"],
-                    kind="binary",
-                    pos=template["pos"],
-                    pos2=template["pos2"],
-                    r=r,
-                    theta=theta,
-                )
-            )
+            value = table.value(args.target, _field(template, "feature", str, where))
+            orientations = _field(template, "orientations", _object, where)
+            fixed = dict(zip(("r", "theta"), typology.compile_binary(value, orientations)))
         elif kind == "unary":
             if not unary_ratios:
-                print(
-                    "compile-constraints: unary templates require --unary-ratios",
-                    file=sys.stderr,
-                )
+                print("compile-constraints: unary templates require --unary-ratios",
+                      file=sys.stderr)
                 return 2
-            features = template.get("features", list(typology.NOUN_ORDER_FEATURES))
+            features = _field(template, "features", list, where, typology.NOUN_ORDER_FEATURES)
             vocab = typology.build_feature_vocab(table, features)
             train = [
                 (typology.feature_vector(table, lang, vocab), ratio_value)
                 for lang, ratio_value in sorted(unary_ratios.items())
                 if lang != args.target
             ]
-            predicted = typology.fit_unary_ratio(
-                train, typology.feature_vector(table, args.target, vocab)
-            )
-            compiled.append(
-                cns.Constraint(
-                    id=template["id"],
-                    kind="unary",
-                    pos=template["pos"],
-                    r=predicted,
-                    theta=float(template.get("theta", 0.125)),
-                )
-            )
+            target = typology.feature_vector(table, args.target, vocab)
+            fixed = {"r": typology.fit_unary_ratio(train, target)}
         else:
             print(f"compile-constraints: unknown template kind {kind!r}", file=sys.stderr)
             return 2
+        # A unary template may set its margin; a binary one takes the compiled one.
+        compiled.append(cns.read_constraint({**template, **fixed}, where, theta=0.125))
     _atomic_write(args.out, lambda h: cns.save_constraints(compiled, h))
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = synthetic.SyntheticSpec.from_dict(json.load(handle))
+    spec = synthetic.SyntheticSpec.from_dict(_load_json(args.spec))
     corpus, true_ratios = synthetic.generate_synthetic(spec)
     _atomic_write(args.out_conllu, lambda h: core.write_conllu(corpus.sentences, h))
     _atomic_write(args.out_scores, lambda h: core.write_scores(corpus.matrices, h))
@@ -260,11 +253,7 @@ def _load_ratio_report(path: str) -> dict[str, tuple[float | None, float]]:
     """``(ratio, coverage)`` by constraint id from an ``estimate-ratios``
     report.  A malformed report raises ``ValueError`` naming ``path`` and,
     for a bad row, the row and the key."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    report = _load_json(path)
     rows = report.get("ratios") if isinstance(report, dict) else None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON object with a 'ratios' list")

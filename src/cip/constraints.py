@@ -24,7 +24,7 @@ from typing import IO, Any, Sequence
 
 import numpy as np
 
-from .core import Corpus, ParseTree, Sentence
+from .core import Corpus, ParseTree, Sentence, _field
 
 
 class Direction(Enum):
@@ -245,18 +245,12 @@ def read_constraint(obj: Any, where: str, **defaults: Any) -> Constraint:
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {obj!r}")
     obj = {**defaults, **obj}
+    fields = [("id", str), ("kind", str), ("pos", str), ("r", float), ("theta", float)]
+    values = {key: _field(obj, key, convert, where) for key, convert in fields}
+    pos2 = obj.get("pos2")
     try:
-        return Constraint(
-            id=str(obj["id"]),
-            kind=str(obj["kind"]),
-            pos=str(obj["pos"]),
-            r=float(obj["r"]),
-            theta=float(obj["theta"]),
-            pos2=str(obj["pos2"]) if obj.get("pos2") is not None else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        return Constraint(**values, pos2=None if pos2 is None else str(pos2))
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

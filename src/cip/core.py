@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -376,6 +376,48 @@ def write_scores(matrices: Sequence[ScoreMatrix], stream: IO[str]) -> None:
         grid[deps, deps - 1] = 0.0
         obj = {"sent_id": matrix.sent_id, "n": n, "scores": grid.tolist()}
         stream.write(json.dumps(obj) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Fields of JSON objects (spec, config, constraint and template files)
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _field(obj: Mapping, key: str, convert: Callable, where: str, default: Any = _REQUIRED) -> Any:
+    """``convert`` of ``obj[key]`` (of ``default`` when absent); a missing or
+    unconvertible value raises ``ValueError`` naming ``where`` and ``key``."""
+    if key not in obj and default is _REQUIRED:
+        raise ValueError(f"{where}: missing key {key!r}")
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {key}: {exc}") from None
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ returned iterate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +44,8 @@ class LrParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration: the multipliers used for the decode, the step size,
-    the measured ratios, and the raw / augmented objectives."""
+    """One decode, numbered from 1: the multipliers used for it, the step
+    size, the measured ratios, and the raw / augmented objectives."""
 
     iteration: int
     alpha: float
@@ -143,26 +142,3 @@ def lr_infer(
     view = CorpusView.of(corpus, constraints, root_counts_left)
     return lr_decode(view, params, projective=projective, single_root=single_root)
 
-
-def write_lr_trace(
-    result: InferenceResult, constraints: Sequence[Constraint], stream: IO[str]
-) -> None:
-    """One CSV row per (iteration, constraint) of ``result.trace``."""
-    writer = csv.writer(stream)
-    writer.writerow(
-        ["iter", "constraint_id", "r_target", "r_measured", "lambda", "alpha", "objective"]
-    )
-    for record in result.trace:
-        for c, constraint in enumerate(constraints):
-            measured = record.ratios[c]
-            writer.writerow(
-                [
-                    record.iteration,
-                    constraint.id,
-                    constraint.r,
-                    "" if measured is None else measured,
-                    record.lambdas[c],
-                    record.alpha,
-                    record.objective,
-                ]
-            )

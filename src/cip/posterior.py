@@ -30,10 +30,9 @@ table lookups on the buckets' class grids.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -185,6 +184,9 @@ def pack_columns(view: CorpusView) -> PackedColumns:
 
 @dataclass(frozen=True)
 class DualTraceRecord:
+    """The full-corpus dual state after ``iteration`` steps: record 0 is
+    the state before the first step, at ``lambda = 0``."""
+
     iteration: int
     grad_norm: float
     neg_log_z: float
@@ -327,14 +329,3 @@ def pr_infer(
     view = CorpusView.of(corpus, constraints, root_counts_left)
     return pr_decode(view, params, projective=projective, single_root=single_root)
 
-
-def write_pr_trace(
-    trace: Sequence[DualTraceRecord], labels: Sequence[str], stream: IO[str]
-) -> None:
-    """CSV dual trace: iteration, gradient norm, -log Z, multiplier values."""
-    writer = csv.writer(stream)
-    writer.writerow(["iter", "grad_norm", "neg_log_Z", *[f"lambda_{l}" for l in labels]])
-    for record in trace:
-        writer.writerow(
-            [record.iteration, record.grad_norm, record.neg_log_z, *record.lambdas]
-        )

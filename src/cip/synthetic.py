@@ -12,12 +12,12 @@ each matched arc, biasing the baseline decode against the planted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from .constraints import Constraint, class_matrix, ratio, read_constraint
-from .core import Corpus, ParseTree, ScoreMatrix, Sentence
+from .core import Corpus, ParseTree, ScoreMatrix, Sentence, _boolean, _field, _object
 
 
 @dataclass(frozen=True)
@@ -71,44 +71,22 @@ class SyntheticSpec:
             for k, c in enumerate(entries)
         )
         return cls(
-            n_sentences=_spec_field(obj, "n_sentences", int),
-            min_len=_spec_field(obj, "min_len", int),
-            max_len=_spec_field(obj, "max_len", int),
-            pos_weights=_spec_field(obj, "pos_weights", _pos_weights),
+            n_sentences=_field(obj, "n_sentences", int, "spec"),
+            min_len=_field(obj, "min_len", int, "spec"),
+            max_len=_field(obj, "max_len", int, "spec"),
+            pos_weights=_field(obj, "pos_weights", _pos_weights, "spec"),
             planted=planted,
-            sigma=_spec_field(obj, "sigma", float, 0.0),
-            margin=_spec_field(obj, "margin", float, 1.0),
-            flip_prob=_spec_field(obj, "flip_prob", float, 0.0),
-            flip_boost=_spec_field(obj, "flip_boost", float, 0.5),
-            allow_nonprojective=_spec_field(obj, "allow_nonprojective", _boolean, False),
-            seed=_spec_field(obj, "seed", int, 0),
+            sigma=_field(obj, "sigma", float, "spec", 0.0),
+            margin=_field(obj, "margin", float, "spec", 1.0),
+            flip_prob=_field(obj, "flip_prob", float, "spec", 0.0),
+            flip_boost=_field(obj, "flip_boost", float, "spec", 0.5),
+            allow_nonprojective=_field(obj, "allow_nonprojective", _boolean, "spec", False),
+            seed=_field(obj, "seed", int, "spec", 0),
         )
 
 
-_REQUIRED = object()
-
-
-def _spec_field(obj: Mapping, key: str, convert: Callable, default: Any = _REQUIRED) -> Any:
-    """``convert`` of a spec field; a missing or unconvertible value raises
-    ``ValueError`` naming ``key``."""
-    if key not in obj and default is _REQUIRED:
-        raise ValueError(f"spec: missing key {key!r}")
-    try:
-        return convert(obj.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"spec: {key}: {exc}") from None
-
-
-def _boolean(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
-    if not isinstance(value, Mapping):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return tuple((str(pos), float(weight)) for pos, weight in value.items())
+    return tuple((str(pos), float(weight)) for pos, weight in _object(value).items())
 
 
 def _random_projective_heads(length: int, rng: np.random.Generator) -> list[int]:

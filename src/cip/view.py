@@ -13,10 +13,11 @@ the same as a sentence-by-sentence loop gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import IO, Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .constraints import Constraint, _arc_classes, _by_length
 from .core import Corpus, ParseTree, Sentence
@@ -34,6 +35,20 @@ class InferenceResult:
     labels: tuple[str, ...]
     trace: list
     converged: bool
+
+
+def write_trace(result: InferenceResult, stream: IO[str]) -> None:
+    """One JSON line per record of ``result.trace``: its dataclass fields in
+    order, with ``lambdas`` (and LR's ``ratios``) keyed by ``result.labels``.
+    orjson writes non-finite floats as ``null``, so each line is RFC 8259."""
+    if len(set(result.labels)) < len(result.labels):
+        raise ValueError(f"trace labels are not distinct: {', '.join(result.labels)}")
+    for record in result.trace:
+        row = asdict(record)
+        for key in ("lambdas", "ratios"):
+            if key in row:
+                row[key] = dict(zip(result.labels, row[key]))
+        stream.write(orjson.dumps(row, option=orjson.OPT_APPEND_NEWLINE).decode())
 
 
 @dataclass(frozen=True, eq=False)

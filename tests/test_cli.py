@@ -9,12 +9,17 @@ import sys
 import weakref
 
 import numpy as np
+import orjson
 import pytest
 
 import cip
 from cip import cli
 from cip.cli import main
+from cip.config import InferenceConfig
 from cip.core import is_tree
+from cip.lagrangian import lr_decode
+from cip.posterior import pr_decode
+from cip.view import CorpusView
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -43,7 +48,7 @@ def workspace(tmp_path):
         "constraints": tmp_path / "constraints.json",
         "out": tmp_path / "out.conllu",
         "report": tmp_path / "report.json",
-        "trace": tmp_path / "trace.csv",
+        "trace": tmp_path / "trace.jsonl",
         "ratios": tmp_path / "ratios.json",
     }
     code = main(
@@ -134,6 +139,63 @@ def test_constrained_decode_improves_uas(workspace, method):
     )
     baseline = json.loads(workspace["report"].read_text())
     assert report["uas"] > baseline["uas"]
+
+
+@pytest.mark.parametrize("method", ["lr", "pr"])
+def test_trace_lines_equal_the_records(workspace, tmp_path, method):
+    # noun-left binds; pron-left matches no arc, so LR's ratio for it is null.
+    with open(workspace["constraints"], encoding="utf-8") as handle:
+        (noun_left,) = cip.load_constraints(handle)
+    pron_left = cip.Constraint(id="pron-left", kind="unary", pos="PRON", r=0.5, theta=0.1)
+    constraints = tmp_path / "two.json"
+    with open(constraints, "w", encoding="utf-8") as handle:
+        cip.save_constraints([noun_left, pron_left], handle)
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(constraints),
+            "--method", method,
+            "--out", str(workspace["out"]),
+            "--trace", str(workspace["trace"]),
+        ]
+    )
+    assert code == 0
+
+    with open(workspace["gold"], encoding="utf-8") as conllu, open(
+        workspace["scores"], encoding="utf-8"
+    ) as scores:
+        corpus = cip.pair_corpus(cip.read_conllu(conllu), cip.read_scores(scores))
+    view = CorpusView.of(corpus, [noun_left, pron_left])
+    records = (lr_decode if method == "lr" else pr_decode)(view).trace
+    lines = workspace["trace"].read_bytes().splitlines()
+    assert len(lines) == len(records) > 1
+    # LR numbers its decodes from 1; PR's record 0 is the state before the
+    # first step.
+    first = 1 if method == "lr" else 0
+    for number, (line, record) in enumerate(zip(lines, records), start=first):
+        row = orjson.loads(line)
+        if method == "lr":
+            expected = {
+                "iteration": number,
+                "alpha": record.alpha,
+                "lambdas": {"noun-left": record.lambdas[0], "pron-left": record.lambdas[1]},
+                "ratios": {"noun-left": record.ratios[0], "pron-left": None},
+                "objective": record.objective,
+                "dual_value": record.dual_value,
+            }
+        else:
+            labels = ("noun-left:upper", "noun-left:lower", "pron-left:upper", "pron-left:lower")
+            expected = {
+                "iteration": number,
+                "grad_norm": record.grad_norm,
+                "neg_log_z": record.neg_log_z,
+                "lambdas": dict(zip(labels, record.lambdas, strict=True)),
+            }
+        assert record.iteration == number
+        assert row == expected
+        assert list(row) == list(expected)
 
 
 def test_decode_requires_constraints_for_lr(workspace):
@@ -453,6 +515,68 @@ def test_compile_constraints_missing_feature(tmp_path):
     assert (constraint.r, constraint.theta) == (0.5, 0.25)
 
 
+with open(os.path.join(DATA, "templates.json"), encoding="utf-8") as _handle:
+    UNARY_TEMPLATE, BINARY_TEMPLATE, _ = json.load(_handle)
+UNARY_RATIOS = {"en": 0.35, "fr": 0.4, "ar": 0.45, "ta": 0.9}
+
+
+def _without(template, key):
+    return {k: v for k, v in template.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "templates, ratios, message",
+    [
+        ([_without(UNARY_TEMPLATE, "id")], UNARY_RATIOS, "{t}: template 0: missing key 'id'"),
+        (
+            [UNARY_TEMPLATE, _without(BINARY_TEMPLATE, "id")],
+            UNARY_RATIOS,
+            "{t}: template 1: missing key 'id'",
+        ),
+        (
+            [_without(BINARY_TEMPLATE, "pos2")],
+            UNARY_RATIOS,
+            "{t}: template 0: binary constraint requires pos2",
+        ),
+        (
+            [{**BINARY_TEMPLATE, "orientations": []}],
+            UNARY_RATIOS,
+            "{t}: template 0: orientations: expected a JSON object, got []",
+        ),
+        ([5], UNARY_RATIOS, "{t}: template 0: expected a JSON object, got 5"),
+        (UNARY_TEMPLATE, UNARY_RATIOS, "{t}: expected a JSON array, got {{"),
+        ([UNARY_TEMPLATE], [0.35, 0.4], "{r}: expected a JSON object, got [0.35, 0.4]"),
+        ([UNARY_TEMPLATE], {**UNARY_RATIOS, "fr": None}, "{r}: fr: expected a number, got None"),
+    ],
+    ids=[
+        "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
+        "template-not-an-object", "templates-not-an-array", "ratios-not-an-object",
+        "null-ratio",
+    ],
+)
+def test_malformed_template_or_ratios_is_a_clean_error(
+    tmp_path, capsys, templates, ratios, message
+):
+    paths = {"t": tmp_path / "templates.json", "r": tmp_path / "unary.json"}
+    paths["t"].write_text(json.dumps(templates))
+    paths["r"].write_text(json.dumps(ratios))
+    out = tmp_path / "compiled.json"
+    code = main(
+        [
+            "compile-constraints",
+            "--wals", os.path.join(DATA, "wals_fixture.csv"),
+            "--templates", str(paths["t"]),
+            "--target", "hi",
+            "--unary-ratios", str(paths["r"]),
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cip: " + message.format(**paths)) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_file_controls_inference(workspace, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lr": {"max_iter": 1, "alpha0": 1e-6}}))
@@ -500,6 +624,61 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("cip: bad config: ")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"single_root": "false"}, "single_root: expected true or false, got 'false'"),
+        ({"root_counts_left": 0}, "root_counts_left: expected true or false, got 0"),
+        ({"lr": {"max_iter": 2.5}}, "lr: max_iter: expected an integer, got 2.5"),
+        ({"pr": {"max_iter": 2.5}}, "pr: max_iter: expected an integer, got 2.5"),
+        ({"pr": {"batch_size": 2.5}}, "pr: batch_size: expected an integer, got 2.5"),
+        ({"pr": {"seed": True}}, "pr: seed: expected an integer, got True"),
+        ({"lr": {"alpha0": "50"}}, "lr: alpha0: expected a number, got '50'"),
+        ({"pr": {"grad_tol": False}}, "pr: grad_tol: expected a number, got False"),
+        ({"lr": [60]}, "lr: expected a JSON object, got [60]"),
+        ({"pr": {"optimizer": "adaptive_moments"}}, "pr: unknown key 'optimizer'"),
+        ({"lr": {"eta": 0}}, "lr: eta must lie in (0, 1]"),
+    ],
+    ids=[
+        "string-single-root", "int-root-counts-left", "float-lr-max-iter", "float-pr-max-iter",
+        "float-batch-size", "bool-seed", "string-alpha0", "bool-grad-tol", "list-section",
+        "unknown-key", "eta-out-of-range",
+    ],
+)
+def test_config_value_of_wrong_type_is_a_clean_error(
+    workspace, tmp_path, capsys, config, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(workspace["constraints"]),
+            "--method", "lr",
+            "--config", str(path),
+            "--out", str(workspace["out"]),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"cip: bad config: {message}\n"
+    assert not workspace["out"].exists()
+
+
+def test_config_reads_json_numbers_and_booleans(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"lr": {"alpha0": 5, "max_iter": 3}, "pr": {"lr0": 2}, "single_root": True})
+    )
+    with open(path, encoding="utf-8") as handle:
+        config = InferenceConfig.from_stream(handle)
+    assert config == InferenceConfig(
+        lr=cip.LrParams(alpha0=5.0, max_iter=3), pr=cip.PrParams(lr0=2.0), single_root=True
+    )
+    assert type(config.lr.alpha0) is float and type(config.lr.max_iter) is int
 
 
 def test_output_files_get_the_mode_open_gives(workspace, tmp_path):
@@ -551,8 +730,12 @@ def test_sampled_coverage_matches_full_coverage(tmp_path):
             "cip: constraint 0: missing key 'theta'",
         ),
         ([1], "cip: constraint 0: expected a JSON object"),
+        (
+            {"id": "x", "kind": "unary", "pos": "NOUN", "r": "high", "theta": 0.1},
+            "cip: constraint 0: r: could not convert",
+        ),
     ],
-    ids=["missing-theta", "not-an-object"],
+    ids=["missing-theta", "not-an-object", "string-r"],
 )
 def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entry, message):
     constraints = tmp_path / "bad.json"
@@ -823,7 +1006,7 @@ def _session_argvs(workspace, tmp_path):
          "--report", str(tmp_path / "b.json")],
         [*decode, "--constraints", str(workspace["constraints"]), "--method", "pr",
          "--projective", "--out", str(tmp_path / "c.conllu"), "--report", str(tmp_path / "c.json"),
-         "--trace", str(tmp_path / "c.csv")],
+         "--trace", str(tmp_path / "c.jsonl")],
         [*decode, "--method", "lr", "--out", str(tmp_path / "d.conllu")],
     ]
 
@@ -850,7 +1033,7 @@ def test_commands_in_one_process_match_separate_processes(workspace, tmp_path, c
         outcomes[directory.name] = runs, files
     runs, files = outcomes["together"]
     assert [code for code, _, _ in runs] == [0, 0, 0, 2]
-    assert sorted(files) == ["a.conllu", "a.json", "b.json", "c.conllu", "c.csv", "c.json"]
+    assert sorted(files) == ["a.conllu", "a.json", "b.json", "c.conllu", "c.json", "c.jsonl"]
     assert outcomes["together"] == outcomes["separate"]
 
 

@@ -330,6 +330,39 @@ class TestCoverage:
         assert cip.coverage(UNARY, corpus, [tree]) == pytest.approx(1 / 3)
 
 
+class TestInputLengths:
+    """The ratio statistics reject inputs that do not line up with the
+    corpus, rather than counting over a truncated zip."""
+
+    CORPUS = cip.Corpus(
+        tuple(
+            (make_sentence(upos), cip.ScoreMatrix(np.zeros((len(upos) + 1, len(upos)))))
+            for upos in (("DET", "NOUN"), ("NOUN", "VERB", "DET"))
+        )
+    )
+    TREES = [cip.ParseTree((0, 1)), cip.ParseTree((0, 1, 1))]
+
+    @pytest.mark.parametrize("statistic", [cip.ratio, cip.coverage])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_tree_count(self, statistic, count):
+        trees = (self.TREES * 2)[:count]
+        with pytest.raises(ValueError, match="^trees and corpus differ in length$"):
+            statistic(UNARY, self.CORPUS, trees)
+
+    @pytest.mark.parametrize("statistic", [cip.ratio, cip.coverage])
+    def test_tree_length(self, statistic):
+        trees = [self.TREES[0], cip.ParseTree((0, 1))]
+        with pytest.raises(ValueError, match="^tree and sentence lengths differ$"):
+            statistic(UNARY, self.CORPUS, trees)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_distribution_count(self, count):
+        probs = [to_distribution(m) for m in self.CORPUS.matrices]
+        probs = (probs * 2)[:count]
+        with pytest.raises(ValueError, match="^distributions and corpus differ in length$"):
+            cip.expected_ratio(UNARY, self.CORPUS, probs)
+
+
 class TestConstraintFile:
     def test_round_trip_is_byte_stable(self):
         constraints = [UNARY, BINARY]

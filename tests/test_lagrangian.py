@@ -1,7 +1,5 @@
 """Multiplier-augmented decoding: updates, convergence, duality."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +9,7 @@ import cip
 from cip.constraints import class_matrix
 from cip.core import NEG_INF
 from cip.decoder import projective_tree_table
-from cip.lagrangian import IterationRecord, _coefficients, write_lr_trace
+from cip.lagrangian import IterationRecord, _coefficients
 from cip.view import InferenceResult, _lookup
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
@@ -349,15 +347,6 @@ class TestLrInfer:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             cip.lr_infer(cip.Corpus(()), [])
-
-
-def test_trace_csv(noun_toy_corpus):
-    result = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-    out = io.StringIO()
-    write_lr_trace(result, [NOUN_LEFT], out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "iter,constraint_id,r_target,r_measured,lambda,alpha,objective"
-    assert len(lines) == 1 + len(result.trace)
 
 
 # Tags and constraint templates of the projective weak-duality properties:

@@ -1,6 +1,5 @@
 """Partition function, dual ascent, and posterior decoding."""
 
-import io
 from itertools import product
 
 import numpy as np
@@ -8,13 +7,7 @@ import pytest
 
 import cip
 from cip.constraints import Direction
-from cip.posterior import (
-    DualTraceRecord,
-    PackedColumns,
-    pack_columns,
-    pr_decode,
-    write_pr_trace,
-)
+from cip.posterior import PackedColumns, pack_columns, pr_decode
 from cip.view import CorpusView
 
 from conftest import (
@@ -631,15 +624,6 @@ class TestPrInfer:
     def test_projective_flag(self, noun_toy_corpus):
         trees = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT], projective=True).trees
         assert all(cip.is_projective(t.heads) for t in trees)
-
-
-def test_trace_csv():
-    trace = [DualTraceRecord(0, 0.5, -0.1, (0.0, 0.0)), DualTraceRecord(1, 0.1, -0.2, (0.3, 0.0))]
-    out = io.StringIO()
-    write_pr_trace(trace, ["c:upper", "c:lower"], out)
-    lines = out.getvalue().strip().splitlines()
-    assert lines[0] == "iter,grad_norm,neg_log_Z,lambda_c:upper,lambda_c:lower"
-    assert len(lines) == 3
 
 
 def loop_pr_trees(corpus, constraints, lambdas, *, projective, single_root):

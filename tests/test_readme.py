@@ -1,14 +1,29 @@
-"""The Python examples of README.md, run in order on a synthetic corpus."""
+"""The examples of README.md, run in order on a synthetic corpus."""
 
 import json
 import re
+import shlex
+import shutil
 from pathlib import Path
 
+import orjson
+
+from cip import cli
 from cip.cli import main
 
-from test_cli import SPEC
+from test_cli import DATA, SPEC
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The input files the README's commands name but do not write, by the
+# tests/data fixture that stands in for each.
+FIXTURES = {
+    "wals.csv": "wals_fixture.csv",
+    "templates.json": "templates.json",
+    "unary.json": "unary_ratios.json",
+    "src.json": "ratios_source.json",
+    "tgt.json": "ratios_target.json",
+}
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
@@ -23,3 +38,34 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``cip`` commands in README's bash blocks,
+    with continuation lines joined and comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["cip"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # ``estimate-ratios --sample 100`` needs at least 100 sentences.
+    (tmp_path / "spec.json").write_text(json.dumps({**SPEC, "n_sentences": 120}))
+    for name, fixture in FIXTURES.items():
+        shutil.copy(Path(DATA) / fixture, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    # ``main`` runs subcommand ``x-y`` as ``cli.cmd_x_y``: the README shows each.
+    subcommands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert {argv[0] for argv in commands} == subcommands
+    for argv in commands:
+        assert main(argv) == 0, argv
+    traces = [argv[argv.index("--trace") + 1] for argv in commands if "--trace" in argv]
+    assert traces == ["lr.jsonl"]
+    lines = (tmp_path / "lr.jsonl").read_bytes().splitlines()
+    assert lines and all(isinstance(orjson.loads(line), dict) for line in lines)
