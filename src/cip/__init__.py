@@ -3,7 +3,6 @@
 from .config import InferenceConfig
 from .constraints import (
     Constraint,
-    Direction,
     coverage,
     expected_ratio,
     is_satisfied,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Constraint",
     "Corpus",
-    "Direction",
     "FormatError",
     "InfeasibleError",
     "InferenceConfig",

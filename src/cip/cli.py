@@ -208,7 +208,10 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
         if kind == "binary":
             value = table.value(args.target, _field(template, "feature", str, where))
             orientations = _field(template, "orientations", _object, where)
-            fixed = dict(zip(("r", "theta"), typology.compile_binary(value, orientations)))
+            try:
+                fixed = dict(zip(("r", "theta"), typology.compile_binary(value, orientations)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         elif kind == "unary":
             if not unary_ratios:
                 print("compile-constraints: unary templates require --unary-ratios",

@@ -25,6 +25,10 @@ class InferenceConfig:
         obj = json.load(stream)
         if not isinstance(obj, dict):
             raise ValueError("config file must contain a JSON object")
+        names = {f.name for f in fields(cls)}
+        for key in obj:
+            if key not in names:
+                raise ValueError(f"bad config: unknown key {key!r}")
         return cls(
             lr=_params(LrParams, obj, "lr"),
             pr=_params(PrParams, obj, "pr"),

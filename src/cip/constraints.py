@@ -19,19 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import IO, Any, Sequence
 
 import numpy as np
 
 from .core import Corpus, ParseTree, Sentence, _field
-
-
-class Direction(Enum):
-    """Which side of the ratio band a feature row encodes."""
-
-    UPPER = "upper"
-    LOWER = "lower"
 
 
 @dataclass(frozen=True)
@@ -195,17 +187,12 @@ def coverage(
     return (plus + minus) / total if total else 0.0
 
 
-def _phi_table(constraint: Constraint, direction: Direction) -> np.ndarray:
-    """Values of one feature row on arcs of class 0, +1 and -1 (the last),
-    so a class grid indexes it directly.  The UPPER row is (0, 1 - r_eff,
-    -r_eff) with ``r_eff = min(1, r + theta)``; the LOWER row flips the
-    signs, with ``r_eff = max(0, r - theta)``.  A nonpositive expectation of
-    the row means that its bound holds."""
-    if direction is Direction.UPPER:
-        eff = constraint.upper
-        return np.array([0.0, 1.0 - eff, -eff])
-    eff = constraint.lower
-    return np.array([0.0, -(1.0 - eff), eff])
+def _class_row(bound: float) -> np.ndarray:
+    """Values of ``1[positive] - bound * 1[matched]`` on arcs of class 0, +1
+    and -1 (the last), so a class grid indexes it directly.  Its corpus sum
+    is nonpositive iff the ratio is at most ``bound``: LR weights the row of
+    ``r``, PR's feature rows are those of the band's ends."""
+    return np.array([0.0, 1.0 - bound, -bound])
 
 
 def is_satisfied(constraint: Constraint, measured: float | None) -> bool:

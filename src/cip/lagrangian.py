@@ -1,18 +1,19 @@
 """Constraint-augmented decoding with Lagrange multipliers.
 
 Each constraint contributes a multiplier-weighted linear term to the arc
-scores: positive arcs gain ``lambda * (1 - r)``, negative arcs gain
-``-lambda * r``.  Because the term is arc-linear, the corpus-level augmented
-problem decouples and each sentence is decoded independently per iteration.
-Multipliers move by the measured-ratio error, ``lambda += alpha * (r - r_hat)``,
-with a geometrically decaying step size; the loop stops early once every
-measured ratio sits within its margin.
+scores, ``lambda * (1[positive] - r * 1[matched])``: positive arcs gain
+``lambda * (1 - r)``, negative arcs ``-lambda * r``.  Because the term is
+arc-linear, the corpus-level augmented problem decouples and each sentence
+is decoded independently per iteration.  Multipliers move by the
+measured-ratio error, ``lambda += alpha * (r - r_hat)``, with a
+geometrically decaying step size; the loop stops early once every measured
+ratio sits within its margin.
 
-``lr_decode`` runs on a ``CorpusView``: every iteration looks the
-multiplier-weighted coefficients up by arc class, decodes each length bucket
-from raw arrays and gathers the objective, the dual value and the ratio
-counts in a few array steps per bucket.  Trees are built only for the
-returned iterate.
+``lr_decode`` runs on a ``CorpusView``: every iteration passes the view the
+``(C, 3)`` offset table ``lambdas[:, None] * rows``, each row the class row
+of its constraint's ``r``.  The view decodes each length bucket from raw
+arrays and gathers the objective, the dual value and the ratio counts in a
+few array steps per bucket.  Trees are built only for the returned iterate.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import Constraint
+from .constraints import Constraint, _class_row
 from .core import Corpus
-from .view import CorpusView, InferenceResult, _lookup
+from .view import CorpusView, InferenceResult
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,6 @@ class IterationRecord:
     dual_value: float
 
 
-def _coefficients(constraints: Sequence[Constraint]) -> np.ndarray:
-    """One ``(0, 1 - r, -r)`` row per constraint: the coefficient of an arc
-    of class 0, +1 and -1, so ``lambda * coef`` is a table lookup."""
-    return np.array([[0.0, 1.0 - c.r, -c.r] for c in constraints])
-
-
 def lr_decode(
     view: CorpusView,
     params: LrParams = LrParams(),
@@ -72,7 +67,7 @@ def lr_decode(
     hold (see ``lr_infer``).  ``labels`` are the constraint ids."""
     constraints = view.constraints
     labels = tuple(c.id for c in constraints)
-    coefs = _coefficients(constraints)
+    rows = np.array([_class_row(c.r) for c in constraints]).reshape(-1, 3)
     lambdas = np.zeros(len(constraints))
     alpha = params.alpha0
     trace: list[IterationRecord] = []
@@ -80,15 +75,9 @@ def lr_decode(
     best: tuple[float, float, list[np.ndarray], np.ndarray] | None = None
 
     for iteration in range(1, params.max_iter + 1):
-        # While every multiplier is 0 the augmented scores are the bucket
-        # scores (x + 0.0 == x, -inf included), which the view decodes once.
-        augmented = (
-            (b.scores + _lookup(lambdas, coefs, b.classes) for b in view.buckets)
-            if lambdas.any()
-            else None
-        )
-        heads = view.decode(augmented, projective=projective, single_root=single_root)
-        objective, dual_value, ratios = view.gather(heads, lambdas, coefs)
+        offsets = lambdas[:, None] * rows
+        heads = view.decode(offsets, projective=projective, single_root=single_root)
+        objective, dual_value, ratios = view.gather(heads, offsets)
         violation = 0.0
         errors = np.zeros(len(constraints))
         for c, (constraint, measured) in enumerate(zip(constraints, ratios)):

@@ -12,7 +12,8 @@ dependent:
 which sums over all head assignments, not only trees; the final MAP decode
 restores the tree constraint.  ``-log Z`` is concave, so projected
 (stochastic) gradient ascent finds the optimum; each constraint contributes
-an upper and a lower feature row (margins folded into effective ratios).
+an upper and a lower feature row, the class row of the band's top and the
+negated class row of its bottom (see ``_feature_rows``).
 
 A feature row is a function of the arc class, so ``phi`` depends on an arc
 only through its joint class across the constraints.  Grouping the heads of
@@ -23,22 +24,23 @@ once per solve, straight from the ``CorpusView`` buckets, for the columns
 some feature row touches (``PackedColumns``); every dual step is then one
 small ``(columns, classes) @ (classes, rows)`` pass.  The trace sums that
 pass over the corpus, and a minibatch step over the columns of the batch's
-sentences.  Trees are decoded from
-``scores - lambda . phi``, which has the same argmax as ``log q``, with
-table lookups on the buckets' class grids.
+sentences.  Trees are decoded from ``scores - lambda . phi``, which has the
+same argmax as ``log q``: the view adds the ``(C, 3)`` offset table of
+``-lambda . phi``, each constraint's two weighted rows summed, to the
+scores by class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .constraints import Constraint, Direction, _phi_table
+from .constraints import Constraint, _class_row
 from .core import Corpus
-from .view import CorpusView, InferenceResult, _lookup
+from .view import CorpusView, InferenceResult
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -115,10 +117,16 @@ class PackedColumns:
 
 def _feature_rows(constraints: Sequence[Constraint]) -> tuple[tuple[str, ...], np.ndarray]:
     """The labels and ``(F, 3)`` value table of the feature rows (see
-    PackedColumns)."""
-    rows = [(c, d) for c in constraints for d in (Direction.UPPER, Direction.LOWER)]
-    labels = tuple(f"{c.id}:{d.value}" for c, d in rows)
-    return labels, np.array([_phi_table(c, d) for c, d in rows]).reshape(-1, 3)
+    PackedColumns); ``0.0 - row`` keeps the lower rows' class-0 entry +0.0."""
+    labels = tuple(f"{c.id}:{side}" for c in constraints for side in ("upper", "lower"))
+    rows = [row for c in constraints for row in (_class_row(c.upper), 0.0 - _class_row(c.lower))]
+    return labels, np.array(rows).reshape(-1, 3)
+
+
+def _offsets(table: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """The ``(C, 3)`` offset table of ``-lambda . phi``: each constraint's
+    two feature rows, weighted and summed, negated."""
+    return -(lambdas[:, None] * table).reshape(-1, 2, 3).sum(axis=1)
 
 
 def _head_probs(scores: np.ndarray) -> np.ndarray:
@@ -269,14 +277,6 @@ def solve_dual(
     return np.array(lambdas), trace
 
 
-def _reweighted(view: CorpusView, lambdas: np.ndarray, table: np.ndarray) -> Iterator[np.ndarray]:
-    """``scores - lambda . phi`` per bucket: one term per feature row, in row
-    order; row f reads the grid of constraint f // 2."""
-    for bucket in view.buckets:
-        grids = [bucket.classes[f // 2] for f in range(len(lambdas))]
-        yield bucket.scores - _lookup(lambdas, table, grids)
-
-
 def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[np.ndarray]:
     """The reweighted head distributions ``q ~ p * exp(-lambda . phi)`` of
     every sentence, in corpus order, as ``(n+1, n)`` arrays indexed like the
@@ -284,7 +284,7 @@ def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[np.ndarra
     ``p`` is the softmax of the scores."""
     _, table = _feature_rows(view.constraints)
     probs: list[np.ndarray] = [None] * len(view.sentences)  # type: ignore[list-item]
-    for bucket, scores in zip(view.buckets, _reweighted(view, lambdas, table)):
+    for bucket, scores in zip(view.buckets, view.shifted(_offsets(table, lambdas))):
         for k, q in zip(bucket.index, _head_probs(scores)):
             probs[k] = q
     return probs
@@ -307,10 +307,8 @@ def pr_decode(
     """
     packed = pack_columns(view)
     lambdas, trace = solve_dual(packed, params)
-    # With every dual 0 the scores are unchanged, and the view decodes them
-    # once per job.
-    reweighted = _reweighted(view, lambdas, packed.table) if lambdas.any() else None
-    heads = view.decode(reweighted, projective=projective, single_root=single_root)
+    offsets = _offsets(packed.table, lambdas)
+    heads = view.decode(offsets, projective=projective, single_root=single_root)
     # The trace is empty only without feature rows: nothing to solve.
     converged = not trace or trace[-1].grad_norm < params.grad_tol
     return InferenceResult(view.trees(heads), lambdas, packed.labels, trace, converged)

@@ -17,7 +17,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .constraints import Constraint, class_matrix, ratio, read_constraint
-from .core import Corpus, ParseTree, ScoreMatrix, Sentence, _boolean, _field, _object
+from .core import Corpus, ParseTree, ScoreMatrix, Sentence
+from .core import _boolean, _field, _integer, _number, _object
 
 
 @dataclass(frozen=True)
@@ -71,22 +72,22 @@ class SyntheticSpec:
             for k, c in enumerate(entries)
         )
         return cls(
-            n_sentences=_field(obj, "n_sentences", int, "spec"),
-            min_len=_field(obj, "min_len", int, "spec"),
-            max_len=_field(obj, "max_len", int, "spec"),
+            n_sentences=_field(obj, "n_sentences", _integer, "spec"),
+            min_len=_field(obj, "min_len", _integer, "spec"),
+            max_len=_field(obj, "max_len", _integer, "spec"),
             pos_weights=_field(obj, "pos_weights", _pos_weights, "spec"),
             planted=planted,
-            sigma=_field(obj, "sigma", float, "spec", 0.0),
-            margin=_field(obj, "margin", float, "spec", 1.0),
-            flip_prob=_field(obj, "flip_prob", float, "spec", 0.0),
-            flip_boost=_field(obj, "flip_boost", float, "spec", 0.5),
+            sigma=_field(obj, "sigma", _number, "spec", 0.0),
+            margin=_field(obj, "margin", _number, "spec", 1.0),
+            flip_prob=_field(obj, "flip_prob", _number, "spec", 0.0),
+            flip_boost=_field(obj, "flip_boost", _number, "spec", 0.5),
             allow_nonprojective=_field(obj, "allow_nonprojective", _boolean, "spec", False),
-            seed=_field(obj, "seed", int, "spec", 0),
+            seed=_field(obj, "seed", _integer, "spec", 0),
         )
 
 
 def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
-    return tuple((str(pos), float(weight)) for pos, weight in _object(value).items())
+    return tuple((str(pos), _number(weight)) for pos, weight in _object(value).items())
 
 
 def _random_projective_heads(length: int, rng: np.random.Generator) -> list[int]:

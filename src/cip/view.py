@@ -1,20 +1,21 @@
 """The corpus stacked by sentence length, shared by LR, PR and the report.
 
 LR and PR decode the same way: each constraint gives every arc a +1/-1/0
-class, a weighted three-entry table indexed by that class is added to the
-arc scores, and an ordinary decoder runs on the result.  ``CorpusView``
-groups the sentences by length once per job.  Each bucket stacks its scores
-into a ``(B, n+1, n)`` array and its class grids into a ``(C, B, n+1, n)``
-int8 array, so the table lookup, the finite check and the gather of the
-decoded arcs take a few array steps per bucket, and each sentence is decoded
-from raw arrays.  Per-sentence sums are added in corpus order, so totals are
-the same as a sentence-by-sentence loop gives.
+class, the arc's score gains the entries that its classes pick from a
+``(C, 3)`` offset table, one row per constraint, and an ordinary decoder
+runs on the sum.  ``CorpusView`` groups the sentences by length once per
+job.  Each bucket stacks its scores into a ``(B, n+1, n)`` array and its
+class grids into a ``(C, B, n+1, n)`` int8 array, so the table lookup, the
+finite check and the gather of the decoded arcs take a few array steps per
+bucket, and each sentence is decoded from raw arrays.  Per-sentence sums
+are added in corpus order, so totals are the same as a sentence-by-sentence
+loop gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -70,14 +71,13 @@ class CorpusView:
 
     The view keeps the sentences and the stacked scores, not the corpus, so
     the scores are held once when the caller drops the corpus.  Heads travel
-    as one ``(B, n)`` array per bucket, and so do score arrays that stand in
-    for the bucket scores.
+    as one ``(B, n)`` array per bucket.
     """
 
     sentences: tuple[Sentence, ...]
     constraints: tuple[Constraint, ...]
     buckets: tuple[_Bucket, ...]
-    # The heads of ``decode()`` without ``scores``, by (projective, single_root).
+    # The heads of ``decode()`` without offsets, by (projective, single_root).
     _plain: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -98,48 +98,48 @@ class CorpusView:
 
     def decode(
         self,
-        scores: Iterable[np.ndarray] | None = None,
+        offsets: np.ndarray | None = None,
         *,
         projective: bool = False,
         single_root: bool = False,
     ) -> list[np.ndarray]:
-        """Heads of every bucket, decoded from ``scores`` (default: the
-        bucket scores).  The bucket scores are decoded once per
-        ``(projective, single_root)``; later calls without ``scores`` return
-        the same arrays, which callers must not modify.  Raises
-        ``ValueError`` for a non-finite score at a non-self position, as
-        ``ScoreMatrix`` does."""
-        if scores is None:
-            key = (projective, single_root)
-            if key not in self._plain:
-                self._plain[key] = self.decode(
-                    [b.scores for b in self.buckets],
-                    projective=projective,
-                    single_root=single_root,
-                )
+        """Heads of every bucket, decoded from ``shifted(offsets)``.  With no
+        offsets, or all-zero ones, that is the bucket scores (``x + 0.0 ==
+        x``, -inf included): those are decoded once per ``(projective,
+        single_root)``, and later such calls return the same arrays, which
+        callers must not modify.  Raises ``ValueError`` for a non-finite
+        score at a non-self position, as ``ScoreMatrix`` does."""
+        plain = offsets is None or not offsets.any()
+        key = (projective, single_root)
+        if plain and key in self._plain:
             return self._plain[key]
         decode = _projective_heads if projective else _mst_heads
         heads = []
-        for x in scores:
+        for x in (b.scores for b in self.buckets) if plain else self.shifted(offsets):
             # The n self positions of each sentence are -inf or NaN, so
             # every other entry is finite iff B * n * n entries are.
             size, _, n = x.shape
             if np.count_nonzero(np.isfinite(x)) != size * n * n:
                 raise ValueError("non-finite score at a non-self position")
             heads.append(np.array([decode(row, single_root) for row in x]))
+        if plain:
+            self._plain[key] = heads
         return heads
 
+    def shifted(self, offsets: np.ndarray) -> Iterator[np.ndarray]:
+        """Each bucket's scores plus ``_lookup(offsets, classes)``: every arc
+        gains the offset of its class under each constraint."""
+        for bucket in self.buckets:
+            yield bucket.scores + _lookup(offsets, bucket.classes)
+
     def gather(
-        self,
-        heads: Sequence[np.ndarray],
-        weights: Sequence[float] = (),
-        tables: Sequence[np.ndarray] = (),
+        self, heads: Sequence[np.ndarray], offsets: np.ndarray | None = None
     ) -> tuple[float, float, list[float | None]]:
         """What ``heads`` pick: the picked scores and the picked scores plus
-        ``_lookup(weights, tables, classes)``, each summed sentence by
-        sentence in corpus order (the lookup is elementwise, so no augmented
-        array need be kept), and per constraint the fraction of +1 arcs
-        among its picked matched arcs (None when it matches none)."""
+        ``_lookup(offsets, classes)``, each summed sentence by sentence in
+        corpus order (the lookup is elementwise, so no shifted array need
+        be kept), and per constraint the fraction of +1 arcs among its
+        picked matched arcs (None when it matches none)."""
         sums = np.zeros((2, len(self.sentences)))
         counts = np.zeros((2, len(self.constraints)))  # +1 arcs, -1 arcs
         for bucket, rows in zip(self.buckets, heads):
@@ -147,7 +147,7 @@ class CorpusView:
             picked = bucket.classes[(slice(None), *arcs)]
             scores = bucket.scores[arcs]
             sums[0, bucket.index] = scores.sum(axis=1)
-            sums[1, bucket.index] = (scores + _lookup(weights, tables, picked)).sum(axis=1)
+            sums[1, bucket.index] = (scores + _lookup(offsets, picked)).sum(axis=1)
             counts += [(picked == 1).sum(axis=(1, 2)), (picked == -1).sum(axis=(1, 2))]
         totals = [0.0, 0.0]
         for i, row in enumerate(sums):
@@ -167,21 +167,20 @@ class CorpusView:
         return [np.array([trees[k].heads for k in b.index]) for b in self.buckets]
 
 
-def _lookup(
-    weights: Sequence[float], tables: Sequence[np.ndarray], grids: Sequence[np.ndarray]
-) -> np.ndarray | float:
-    """``0.0 + sum(weight * table[grid])`` over the nonzero weights, in
-    order; 0.0 when every weight is 0.
+def _lookup(offsets: np.ndarray | None, grids: Sequence[np.ndarray]) -> np.ndarray | float:
+    """``0.0 + sum(row[grid])`` over the nonzero rows of ``offsets`` and the
+    grids of their constraints, in order; 0.0 when there are none.
 
-    Each table has three entries, indexed by the arc class of its grid: 0,
-    +1, and -1 (the last).  A grid may stack the class grids of any number
-    of sentences of one length.  Each term is added in place; float
-    addition commutes, so ``term += total`` equals ``total + term``.
+    ``offsets`` is a ``(C, 3)`` table: row c holds the offset of an arc of
+    class 0, +1 and -1 (the last) under constraint c, so grid c indexes it
+    directly.  A grid may stack the class grids of any number of sentences
+    of one length.  Each term is added in place; float addition commutes,
+    so ``term += total`` equals ``total + term``.
     """
     total: np.ndarray | float = 0.0
-    for weight, table, grid in zip(weights, tables, grids):
-        if weight != 0.0:
-            term = (weight * table).take(grid)
+    for row, grid in zip(() if offsets is None else offsets, grids):
+        if row.any():
+            term = row.take(grid)
             term += total
             total = term
     return total

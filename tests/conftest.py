@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import Direction
 
 
 def make_sentence(upos, gold_heads=None, sent_id=""):
@@ -97,7 +96,7 @@ def phi(constraint, direction, sentence, head, dep, *, root_counts_left=False):
     cls = classify_arc(constraint, sentence, head, dep, root_counts_left=root_counts_left)
     if cls is ArcClass.NEITHER:
         return 0.0
-    if direction is Direction.UPPER:
+    if direction == "upper":
         eff = constraint.upper
         return 1.0 - eff if cls is ArcClass.PLUS else -eff
     eff = constraint.lower

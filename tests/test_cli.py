@@ -547,11 +547,16 @@ def _without(template, key):
         (UNARY_TEMPLATE, UNARY_RATIOS, "{t}: expected a JSON array, got {{"),
         ([UNARY_TEMPLATE], [0.35, 0.4], "{r}: expected a JSON object, got [0.35, 0.4]"),
         ([UNARY_TEMPLATE], {**UNARY_RATIOS, "fr": None}, "{r}: fr: expected a number, got None"),
+        (
+            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "orientations": {"Prepositions": "pos2_first"}}],
+            UNARY_RATIOS,
+            "{t}: template 1: no orientation configured for feature value 'Postpositions'",
+        ),
     ],
     ids=[
         "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
         "template-not-an-object", "templates-not-an-array", "ratios-not-an-object",
-        "null-ratio",
+        "null-ratio", "orientation-missing-target-value",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(
@@ -640,11 +645,12 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
         ({"lr": [60]}, "lr: expected a JSON object, got [60]"),
         ({"pr": {"optimizer": "adaptive_moments"}}, "pr: unknown key 'optimizer'"),
         ({"lr": {"eta": 0}}, "lr: eta must lie in (0, 1]"),
+        ({"single-root": True}, "unknown key 'single-root'"),
     ],
     ids=[
         "string-single-root", "int-root-counts-left", "float-lr-max-iter", "float-pr-max-iter",
         "float-batch-size", "bool-seed", "string-alpha0", "bool-grad-tol", "list-section",
-        "unknown-key", "eta-out-of-range",
+        "unknown-key", "eta-out-of-range", "unknown-top-level-key",
     ],
 )
 def test_config_value_of_wrong_type_is_a_clean_error(
@@ -836,13 +842,17 @@ def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, re
     "key, value, message",
     [
         ("pos_weights", [["NOUN", 1.0]], "cip: spec: pos_weights: expected a JSON object"),
-        ("n_sentences", None, "cip: spec: n_sentences: int() argument"),
-        ("sigma", "wide", "cip: spec: sigma: could not convert"),
+        ("n_sentences", None, "cip: spec: n_sentences: expected an integer, got None"),
+        ("sigma", "wide", "cip: spec: sigma: expected a number, got 'wide'"),
         ("planted", 5, "cip: spec: planted: expected a JSON array"),
         ("allow_nonprojective", "no", "cip: spec: allow_nonprojective: expected true or false"),
+        ("n_sentences", 3.7, "cip: spec: n_sentences: expected an integer, got 3.7"),
+        ("sigma", "0.1", "cip: spec: sigma: expected a number, got '0.1'"),
+        ("pos_weights", {"NOUN": "1"}, "cip: spec: pos_weights: expected a number, got '1'"),
     ],
     ids=[
         "list-pos-weights", "null-n-sentences", "string-sigma", "int-planted", "string-flag",
+        "float-n-sentences", "numeric-string-sigma", "string-pos-weight",
     ],
 )
 def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value, message):

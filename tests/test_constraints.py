@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import Direction, _arc_classes, class_matrix
+from cip.constraints import _arc_classes, class_matrix
 
 from conftest import (
     ArcClass,
@@ -235,26 +235,26 @@ class TestPhi:
     def test_plain_upper(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.0)
         s = make_sentence(("DET", "NOUN"))
-        assert phi(c, Direction.UPPER, s, 1, 2) == 0.5
+        assert phi(c, "upper", s, 1, 2) == 0.5
         s2 = make_sentence(("NOUN", "VERB"))
-        assert phi(c, Direction.UPPER, s2, 2, 1) == -0.5
+        assert phi(c, "upper", s2, 2, 1) == -0.5
 
     def test_vacuous_upper_bound(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.875, theta=0.125)
         s = make_sentence(("DET", "NOUN"))
-        assert phi(c, Direction.UPPER, s, 1, 2) == 0.0
+        assert phi(c, "upper", s, 1, 2) == 0.0
 
     def test_neither_is_zero(self):
         s = make_sentence(("DET", "VERB"))
-        for direction in Direction:
+        for direction in ("upper", "lower"):
             assert phi(UNARY, direction, s, 1, 2) == 0.0
 
     def test_lower_signs(self):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.6, theta=0.1)
         s = make_sentence(("DET", "NOUN"))
-        assert phi(c, Direction.LOWER, s, 1, 2) == pytest.approx(-0.5)
+        assert phi(c, "lower", s, 1, 2) == pytest.approx(-0.5)
         s2 = make_sentence(("NOUN", "VERB"))
-        assert phi(c, Direction.LOWER, s2, 2, 1) == pytest.approx(0.5)
+        assert phi(c, "lower", s2, 2, 1) == pytest.approx(0.5)
 
     def test_expectation_sign_encodes_bound(self):
         # The sign of the expected upper feature row must agree with the
@@ -271,12 +271,12 @@ class TestPhi:
             if measured is None:
                 continue
             upper = sum(
-                float(np.sum(phi_grid(c, Direction.UPPER, s) * d))
+                float(np.sum(phi_grid(c, "upper", s) * d))
                 for (s, _), d in zip(corpus, dists)
             )
             assert (upper <= 1e-12) == (measured <= c.upper + 1e-12)
             lower = sum(
-                float(np.sum(phi_grid(c, Direction.LOWER, s) * d))
+                float(np.sum(phi_grid(c, "lower", s) * d))
                 for (s, _), d in zip(corpus, dists)
             )
             assert (lower <= 1e-12) == (measured >= c.lower - 1e-12)

@@ -9,7 +9,8 @@ import cip
 from cip.constraints import class_matrix
 from cip.core import NEG_INF
 from cip.decoder import projective_tree_table
-from cip.lagrangian import IterationRecord, _coefficients
+from cip.constraints import _class_row
+from cip.lagrangian import IterationRecord
 from cip.view import InferenceResult, _lookup
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
@@ -32,9 +33,10 @@ def augment_scores(matrix, sentence, constraints, lambdas, *, root_counts_left=F
 
 
 def lookup_scores(matrix, sentence, constraints, lambdas):
-    """The same sum from the table lookup that ``lr_decode`` runs."""
+    """The same sum from the offset table that ``lr_decode`` passes the view."""
     grids = [class_matrix(c, sentence) for c in constraints]
-    return matrix.scores + _lookup(lambdas, _coefficients(constraints), grids)
+    offsets = np.array([lam * _class_row(c.r) for c, lam in zip(constraints, lambdas)])
+    return matrix.scores + _lookup(offsets, grids)
 
 
 def loop_lr_infer(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import cip
-from cip.constraints import Direction
 from cip.posterior import PackedColumns, pack_columns, pr_decode
 from cip.view import CorpusView
 
@@ -34,8 +33,8 @@ def enum_log_partition(corpus, dists, constraints, lambdas):
             for dep, head in enumerate(assignment, start=1):
                 exponent = 0.0
                 for i, c in enumerate(constraints):
-                    exponent += lambdas[2 * i] * phi(c, Direction.UPPER, sentence, head, dep)
-                    exponent += lambdas[2 * i + 1] * phi(c, Direction.LOWER, sentence, head, dep)
+                    exponent += lambdas[2 * i] * phi(c, "upper", sentence, head, dep)
+                    exponent += lambdas[2 * i + 1] * phi(c, "lower", sentence, head, dep)
                 weight *= dists[k][head, dep - 1] * np.exp(-exponent)
             sentence_sum += weight
         total *= sentence_sum
@@ -161,7 +160,7 @@ def every_arc(n):
     return [(head, dep) for dep in range(1, n + 1) for head in range(n + 1) if head != dep]
 
 
-FEATURE_ROWS = ((Direction.UPPER, 0), (Direction.LOWER, 1))
+FEATURE_ROWS = (("upper", 0), ("lower", 1))
 
 
 class TestFeatureIndex:
