@@ -22,7 +22,7 @@ import numpy as np
 from . import constraints as cns
 from . import core, lagrangian, posterior, synthetic, typology
 from .config import InferenceConfig
-from .core import _field, _number, _object
+from .core import _array, _field, _number, _object, _read, _string
 from .view import CorpusView, InferenceResult, write_trace
 
 
@@ -188,6 +188,10 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _strings(value: Any) -> list[str]:
+    return [_string(item) for item in _array(value)]
+
+
 def cmd_compile_constraints(args: argparse.Namespace) -> int:
     with open(args.wals, encoding="utf-8") as handle:
         table = typology.TypologyTable.from_csv(handle)
@@ -204,20 +208,23 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
         where = f"{args.templates}: template {k}"
         if not isinstance(template, dict):
             raise ValueError(f"{where}: expected a JSON object, got {template!r}")
-        kind = _field(template, "kind", str, where)
+        kind = _field(template, "kind", _string, where)
         if kind == "binary":
-            value = table.value(args.target, _field(template, "feature", str, where))
+            value = table.value(args.target, _field(template, "feature", _string, where))
             orientations = _field(template, "orientations", _object, where)
             try:
                 fixed = dict(zip(("r", "theta"), typology.compile_binary(value, orientations)))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            template_keys = ("feature", "orientations")
         elif kind == "unary":
             if not unary_ratios:
                 print("compile-constraints: unary templates require --unary-ratios",
                       file=sys.stderr)
                 return 2
-            features = _field(template, "features", list, where, typology.NOUN_ORDER_FEATURES)
+            features = _field(
+                template, "features", _strings, where, list(typology.NOUN_ORDER_FEATURES)
+            )
             vocab = typology.build_feature_vocab(table, features)
             train = [
                 (typology.feature_vector(table, lang, vocab), ratio_value)
@@ -226,11 +233,14 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
             ]
             target = typology.feature_vector(table, args.target, vocab)
             fixed = {"r": typology.fit_unary_ratio(train, target)}
+            template_keys = ("features",)
         else:
             print(f"compile-constraints: unknown template kind {kind!r}", file=sys.stderr)
             return 2
-        # A unary template may set its margin; a binary one takes the compiled one.
-        compiled.append(cns.read_constraint({**template, **fixed}, where, theta=0.125))
+        # The rest of the template is the constraint.  A unary template may
+        # set its margin; a binary one takes the compiled one.
+        rest = {key: v for key, v in template.items() if key not in template_keys}
+        compiled.append(_read(cns.Constraint, {**rest, **fixed}, where, theta=0.125))
     _atomic_write(args.out, lambda h: cns.save_constraints(compiled, h))
     return 0
 
@@ -252,6 +262,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _RatioRow:
+    """One row of an ``estimate-ratios`` report."""
+
+    id: str
+    ratio: float | None
+    coverage: float
+    count: int | None = None
+
+
 def _load_ratio_report(path: str) -> dict[str, tuple[float | None, float]]:
     """``(ratio, coverage)`` by constraint id from an ``estimate-ratios``
     report.  A malformed report raises ``ValueError`` naming ``path`` and,
@@ -260,26 +280,8 @@ def _load_ratio_report(path: str) -> dict[str, tuple[float | None, float]]:
     rows = report.get("ratios") if isinstance(report, dict) else None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON object with a 'ratios' list")
-    out = {}
-    for k, row in enumerate(rows):
-        where = f"{path}: ratios row {k}"
-        if not isinstance(row, dict):
-            raise ValueError(f"{where}: expected a JSON object, got {row!r}")
-        for key in ("id", "ratio", "coverage"):
-            if key not in row:
-                raise ValueError(f"{where}: missing key {key!r}")
-        if not isinstance(row["id"], str):
-            raise ValueError(f"{where}: 'id': expected a string, got {row['id']!r}")
-        try:
-            ratio = None if row["ratio"] is None else float(row["ratio"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: 'ratio': {exc}") from None
-        try:
-            coverage = float(row["coverage"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: 'coverage': {exc}") from None
-        out[row["id"]] = (ratio, coverage)
-    return out
+    rows = [_read(_RatioRow, row, f"{path}: ratios row {k}") for k, row in enumerate(rows)]
+    return {row.id: (row.ratio, row.coverage) for row in rows}
 
 
 def cmd_ratio_gap(args: argparse.Namespace) -> int:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .core import Corpus, ParseTree, Sentence, _field
+from .core import Corpus, ParseTree, Sentence, _read
 
 
 @dataclass(frozen=True)
@@ -226,27 +226,12 @@ def ratio_gap(
 # Constraint files
 # ---------------------------------------------------------------------------
 
-def read_constraint(obj: Any, where: str, **defaults: Any) -> Constraint:
-    """The constraint of one JSON object, with ``defaults`` for its absent
-    keys.  A malformed object raises ``ValueError`` naming ``where``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {obj!r}")
-    obj = {**defaults, **obj}
-    fields = [("id", str), ("kind", str), ("pos", str), ("r", float), ("theta", float)]
-    values = {key: _field(obj, key, convert, where) for key, convert in fields}
-    pos2 = obj.get("pos2")
-    try:
-        return Constraint(**values, pos2=None if pos2 is None else str(pos2))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def load_constraints(stream: IO[str]) -> list[Constraint]:
     """Read a JSON array of constraint objects."""
     data = json.load(stream)
     if not isinstance(data, list):
         raise ValueError("constraint file must contain a JSON array")
-    return [read_constraint(obj, f"constraint {k}") for k, obj in enumerate(data)]
+    return [_read(Constraint, obj, f"constraint {k}") for k, obj in enumerate(data)]
 
 
 def save_constraints(constraints: Sequence[Constraint], stream: IO[str]) -> None:

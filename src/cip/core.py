@@ -9,8 +9,11 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import chain
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -379,7 +382,7 @@ def write_scores(matrices: Sequence[ScoreMatrix], stream: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fields of JSON objects (spec, config, constraint and template files)
+# Fields of JSON objects (config, spec, constraint, template and ratio-report files)
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
@@ -396,28 +399,80 @@ def _field(obj: Mapping, key: str, convert: Callable, where: str, default: Any =
         raise ValueError(f"{where}: {key}: {exc}") from None
 
 
-def _boolean(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+def _json_type(kind: type, name: str) -> Callable:
+    """A converter that passes only the JSON values of ``kind``; ``true``
+    and ``false`` are no integers."""
+
+    def convert(value: Any) -> Any:
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return value
+
+    return convert
 
 
-def _integer(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+_boolean = _json_type(bool, "true or false")
+_integer = _json_type(int, "an integer")
+_string = _json_type(str, "a string")
+_object = _json_type(dict, "a JSON object")
+_array = _json_type(list, "a JSON array")
 
 
 def _number(value: Any) -> float:
+    """A finite JSON number, as a float: ``json.load`` also yields NaN and ±Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
-def _object(value: Any) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return value
+_CONVERTERS: dict[Any, Callable] = {bool: _boolean, int: _integer, float: _number, str: _string}
+
+
+@functools.cache
+def _converters(cls: type) -> dict[str, Callable]:
+    """The converter of each field of the dataclass ``cls``: its
+    ``metadata["convert"]``, else the ``_CONVERTERS`` entry of its annotated
+    type, ``_read`` for a dataclass, and either for ``X | None`` with null
+    read as None.  Any other annotation raises ``KeyError``."""
+
+    def of(hint: Any) -> Callable:
+        inner = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if len(inner) == 1 < len(typing.get_args(hint)):
+            convert = of(*inner)
+            return lambda value: None if value is None else convert(value)
+        return functools.partial(_read, hint) if is_dataclass(hint) else _CONVERTERS[hint]
+
+    hints = typing.get_type_hints(cls)
+    return {f.name: f.metadata.get("convert") or of(hints[f.name]) for f in fields(cls)}
+
+
+def _read(cls: type, obj: Any, where: str | None = None, **defaults: Any) -> Any:
+    """The frozen dataclass ``cls`` of the JSON object ``obj``, each key read
+    by its field's converter; an absent field takes ``defaults``, else the
+    dataclass default.  An unknown key, a missing required field, a badly
+    typed value or one ``cls`` rejects raises ``ValueError`` naming the key,
+    after ``where`` if given (a nested read leaves that to its caller)."""
+    converters = _converters(cls)
+    try:
+        values = dict(defaults)
+        for key, value in _object(obj).items():
+            if key not in converters:
+                raise ValueError(f"unknown key {key!r}")
+            try:
+                values[key] = converters[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        for f in fields(cls):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and f.name not in values:
+                raise ValueError(f"missing key {f.name!r}")
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        if where is None:
+            raise
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

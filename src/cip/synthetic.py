@@ -11,14 +11,23 @@ each matched arc, biasing the baseline decode against the planted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from .constraints import Constraint, class_matrix, ratio, read_constraint
-from .core import Corpus, ParseTree, ScoreMatrix, Sentence
-from .core import _boolean, _field, _integer, _number, _object
+from .constraints import Constraint, class_matrix, ratio
+from .core import Corpus, ParseTree, ScoreMatrix, Sentence, _array, _number, _object, _read
+
+
+def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
+    return tuple((pos, _number(weight)) for pos, weight in _object(value).items())
+
+
+def _planted(value: Any) -> tuple[Constraint, ...]:
+    """Planted constraints; an absent ``theta`` is 0."""
+    entries = enumerate(_array(value))
+    return tuple(_read(Constraint, c, f"constraint {k}", theta=0.0) for k, c in entries)
 
 
 @dataclass(frozen=True)
@@ -26,8 +35,8 @@ class SyntheticSpec:
     n_sentences: int
     min_len: int
     max_len: int
-    pos_weights: tuple[tuple[str, float], ...]
-    planted: tuple[Constraint, ...] = ()
+    pos_weights: tuple[tuple[str, float], ...] = field(metadata={"convert": _pos_weights})
+    planted: tuple[Constraint, ...] = field(default=(), metadata={"convert": _planted})
     sigma: float = 0.0
     margin: float = 1.0
     flip_prob: float = 0.0
@@ -60,34 +69,9 @@ class SyntheticSpec:
                 raise ValueError(f"planted POS {constraint.pos2!r} not in inventory")
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "SyntheticSpec":
+    def from_dict(cls, obj: Any) -> "SyntheticSpec":
         """The spec of a JSON object; a malformed one raises ``ValueError``."""
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"spec: expected a JSON object, got {obj!r}")
-        entries = obj.get("planted", [])
-        if not isinstance(entries, list):
-            raise ValueError(f"spec: planted: expected a JSON array, got {entries!r}")
-        planted = tuple(
-            read_constraint(c, f"spec: planted constraint {k}", theta=0.0)
-            for k, c in enumerate(entries)
-        )
-        return cls(
-            n_sentences=_field(obj, "n_sentences", _integer, "spec"),
-            min_len=_field(obj, "min_len", _integer, "spec"),
-            max_len=_field(obj, "max_len", _integer, "spec"),
-            pos_weights=_field(obj, "pos_weights", _pos_weights, "spec"),
-            planted=planted,
-            sigma=_field(obj, "sigma", _number, "spec", 0.0),
-            margin=_field(obj, "margin", _number, "spec", 1.0),
-            flip_prob=_field(obj, "flip_prob", _number, "spec", 0.0),
-            flip_boost=_field(obj, "flip_boost", _number, "spec", 0.5),
-            allow_nonprojective=_field(obj, "allow_nonprojective", _boolean, "spec", False),
-            seed=_field(obj, "seed", _integer, "spec", 0),
-        )
-
-
-def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
-    return tuple((str(pos), _number(weight)) for pos, weight in _object(value).items())
+        return _read(cls, obj, "spec")
 
 
 def _random_projective_heads(length: int, rng: np.random.Generator) -> list[int]:

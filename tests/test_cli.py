@@ -103,6 +103,42 @@ def test_decode_baseline_and_evaluate(workspace, capsys):
     assert printed["uas"] == pytest.approx(report["uas"])
 
 
+def test_evaluate_rejects_a_prediction_without_heads(workspace, tmp_path, capsys):
+    pred = tmp_path / "pred.conllu"
+    pred.write_text("1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
+    report = tmp_path / "uas.json"
+    argv = ["evaluate", "--pred", str(pred), "--gold", str(workspace["gold"])]
+    assert main([*argv, "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"evaluate: sentence 0 in {pred} has no heads\n"
+    assert not report.exists()
+
+
+def test_synth_report_holds_the_true_ratios(workspace, tmp_path):
+    report = tmp_path / "synth.json"
+    argv = ["synth", "--spec", str(workspace["spec"]), "--report", str(report)]
+    outputs = ["--out-conllu", str(tmp_path / "g"), "--out-scores", str(tmp_path / "s")]
+    assert main([*argv, *outputs]) == 0
+    with open(workspace["constraints"], encoding="utf-8") as handle:
+        (oracle,) = cip.load_constraints(handle)
+    with open(workspace["gold"], encoding="utf-8") as handle:
+        gold_ratio, _ = cip.estimate_ratio(cip.read_conllu(handle), oracle)
+    assert json.loads(report.read_text()) == {"true_ratios": {"noun-left": gold_ratio}}
+
+
+def test_failed_render_leaves_the_target_untouched(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+
+    def render(handle):
+        handle.write("partial")
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        cli._atomic_write(str(target), render)
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.parametrize("method", ["lr", "pr"])
 def test_constrained_decode_improves_uas(workspace, method):
     code = main(
@@ -552,11 +588,24 @@ def _without(template, key):
             UNARY_RATIOS,
             "{t}: template 1: no orientation configured for feature value 'Postpositions'",
         ),
+        (
+            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "thetaa": 0.1}],
+            UNARY_RATIOS,
+            "{t}: template 1: unknown key 'thetaa'",
+        ),
+        (
+            [{**UNARY_TEMPLATE, "feature": "85A"}],
+            UNARY_RATIOS,
+            "{t}: template 0: unknown key 'feature'",
+        ),
+        ([{**UNARY_TEMPLATE, "features": "85A"}], UNARY_RATIOS, "{t}: template 0: features: "),
+        ([UNARY_TEMPLATE], {**UNARY_RATIOS, "ar": float("nan")}, "{r}: ar: expected a finite"),
     ],
     ids=[
         "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
         "template-not-an-object", "templates-not-an-array", "ratios-not-an-object",
-        "null-ratio", "orientation-missing-target-value",
+        "null-ratio", "orientation-missing-target-value", "misspelt-theta", "unary-with-feature",
+        "string-features", "nan-ratio",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(
@@ -579,6 +628,41 @@ def test_malformed_template_or_ratios_is_a_clean_error(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("cip: " + message.format(**paths)) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "templates, unary_ratios, message",
+    [
+        (
+            [UNARY_TEMPLATE],
+            False,
+            "compile-constraints: unary templates require --unary-ratios\n",
+        ),
+        (
+            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "kind": "ternary"}],
+            True,
+            "compile-constraints: unknown template kind 'ternary'\n",
+        ),
+    ],
+    ids=["unary-without-ratios", "unknown-kind"],
+)
+def test_compile_constraints_usage_error_exits_2(
+    tmp_path, capsys, templates, unary_ratios, message
+):
+    paths = {"t": tmp_path / "templates.json", "r": tmp_path / "unary.json"}
+    paths["t"].write_text(json.dumps(templates))
+    paths["r"].write_text(json.dumps(UNARY_RATIOS))
+    out = tmp_path / "compiled.json"
+    argv = [
+        "compile-constraints",
+        "--wals", os.path.join(DATA, "wals_fixture.csv"),
+        "--templates", str(paths["t"]),
+        "--target", "hi",
+        "--out", str(out),
+    ]
+    assert main(argv + (["--unary-ratios", str(paths["r"])] if unary_ratios else [])) == 2
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -646,11 +730,13 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
         ({"pr": {"optimizer": "adaptive_moments"}}, "pr: unknown key 'optimizer'"),
         ({"lr": {"eta": 0}}, "lr: eta must lie in (0, 1]"),
         ({"single-root": True}, "unknown key 'single-root'"),
+        ({"lr": {"alpha0": float("nan")}}, "lr: alpha0: expected a finite number, got nan"),
+        ({"pr": {"lr0": float("inf")}}, "pr: lr0: expected a finite number, got inf"),
     ],
     ids=[
         "string-single-root", "int-root-counts-left", "float-lr-max-iter", "float-pr-max-iter",
         "float-batch-size", "bool-seed", "string-alpha0", "bool-grad-tol", "list-section",
-        "unknown-key", "eta-out-of-range", "unknown-top-level-key",
+        "unknown-key", "eta-out-of-range", "unknown-top-level-key", "nan-alpha0", "inf-lr0",
     ],
 )
 def test_config_value_of_wrong_type_is_a_clean_error(
@@ -738,10 +824,27 @@ def test_sampled_coverage_matches_full_coverage(tmp_path):
         ([1], "cip: constraint 0: expected a JSON object"),
         (
             {"id": "x", "kind": "unary", "pos": "NOUN", "r": "high", "theta": 0.1},
-            "cip: constraint 0: r: could not convert",
+            "cip: constraint 0: r: expected a number, got 'high'",
+        ),
+        (
+            {"id": "x", "kind": "unary", "pos": "NOUN", "r": True, "theta": 0.1},
+            "cip: constraint 0: r: expected a number, got True",
+        ),
+        (
+            {"id": "x", "kind": "unary", "pos": "NOUN", "r": "0.9", "theta": 0.1},
+            "cip: constraint 0: r: expected a number, got '0.9'",
+        ),
+        (
+            {"id": "x", "kind": "unary", "pos": ["NOUN"], "r": 0.9, "theta": 0.1},
+            "cip: constraint 0: pos: expected a string, got ['NOUN']",
+        ),
+        (
+            {"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.9, "theta": 0.1, "weight": 2},
+            "cip: constraint 0: unknown key 'weight'",
         ),
     ],
-    ids=["missing-theta", "not-an-object", "string-r"],
+    ids=["missing-theta", "not-an-object", "string-r", "bool-r", "numeric-string-r",
+         "list-pos", "unknown-key"],
 )
 def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entry, message):
     constraints = tmp_path / "bad.json"
@@ -757,7 +860,8 @@ def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entr
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_spec_without_pos_weights_is_a_clean_error(tmp_path, capsys):
@@ -812,13 +916,22 @@ GOOD_ROW = {"id": "noun-left", "ratio": 0.9, "count": 3, "coverage": 0.2}
             {"ratios": [{k: v for k, v in GOOD_ROW.items() if k != "coverage"}]},
             "ratios row 0: missing key 'coverage'",
         ),
-        ({"ratios": [{**GOOD_ROW, "coverage": None}]}, "ratios row 0: 'coverage': "),
-        ({"ratios": [{**GOOD_ROW, "ratio": [0.9]}]}, "ratios row 0: 'ratio': "),
-        ({"ratios": [{**GOOD_ROW, "id": ["noun-left"]}]}, "ratios row 0: 'id': "),
+        ({"ratios": [{**GOOD_ROW, "coverage": None}]}, "ratios row 0: coverage: "),
+        ({"ratios": [{**GOOD_ROW, "ratio": [0.9]}]}, "ratios row 0: ratio: "),
+        ({"ratios": [{**GOOD_ROW, "id": ["noun-left"]}]}, "ratios row 0: id: "),
+        (
+            {"ratios": [{**GOOD_ROW, "coverage": True}]},
+            "ratios row 0: coverage: expected a number, got True",
+        ),
+        (
+            {"ratios": [{**GOOD_ROW, "ratio": "0.5"}]},
+            "ratios row 0: ratio: expected a number, got '0.5'",
+        ),
     ],
     ids=[
         "no-ratios", "not-an-object", "row-not-an-object", "row-without-ratio",
         "row-without-id", "row-without-coverage", "null-coverage", "list-ratio", "list-id",
+        "bool-coverage", "numeric-string-ratio",
     ],
 )
 def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, report, message):
@@ -849,10 +962,13 @@ def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, re
         ("n_sentences", 3.7, "cip: spec: n_sentences: expected an integer, got 3.7"),
         ("sigma", "0.1", "cip: spec: sigma: expected a number, got '0.1'"),
         ("pos_weights", {"NOUN": "1"}, "cip: spec: pos_weights: expected a number, got '1'"),
+        ("flip-prob", 1.0, "cip: spec: unknown key 'flip-prob'"),
+        ("sigm", 0.3, "cip: spec: unknown key 'sigm'"),
     ],
     ids=[
         "list-pos-weights", "null-n-sentences", "string-sigma", "int-planted", "string-flag",
-        "float-n-sentences", "numeric-string-sigma", "string-pos-weight",
+        "float-n-sentences", "numeric-string-sigma", "string-pos-weight", "dashed-key",
+        "misspelt-key",
     ],
 )
 def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value, message):

@@ -1,5 +1,6 @@
 """Domain types, file formats, head distributions, and UAS."""
 
+import dataclasses
 import io
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import cip
-from cip.core import NEG_INF
+from cip.cli import _RatioRow
+from cip.config import InferenceConfig
+from cip.core import NEG_INF, _converters, _read
 from cip.posterior import _head_probs
 
 from conftest import make_sentence, to_distribution
@@ -317,3 +320,30 @@ def test_public_names_resolve():
     namespace = {}
     exec("from cip import *", namespace)
     assert set(cip.__all__) <= set(namespace)
+
+
+# Every dataclass that ``core._read`` builds from a JSON input.
+JSON_READ_CLASSES = [
+    InferenceConfig, cip.LrParams, cip.PrParams, cip.SyntheticSpec, cip.Constraint, _RatioRow
+]
+
+
+@pytest.mark.parametrize("cls", JSON_READ_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_field_read_from_json_has_a_converter(cls):
+    # A field whose annotation the converter table does not know, and that
+    # declares no converter of its own, fails here rather than on the first
+    # input that sets it.
+    assert cls.__dataclass_params__.frozen
+    assert list(_converters(cls)) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_field_of_unknown_type_without_converter_is_caught():
+    @dataclasses.dataclass(frozen=True)
+    class Tagged:
+        tags: list[str]
+
+    with pytest.raises(KeyError):
+        _converters(Tagged)
+    with pytest.raises(KeyError):
+        _read(Tagged, {"tags": ["x"]}, "tagged")
+
