@@ -15,14 +15,14 @@ import json
 import os
 import sys
 import tempfile
-from typing import Any, Callable, Sequence
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
 from . import constraints as cns
 from . import core, lagrangian, posterior, synthetic, typology
 from .config import InferenceConfig
-from .core import _array, _field, _number, _object, _read, _string
+from .core import _array, _field, _number, _object, _read_each, _string
 from .view import CorpusView, InferenceResult, write_trace
 
 
@@ -47,40 +47,21 @@ def _write_json(path: str, payload: object) -> None:
     _atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
 
 
-def _load_corpus(conllu_path: str, scores_path: str) -> core.Corpus:
-    with open(conllu_path, encoding="utf-8") as handle:
-        sentences = core.read_conllu(handle)
-    with open(scores_path, encoding="utf-8") as handle:
-        matrices = core.read_scores(handle)
-    return core.pair_corpus(sentences, matrices)
-
-
-def _load_config(path: str | None) -> InferenceConfig:
-    if path is None:
-        return InferenceConfig()
-    with open(path, encoding="utf-8") as handle:
-        return InferenceConfig.from_stream(handle)
-
-
-def _load_json(path: str) -> Any:
-    """The JSON value in ``path``; invalid JSON raises ``ValueError`` naming
-    ``path``."""
+def _load(path: str, read: Callable = json.load) -> Any:
+    """``read`` applied to ``path`` opened as text; malformed content (any
+    ``ValueError``) raises ``ValueError`` naming ``path``."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return read(handle)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_constraints(path: str) -> list[cns.Constraint]:
-    with open(path, encoding="utf-8") as handle:
-        return cns.load_constraints(handle)
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.conllu, args.scores)
-    config = _load_config(args.config)
-    constraint_list = _load_constraints(args.constraints) if args.constraints else []
+    sentences = _load(args.conllu, core.read_conllu)
+    corpus = core.pair_corpus(sentences, _load(args.scores, core.read_scores))
+    config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
+    constraint_list = _load(args.constraints, cns.load_constraints) if args.constraints else []
     if args.method in ("lr", "pr") and not constraint_list:
         print("decode: --method lr/pr requires --constraints", file=sys.stderr)
         return 2
@@ -138,10 +119,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with open(args.pred, encoding="utf-8") as handle:
-        predicted = core.read_conllu(handle)
-    with open(args.gold, encoding="utf-8") as handle:
-        gold = core.read_conllu(handle)
+    predicted = _load(args.pred, core.read_conllu)
+    gold = _load(args.gold, core.read_conllu)
     trees = []
     for k, sentence in enumerate(predicted):
         if sentence.gold_heads is None:
@@ -157,10 +136,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_ratios(args: argparse.Namespace) -> int:
-    with open(args.conllu, encoding="utf-8") as handle:
-        sentences = core.read_conllu(handle)
-    constraint_list = _load_constraints(args.constraints)
-    config = _load_config(args.config)
+    sentences = _load(args.conllu, core.read_conllu)
+    constraint_list = _load(args.constraints, cns.load_constraints)
+    config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
     chosen = typology.sample_sentences(sentences, args.sample, args.seed)
     total_arcs = sum(len(s) for s in chosen)
     rows = []
@@ -193,17 +171,16 @@ def _strings(value: Any) -> list[str]:
 
 
 def cmd_compile_constraints(args: argparse.Namespace) -> int:
-    with open(args.wals, encoding="utf-8") as handle:
-        table = typology.TypologyTable.from_csv(handle)
-    templates = _load_json(args.templates)
+    table = _load(args.wals, typology.TypologyTable.from_csv)
+    templates = _load(args.templates)
     if not isinstance(templates, list):
         raise ValueError(f"{args.templates}: expected a JSON array, got {templates!r}")
-    ratios = _load_json(args.unary_ratios) if args.unary_ratios else {}
+    ratios = _load(args.unary_ratios) if args.unary_ratios else {}
     if not isinstance(ratios, dict):
         raise ValueError(f"{args.unary_ratios}: expected a JSON object, got {ratios!r}")
     unary_ratios = {lang: _field(ratios, lang, _number, args.unary_ratios) for lang in ratios}
 
-    compiled = []
+    entries = []
     for k, template in enumerate(templates):
         where = f"{args.templates}: template {k}"
         if not isinstance(template, dict):
@@ -237,16 +214,20 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
         else:
             print(f"compile-constraints: unknown template kind {kind!r}", file=sys.stderr)
             return 2
-        # The rest of the template is the constraint.  A unary template may
-        # set its margin; a binary one takes the compiled one.
+        # The rest of the template is the constraint, bar what was compiled:
+        # a unary template may set its margin, a binary one may not.
+        for key in fixed:
+            if key in template:
+                raise ValueError(f"{where}: unknown key {key!r}")
         rest = {key: v for key, v in template.items() if key not in template_keys}
-        compiled.append(_read(cns.Constraint, {**rest, **fixed}, where, theta=0.125))
+        entries.append({**rest, **fixed})
+    compiled = _read_each(cns.Constraint, entries, f"{args.templates}: template", theta=0.125)
     _atomic_write(args.out, lambda h: cns.save_constraints(compiled, h))
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = synthetic.SyntheticSpec.from_dict(_load_json(args.spec))
+    spec = _load(args.spec, lambda h: synthetic.SyntheticSpec.from_dict(json.load(h)))
     corpus, true_ratios = synthetic.generate_synthetic(spec)
     _atomic_write(args.out_conllu, lambda h: core.write_conllu(corpus.sentences, h))
     _atomic_write(args.out_scores, lambda h: core.write_scores(corpus.matrices, h))
@@ -272,22 +253,21 @@ class _RatioRow:
     count: int | None = None
 
 
-def _load_ratio_report(path: str) -> dict[str, tuple[float | None, float]]:
+def _read_ratio_report(stream: IO[str]) -> dict[str, tuple[float | None, float]]:
     """``(ratio, coverage)`` by constraint id from an ``estimate-ratios``
-    report.  A malformed report raises ``ValueError`` naming ``path`` and,
-    for a bad row, the row and the key."""
-    report = _load_json(path)
+    report.  A malformed report raises ``ValueError``, naming for a bad row
+    the row and the key."""
+    report = json.load(stream)
     rows = report.get("ratios") if isinstance(report, dict) else None
     if not isinstance(rows, list):
-        raise ValueError(f"{path}: expected a JSON object with a 'ratios' list")
-    rows = [_read(_RatioRow, row, f"{path}: ratios row {k}") for k, row in enumerate(rows)]
-    return {row.id: (row.ratio, row.coverage) for row in rows}
+        raise ValueError("expected a JSON object with a 'ratios' list")
+    return {row.id: (row.ratio, row.coverage) for row in _read_each(_RatioRow, rows, "ratios row")}
 
 
 def cmd_ratio_gap(args: argparse.Namespace) -> int:
-    source = _load_ratio_report(args.source)
-    target = _load_ratio_report(args.target)
-    constraint_list = _load_constraints(args.constraints)
+    source = _load(args.source, _read_ratio_report)
+    target = _load(args.target, _read_ratio_report)
+    constraint_list = _load(args.constraints, cns.load_constraints)
     kept, src, tgt, cov = [], [], [], []
     for constraint in constraint_list:
         s = source.get(constraint.id, (None, 0.0))[0]
@@ -375,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (OSError, ValueError, core.FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cip: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import Corpus, ParseTree, Sentence, _read
+from .core import Corpus, ParseTree, Sentence, _read_each
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def load_constraints(stream: IO[str]) -> list[Constraint]:
     data = json.load(stream)
     if not isinstance(data, list):
         raise ValueError("constraint file must contain a JSON array")
-    return [_read(Constraint, obj, f"constraint {k}") for k, obj in enumerate(data)]
+    return _read_each(Constraint, data, "constraint")
 
 
 def save_constraints(constraints: Sequence[Constraint], stream: IO[str]) -> None:

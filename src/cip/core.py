@@ -475,6 +475,18 @@ def _read(cls: type, obj: Any, where: str | None = None, **defaults: Any) -> Any
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _read_each(cls: type, objs: Iterable, where: str, **defaults: Any) -> list:
+    """``_read`` of each object as entry ``f"{where} {k}"``; an ``id`` that
+    an earlier entry holds raises ``ValueError`` naming the later one."""
+    items: dict[str, Any] = {}
+    for k, obj in enumerate(objs):
+        item = _read(cls, obj, f"{where} {k}", **defaults)
+        if item.id in items:
+            raise ValueError(f"{where} {k}: repeated id {item.id!r}")
+        items[item.id] = item
+    return list(items.values())
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

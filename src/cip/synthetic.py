@@ -17,7 +17,9 @@ from typing import Any
 import numpy as np
 
 from .constraints import Constraint, class_matrix, ratio
-from .core import Corpus, ParseTree, ScoreMatrix, Sentence, _array, _number, _object, _read
+from .core import (
+    Corpus, ParseTree, ScoreMatrix, Sentence, _array, _number, _object, _read, _read_each
+)
 
 
 def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
@@ -26,8 +28,7 @@ def _pos_weights(value: Any) -> tuple[tuple[str, float], ...]:
 
 def _planted(value: Any) -> tuple[Constraint, ...]:
     """Planted constraints; an absent ``theta`` is 0."""
-    entries = enumerate(_array(value))
-    return tuple(_read(Constraint, c, f"constraint {k}", theta=0.0) for k, c in entries)
+    return tuple(_read_each(Constraint, _array(value), "constraint", theta=0.0))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,9 @@ class TypologyTable:
         for record in reader:
             if not record or not any(field.strip() for field in record):
                 continue
+            if len(record) < 3:
+                got = f"got {len(record)} fields"
+                raise ValueError(f"line {reader.line_num}: expected lang,feature,value, {got}")
             lang, feature, value = (field.strip() for field in record[:3])
             rows.setdefault(lang, {})[feature] = value
         return cls(rows={lang: dict(feats) for lang, feats in rows.items()})

@@ -600,12 +600,19 @@ def _without(template, key):
         ),
         ([{**UNARY_TEMPLATE, "features": "85A"}], UNARY_RATIOS, "{t}: template 0: features: "),
         ([UNARY_TEMPLATE], {**UNARY_RATIOS, "ar": float("nan")}, "{r}: ar: expected a finite"),
+        ([{**UNARY_TEMPLATE, "r": 0.01}], UNARY_RATIOS, "{t}: template 0: unknown key 'r'"),
+        (
+            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "theta": 0.3}],
+            UNARY_RATIOS,
+            "{t}: template 1: unknown key 'theta'",
+        ),
+        ([BINARY_TEMPLATE, BINARY_TEMPLATE], UNARY_RATIOS, "{t}: template 1: repeated id 'C2'"),
     ],
     ids=[
         "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
         "template-not-an-object", "templates-not-an-array", "ratios-not-an-object",
         "null-ratio", "orientation-missing-target-value", "misspelt-theta", "unary-with-feature",
-        "string-features", "nan-ratio",
+        "string-features", "nan-ratio", "unary-sets-r", "binary-sets-theta", "repeated-id",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(
@@ -699,6 +706,76 @@ def test_missing_file_is_a_clean_error(tmp_path):
     assert code == 1
 
 
+BAD_CONLLU = "1\tdog\t_\tNOUN\t_\t_\tseven\t_\t_\t_\n\n"
+BAD_JSON = '{"id": }'
+
+
+# One malformed file for each input flag of each subcommand.
+MALFORMED_INPUTS = [
+    ("decode", "--conllu", BAD_CONLLU),
+    ("decode", "--scores", '{"n": 1, "scores": [[0.5]]}\n'),
+    ("decode", "--constraints", BAD_JSON),
+    ("decode", "--config", BAD_JSON),
+    ("evaluate", "--pred", BAD_CONLLU),
+    ("evaluate", "--gold", b"\xff\n"),
+    ("estimate-ratios", "--conllu", BAD_CONLLU),
+    ("estimate-ratios", "--constraints", BAD_JSON),
+    ("estimate-ratios", "--config", BAD_JSON),
+    ("compile-constraints", "--wals", "lang,feature,value\nhi,85A\n"),
+    ("compile-constraints", "--templates", BAD_JSON),
+    ("compile-constraints", "--unary-ratios", BAD_JSON),
+    ("synth", "--spec", BAD_JSON),
+    ("ratio-gap", "--source", BAD_JSON),
+    ("ratio-gap", "--target", b"\xff"),
+    ("ratio-gap", "--constraints", BAD_JSON),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    MALFORMED_INPUTS,
+    ids=[f"{command}{flag[1:]}" for command, flag, _ in MALFORMED_INPUTS],
+)
+def test_malformed_input_file_is_named(workspace, tmp_path, capsys, command, flag, content):
+    """Malformed content in any input file exits 1 with one line naming that
+    file, and writes no output."""
+    report = tmp_path / "ratios.json"
+    report.write_text(json.dumps({"ratios": [GOOD_ROW]}))
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out = tmp_path / "written"
+    inputs = {
+        "decode": {
+            "--conllu": workspace["gold"], "--scores": workspace["scores"],
+            "--constraints": workspace["constraints"], "--config": config,
+            "--method": "lr", "--out": out,
+        },
+        "evaluate": {"--pred": workspace["gold"], "--gold": workspace["gold"], "--report": out},
+        "estimate-ratios": {
+            "--conllu": workspace["gold"], "--constraints": workspace["constraints"],
+            "--config": config, "--out": out,
+        },
+        "compile-constraints": {
+            "--wals": os.path.join(DATA, "wals_fixture.csv"),
+            "--templates": os.path.join(DATA, "templates.json"),
+            "--unary-ratios": os.path.join(DATA, "unary_ratios.json"),
+            "--target": "hi", "--out": out,
+        },
+        "synth": {"--spec": workspace["spec"], "--out-conllu": out, "--out-scores": out},
+        "ratio-gap": {
+            "--constraints": workspace["constraints"], "--source": report, "--target": report,
+            "--report": out,
+        },
+    }[command]
+    bad = tmp_path / "bad"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    args = {**inputs, flag: bad}
+    assert main([command, *(str(part) for item in args.items() for part in item)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cip: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pr": {"optimizer": "adaptive_moments"}}))
@@ -712,7 +789,7 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err.startswith("cip: bad config: ")
+    assert capsys.readouterr().err.startswith(f"cip: {config}: bad config: ")
 
 
 @pytest.mark.parametrize(
@@ -756,7 +833,7 @@ def test_config_value_of_wrong_type_is_a_clean_error(
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err == f"cip: bad config: {message}\n"
+    assert capsys.readouterr().err == f"cip: {path}: bad config: {message}\n"
     assert not workspace["out"].exists()
 
 
@@ -815,40 +892,44 @@ def test_sampled_coverage_matches_full_coverage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry, message",
+    "entries, message",
     [
         (
-            {"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.5},
-            "cip: constraint 0: missing key 'theta'",
+            [{"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.5}],
+            "constraint 0: missing key 'theta'",
         ),
-        ([1], "cip: constraint 0: expected a JSON object"),
+        ([[1]], "constraint 0: expected a JSON object"),
         (
-            {"id": "x", "kind": "unary", "pos": "NOUN", "r": "high", "theta": 0.1},
-            "cip: constraint 0: r: expected a number, got 'high'",
-        ),
-        (
-            {"id": "x", "kind": "unary", "pos": "NOUN", "r": True, "theta": 0.1},
-            "cip: constraint 0: r: expected a number, got True",
+            [{"id": "x", "kind": "unary", "pos": "NOUN", "r": "high", "theta": 0.1}],
+            "constraint 0: r: expected a number, got 'high'",
         ),
         (
-            {"id": "x", "kind": "unary", "pos": "NOUN", "r": "0.9", "theta": 0.1},
-            "cip: constraint 0: r: expected a number, got '0.9'",
+            [{"id": "x", "kind": "unary", "pos": "NOUN", "r": True, "theta": 0.1}],
+            "constraint 0: r: expected a number, got True",
         ),
         (
-            {"id": "x", "kind": "unary", "pos": ["NOUN"], "r": 0.9, "theta": 0.1},
-            "cip: constraint 0: pos: expected a string, got ['NOUN']",
+            [{"id": "x", "kind": "unary", "pos": "NOUN", "r": "0.9", "theta": 0.1}],
+            "constraint 0: r: expected a number, got '0.9'",
         ),
         (
-            {"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.9, "theta": 0.1, "weight": 2},
-            "cip: constraint 0: unknown key 'weight'",
+            [{"id": "x", "kind": "unary", "pos": ["NOUN"], "r": 0.9, "theta": 0.1}],
+            "constraint 0: pos: expected a string, got ['NOUN']",
+        ),
+        (
+            [{"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.9, "theta": 0.1, "weight": 2}],
+            "constraint 0: unknown key 'weight'",
+        ),
+        (
+            [{"id": "x", "kind": "unary", "pos": pos, "r": 0.5, "theta": 0.1} for pos in "AB"],
+            "constraint 1: repeated id 'x'",
         ),
     ],
     ids=["missing-theta", "not-an-object", "string-r", "bool-r", "numeric-string-r",
-         "list-pos", "unknown-key"],
+         "list-pos", "unknown-key", "repeated-id"],
 )
-def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entry, message):
+def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entries, message):
     constraints = tmp_path / "bad.json"
-    constraints.write_text(json.dumps([entry]))
+    constraints.write_text(json.dumps(entries))
     code = main(
         [
             "decode",
@@ -861,7 +942,7 @@ def test_malformed_constraint_is_a_clean_error(workspace, tmp_path, capsys, entr
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1
+    assert err.startswith(f"cip: {constraints}: {message}") and err.count("\n") == 1
 
 
 def test_spec_without_pos_weights_is_a_clean_error(tmp_path, capsys):
@@ -876,7 +957,7 @@ def test_spec_without_pos_weights_is_a_clean_error(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err == "cip: spec: missing key 'pos_weights'\n"
+    assert capsys.readouterr().err == f"cip: {spec}: spec: missing key 'pos_weights'\n"
 
 
 def test_ratio_gap_without_shared_ratios_names_the_reason(workspace, tmp_path, capsys):
@@ -927,11 +1008,12 @@ GOOD_ROW = {"id": "noun-left", "ratio": 0.9, "count": 3, "coverage": 0.2}
             {"ratios": [{**GOOD_ROW, "ratio": "0.5"}]},
             "ratios row 0: ratio: expected a number, got '0.5'",
         ),
+        ({"ratios": [GOOD_ROW, GOOD_ROW]}, "ratios row 1: repeated id 'noun-left'"),
     ],
     ids=[
         "no-ratios", "not-an-object", "row-not-an-object", "row-without-ratio",
         "row-without-id", "row-without-coverage", "null-coverage", "list-ratio", "list-id",
-        "bool-coverage", "numeric-string-ratio",
+        "bool-coverage", "numeric-string-ratio", "repeated-id",
     ],
 )
 def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, report, message):
@@ -954,21 +1036,22 @@ def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, re
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("pos_weights", [["NOUN", 1.0]], "cip: spec: pos_weights: expected a JSON object"),
-        ("n_sentences", None, "cip: spec: n_sentences: expected an integer, got None"),
-        ("sigma", "wide", "cip: spec: sigma: expected a number, got 'wide'"),
-        ("planted", 5, "cip: spec: planted: expected a JSON array"),
-        ("allow_nonprojective", "no", "cip: spec: allow_nonprojective: expected true or false"),
-        ("n_sentences", 3.7, "cip: spec: n_sentences: expected an integer, got 3.7"),
-        ("sigma", "0.1", "cip: spec: sigma: expected a number, got '0.1'"),
-        ("pos_weights", {"NOUN": "1"}, "cip: spec: pos_weights: expected a number, got '1'"),
-        ("flip-prob", 1.0, "cip: spec: unknown key 'flip-prob'"),
-        ("sigm", 0.3, "cip: spec: unknown key 'sigm'"),
+        ("pos_weights", [["NOUN", 1.0]], "spec: pos_weights: expected a JSON object"),
+        ("n_sentences", None, "spec: n_sentences: expected an integer, got None"),
+        ("sigma", "wide", "spec: sigma: expected a number, got 'wide'"),
+        ("planted", 5, "spec: planted: expected a JSON array"),
+        ("allow_nonprojective", "no", "spec: allow_nonprojective: expected true or false"),
+        ("n_sentences", 3.7, "spec: n_sentences: expected an integer, got 3.7"),
+        ("sigma", "0.1", "spec: sigma: expected a number, got '0.1'"),
+        ("pos_weights", {"NOUN": "1"}, "spec: pos_weights: expected a number, got '1'"),
+        ("flip-prob", 1.0, "spec: unknown key 'flip-prob'"),
+        ("sigm", 0.3, "spec: unknown key 'sigm'"),
+        ("planted", SPEC["planted"] * 2, "spec: planted: constraint 1: repeated id 'noun-left'"),
     ],
     ids=[
         "list-pos-weights", "null-n-sentences", "string-sigma", "int-planted", "string-flag",
         "float-n-sentences", "numeric-string-sigma", "string-pos-weight", "dashed-key",
-        "misspelt-key",
+        "misspelt-key", "repeated-planted-id",
     ],
 )
 def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value, message):
@@ -984,7 +1067,7 @@ def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value,
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1
+    assert err.startswith(f"cip: {spec}: {message}") and err.count("\n") == 1
 
 
 def test_decode_holds_the_scores_once(workspace, monkeypatch):

@@ -328,24 +328,24 @@ def run_decode(conllu_text, score_text):
                     "--out", paths["o"],
                 ]
             )
-    return code, err.getvalue()
+    return code, err.getvalue(), paths
 
 
 @settings(max_examples=60, deadline=None)
 @given(malformed_score_lines())
 def test_decode_reports_malformed_score_line(line):
     conllu = VALID_CONLLU + render_conllu(conllu_rows((0, 1)))
-    code, err = run_decode(conllu, valid_score_line(3) + "\n" + line + "\n")
+    code, err, paths = run_decode(conllu, valid_score_line(3) + "\n" + line + "\n")
     assert code == 1
-    assert err.startswith("cip: line 2: ")
+    assert err.startswith(f"cip: {paths['s.jsonl']}: line 2: ")
 
 
 @settings(max_examples=60, deadline=None)
 @given(malformed_conllu())
 def test_decode_reports_malformed_conllu(text):
-    code, err = run_decode(text, valid_score_line(3) + "\n")
+    code, err, paths = run_decode(text, valid_score_line(3) + "\n")
     assert code == 1
-    assert err.startswith("cip: line ")
+    assert err.startswith(f"cip: {paths['g.conllu']}: line ")
 
 
 def test_deeply_nested_score_line_exits_without_traceback(tmp_path):
@@ -365,4 +365,4 @@ def test_deeply_nested_score_line_exits_without_traceback(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr == "cip: line 1: JSON nested too deeply\n"
+    assert proc.stderr == f"cip: {scores}: line 1: JSON nested too deeply\n"

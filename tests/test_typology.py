@@ -41,6 +41,12 @@ class TestTypologyTable:
         with pytest.raises(ValueError, match="header"):
             cip.TypologyTable.from_csv(io.StringIO("en,85A,Prepositions\n"))
 
+    def test_short_row_names_its_line(self):
+        text = "lang,feature,value\nen,85A,Prepositions\n\nhi,85A\n"
+        message = r"^line 4: expected lang,feature,value, got 2 fields$"
+        with pytest.raises(ValueError, match=message):
+            cip.TypologyTable.from_csv(io.StringIO(text))
+
 
 class TestCompileBinary:
     def test_dominant_pos1_first(self):
