@@ -47,19 +47,33 @@ def _write_json(path: str, payload: object) -> None:
     _atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
 
 
+def _named(path: str, call: Callable, *args: Any) -> Any:
+    """``call(*args)``; a ``ValueError`` it raises names ``path``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load(path: str, read: Callable = json.load) -> Any:
     """``read`` applied to ``path`` opened as text; malformed content (any
     ``ValueError``) raises ``ValueError`` naming ``path``."""
     with open(path, encoding="utf-8") as handle:
-        try:
-            return read(handle)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return _named(path, read, handle)
+
+
+def _same_count(path: str, items: Sequence, what: str, other: str, sentences: Sequence) -> None:
+    """Raise ``ValueError`` naming both files unless the ``items`` read from
+    ``path`` are as many as the ``sentences`` of ``other``."""
+    if len(items) != len(sentences):
+        raise ValueError(f"{path}: {len(items)} {what} but {other}: {len(sentences)} sentences")
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     sentences = _load(args.conllu, core.read_conllu)
-    corpus = core.pair_corpus(sentences, _load(args.scores, core.read_scores))
+    matrices = _load(args.scores, core.read_scores)
+    _same_count(args.scores, matrices, "score matrices", args.conllu, sentences)
+    corpus = _named(args.scores, core.pair_corpus, sentences, matrices)
     config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
     constraint_list = _load(args.constraints, cns.load_constraints) if args.constraints else []
     if args.method in ("lr", "pr") and not constraint_list:
@@ -71,7 +85,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     view = CorpusView.of(corpus, constraint_list, config.root_counts_left)
     # From here on the view holds the scores: once, as its stacked copy.
-    del corpus
+    del corpus, matrices
     decode = {"projective": args.projective, "single_root": config.single_root}
     baseline = view.decode(**decode)
     if args.method == "lr":
@@ -104,7 +118,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             "constraints": rows,
             "uas": core.uas(result.trees, view.sentences) if has_gold else None,
             "objective": objective,
-            "iterations": len(result.trace),
+            "iterations": result.trace[-1].iteration if result.trace else 0,
             "converged": result.converged,
         }
         _write_json(args.report, report)
@@ -127,7 +141,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"evaluate: sentence {k} in {args.pred} has no heads", file=sys.stderr)
             return 2
         trees.append(core.ParseTree(sentence.gold_heads))
-    score = core.uas(trees, gold)
+    _same_count(args.pred, predicted, "sentences", args.gold, gold)
+    score = _named(args.gold, core.uas, trees, gold)
     payload = {"uas": score}
     print(json.dumps(payload))
     if args.report:
@@ -189,10 +204,8 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
         if kind == "binary":
             value = table.value(args.target, _field(template, "feature", _string, where))
             orientations = _field(template, "orientations", _object, where)
-            try:
-                fixed = dict(zip(("r", "theta"), typology.compile_binary(value, orientations)))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+            compiled = _named(where, typology.compile_binary, value, orientations)
+            fixed = dict(zip(("r", "theta"), compiled))
             template_keys = ("feature", "orientations")
         elif kind == "unary":
             if not unary_ratios:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class Constraint:
     @property
     def upper(self) -> float:
         return min(1.0, self.r + self.theta)
+
+    def violation(self, measured: float | None) -> float:
+        """How far ``measured`` lies outside the band (<= 0 inside); 0 if undefined."""
+        if measured is None:
+            return 0.0
+        return max(self.lower - measured, measured - self.upper)
 
 
 def class_matrix(
@@ -99,12 +105,23 @@ def _arc_classes(
     )
 
 
-def _by_length(lengths: Sequence[int]) -> dict[int, list[int]]:
-    """Positions grouped by length, each group in ascending order."""
+def _grids(
+    constraints: Sequence[Constraint], sentences: Sequence[Sentence], root_counts_left: bool
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per sentence length, in order of first appearance: the ascending positions
+    of its sentences and their ``(C, B, n+1, n)`` int8 class grids."""
     groups: dict[int, list[int]] = {}
-    for k, n in enumerate(lengths):
-        groups.setdefault(n, []).append(k)
-    return groups
+    for k, sentence in enumerate(sentences):
+        groups.setdefault(len(sentence), []).append(k)
+    for n, index in groups.items():
+        upos = np.array([sentences[k].upos for k in index])
+        grids = [_arc_classes(c, upos, root_counts_left) for c in constraints]
+        yield index, np.array(grids, dtype=np.int8).reshape(len(grids), len(index), n + 1, n)
+
+
+def _ratio(plus: float, minus: float) -> float | None:
+    """The fraction of positive arcs among matched arcs; None if none match."""
+    return plus / (plus + minus) if plus + minus else None
 
 
 def _tree_counts(
@@ -121,11 +138,9 @@ def _tree_counts(
         if len(row) != len(sentence):
             raise ValueError("tree and sentence lengths differ")
     plus = minus = 0
-    for n, index in _by_length([len(row) for row in heads]).items():
-        upos = np.array([sentences[k].upos for k in index])
-        grids = _arc_classes(constraint, upos, root_counts_left)
+    for index, classes in _grids([constraint], sentences, root_counts_left):
         rows = np.array([heads[k] for k in index])
-        picked = grids[np.arange(len(index))[:, None], rows, np.arange(n)]
+        picked = classes[0, np.arange(len(index))[:, None], rows, np.arange(rows.shape[1])]
         plus += int((picked == 1).sum())
         minus += int((picked == -1).sum())
     return plus, minus
@@ -141,10 +156,7 @@ def ratio(
     """Corpus-wide fraction of positive arcs among matched arcs, or None
     when the constraint matches no arc."""
     heads = [tree.heads for tree in trees]
-    plus, minus = _tree_counts(constraint, corpus.sentences, heads, root_counts_left)
-    if plus + minus == 0:
-        return None
-    return plus / (plus + minus)
+    return _ratio(*_tree_counts(constraint, corpus.sentences, heads, root_counts_left))
 
 
 def expected_ratio(
@@ -168,9 +180,7 @@ def expected_ratio(
         classes = class_matrix(constraint, sentence, root_counts_left=root_counts_left)
         plus += float(p[classes == 1].sum())
         minus += float(p[classes == -1].sum())
-    if plus + minus == 0.0:
-        return None
-    return plus / (plus + minus)
+    return _ratio(plus, minus)
 
 
 def coverage(
@@ -198,9 +208,7 @@ def _class_row(bound: float) -> np.ndarray:
 def is_satisfied(constraint: Constraint, measured: float | None) -> bool:
     """True iff the measured ratio lies in the band; an undefined ratio is
     vacuously satisfied."""
-    if measured is None:
-        return True
-    return constraint.lower - 1e-12 <= measured <= constraint.upper + 1e-12
+    return constraint.violation(measured) <= 1e-12
 
 
 def ratio_gap(

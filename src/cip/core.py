@@ -203,7 +203,7 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
     rows: list[tuple[int, list[str]]] = []
     sent_id = ""
 
-    def flush(end_line: int) -> None:
+    def flush() -> None:
         nonlocal rows, sent_id
         if not rows:
             return
@@ -245,11 +245,10 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
         rows = []
         sent_id = ""
 
-    lineno = 0
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if not line:
-            flush(lineno)
+            flush()
             continue
         if line.startswith("#"):
             if line[1:].split("=", 1)[0].strip() == "sent_id" and "=" in line:
@@ -263,7 +262,7 @@ def read_conllu(stream: IO[str] | Iterable[str]) -> list[Sentence]:
         if not _is_ascii_number(cols[0]):
             raise FormatError(f"line {lineno}: malformed ID {cols[0]!r}")
         rows.append((lineno, cols))
-    flush(lineno + 1)
+    flush()
     return sentences
 
 

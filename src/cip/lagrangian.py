@@ -7,7 +7,7 @@ arc-linear, the corpus-level augmented problem decouples and each sentence
 is decoded independently per iteration.  Multipliers move by the
 measured-ratio error, ``lambda += alpha * (r - r_hat)``, with a
 geometrically decaying step size; the loop stops early once every measured
-ratio sits within its margin.
+ratio sits in its band, by the test of ``is_satisfied``.
 
 ``lr_decode`` runs on a ``CorpusView``: every iteration passes the view the
 ``(C, 3)`` offset table ``lambdas[:, None] * rows``, each row the class row
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import Constraint, _class_row
+from .constraints import Constraint, _class_row, is_satisfied
 from .core import Corpus
 from .view import CorpusView, InferenceResult
 
@@ -78,13 +78,6 @@ def lr_decode(
         offsets = lambdas[:, None] * rows
         heads = view.decode(offsets, projective=projective, single_root=single_root)
         objective, dual_value, ratios = view.gather(heads, offsets)
-        violation = 0.0
-        errors = np.zeros(len(constraints))
-        for c, (constraint, measured) in enumerate(zip(constraints, ratios)):
-            if measured is not None:
-                errors[c] = constraint.r - measured
-                violation = max(violation, abs(errors[c]) - constraint.theta)
-
         trace.append(
             IterationRecord(
                 iteration=iteration,
@@ -96,12 +89,14 @@ def lr_decode(
             )
         )
 
-        if violation <= 1e-12:
+        if all(map(is_satisfied, constraints, ratios)):
             return InferenceResult(view.trees(heads), lambdas, labels, trace, True)
 
+        violation = max(map(Constraint.violation, constraints, ratios))
         if best is None or (violation, -objective) < (best[0], best[1]):
             best = (violation, -objective, heads, lambdas)
 
+        errors = np.array([0.0 if m is None else c.r - m for c, m in zip(constraints, ratios)])
         lambdas = lambdas + alpha * errors
         alpha *= params.eta
 

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, _tree_counts
+from .constraints import Constraint, _ratio, _tree_counts
 from .core import Sentence
 
 logger = logging.getLogger(__name__)
@@ -189,7 +189,4 @@ def estimate_ratio(
             raise ValueError(f"sentence {sentence.sent_id!r} has no gold heads")
     heads = [sentence.gold_heads for sentence in chosen]
     plus, minus = _tree_counts(constraint, chosen, heads, root_counts_left)
-    count = plus + minus
-    if count == 0:
-        return None, 0
-    return plus / count, count
+    return _ratio(plus, minus), plus + minus

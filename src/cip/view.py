@@ -20,7 +20,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 import orjson
 
-from .constraints import Constraint, _arc_classes, _by_length
+from .constraints import Constraint, _grids, _ratio
 from .core import Corpus, ParseTree, Sentence
 from .decoder import _mst_heads, _projective_heads
 
@@ -86,14 +86,10 @@ class CorpusView:
     ) -> CorpusView:
         if len(corpus) == 0:
             raise ValueError("corpus is empty")
-        buckets = []
-        for n, index in _by_length([matrix.n for matrix in corpus.matrices]).items():
-            upos = np.array([corpus[k][0].upos for k in index])
-            classes = np.zeros((len(constraints), len(index), n + 1, n), dtype=np.int8)
-            for c, constraint in enumerate(constraints):
-                classes[c] = _arc_classes(constraint, upos, root_counts_left)
-            scores = np.stack([corpus[k][1].scores for k in index])
-            buckets.append(_Bucket(index, scores, classes))
+        buckets = [
+            _Bucket(index, np.stack([corpus[k][1].scores for k in index]), classes)
+            for index, classes in _grids(constraints, corpus.sentences, root_counts_left)
+        ]
         return cls(corpus.sentences, tuple(constraints), tuple(buckets))
 
     def decode(
@@ -153,7 +149,7 @@ class CorpusView:
         for i, row in enumerate(sums):
             for value in row.tolist():
                 totals[i] += value
-        ratios = [float(p / (p + m)) if p + m else None for p, m in zip(*counts)]
+        ratios = [_ratio(p, m) for p, m in zip(*counts.tolist())]
         return totals[0], totals[1], ratios
 
     def trees(self, heads: Sequence[np.ndarray]) -> list[ParseTree]:

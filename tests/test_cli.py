@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on temporary files."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -776,6 +777,59 @@ def test_malformed_input_file_is_named(workspace, tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+def _mismatched(workspace, bad, case):
+    """The argv of one input pair that does not line up, with ``bad`` as one
+    of the two files, and the error line it must print."""
+    gold, out = workspace["gold"], workspace["out"]
+    with open(gold, encoding="utf-8") as handle:
+        sentences = cip.read_conllu(handle)
+    first, *rest = workspace["scores"].read_text().splitlines(keepends=True)
+    first = json.loads(first)
+    n = first["n"]
+    decode = ["decode", "--conllu", gold, "--scores", bad, "--out", out]
+    evaluate = ["evaluate", "--pred", bad, "--gold", gold, "--report", out]
+    if case == "score-count":
+        bad.write_text("".join(rest[:3]))
+        return decode, f"{bad}: 3 score matrices but {gold}: 30 sentences"
+    if case == "score-id":
+        bad.write_text(json.dumps({**first, "sent_id": "x"}) + "\n" + "".join(rest))
+        return decode, f"{bad}: entry 0: sent_id mismatch ('synth-0' vs 'x')"
+    if case == "score-length":
+        wide = {**first, "n": n + 1, "scores": [[0.0] * (n + 1)] * (n + 2)}
+        bad.write_text(json.dumps(wide) + "\n" + "".join(rest))
+        return decode, f"{bad}: entry 0: matrix is for {n + 1} tokens, sentence has {n}"
+    if case == "pred-count":
+        with open(bad, "w", encoding="utf-8") as handle:
+            cip.write_conllu(sentences[:3], handle)
+        return evaluate, f"{bad}: 3 sentences but {gold}: 30 sentences"
+    if case == "pred-length":
+        other = next(s for s in sentences if len(s) != n)
+        with open(bad, "w", encoding="utf-8") as handle:
+            cip.write_conllu([other, *sentences[1:]], handle)
+        return evaluate, f"{gold}: sentence 0: tree and sentence lengths differ"
+    assert case == "gold-heads"
+    unannotated = dataclasses.replace(sentences[0], gold_heads=None, gold_labels=None)
+    with open(bad, "w", encoding="utf-8") as handle:
+        cip.write_conllu([unannotated, *sentences[1:]], handle)
+    return (
+        ["evaluate", "--pred", gold, "--gold", bad, "--report", out],
+        f"{bad}: sentence 0 has no gold heads",
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["score-count", "score-id", "score-length", "pred-count", "pred-length", "gold-heads"],
+)
+def test_mismatched_input_files_are_named(workspace, tmp_path, capsys, case):
+    """Two input files that do not line up exit 1 with one line that starts
+    with the file at fault; a count mismatch names both files."""
+    argv, message = _mismatched(workspace, tmp_path / "bad", case)
+    assert main([str(part) for part in argv]) == 1
+    assert capsys.readouterr().err == f"cip: {message}\n"
+    assert not workspace["out"].exists()
+
+
 def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pr": {"optimizer": "adaptive_moments"}}))
@@ -1128,6 +1182,33 @@ def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkey
     iterations = json.loads(workspace["report"].read_text())["iterations"]
     assert iterations == 3
     assert len(calls) == SPEC["n_sentences"] * iterations
+
+
+@pytest.mark.parametrize("grad_tol, steps", [(0.0, 20), (2.0, 2)], ids=["cap", "grad-tol"])
+def test_pr_report_counts_dual_steps(workspace, tmp_path, grad_tol, steps):
+    """PR's report counts dual steps, as its last trace record does: the
+    trace also holds record 0, the state at lambda = 0.  The workspace
+    corpus meets ``grad_tol`` 2.0 after two steps."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pr": {"max_iter": 20, "grad_tol": grad_tol}}))
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(workspace["constraints"]),
+            "--method", "pr",
+            "--config", str(config),
+            "--out", str(workspace["out"]),
+            "--report", str(workspace["report"]),
+            "--trace", str(workspace["trace"]),
+        ]
+    )
+    assert code == 0
+    report = json.loads(workspace["report"].read_text())
+    records = [json.loads(line) for line in workspace["trace"].read_text().splitlines()]
+    assert report["iterations"] == records[-1]["iteration"] == len(records) - 1 == steps
+    assert report["converged"] == (steps < 20)
 
 
 def _extreme_case(name):

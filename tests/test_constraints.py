@@ -40,6 +40,10 @@ class TestConstraintType:
             cip.Constraint(id="x", kind="binary", pos="N", pos2="N", r=0.5, theta=0.1)
         with pytest.raises(ValueError):
             cip.Constraint(id="x", kind="binary", pos="N", r=0.5, theta=0.1)
+        with pytest.raises(ValueError, match="^unknown constraint kind 'ternary'$"):
+            cip.Constraint(id="x", kind="ternary", pos="N", r=0.5, theta=0.1)
+        with pytest.raises(ValueError, match="^unary constraint must not carry pos2$"):
+            cip.Constraint(id="x", kind="unary", pos="N", pos2="V", r=0.5, theta=0.1)
 
 
 class TestClassifyArc:
@@ -294,6 +298,40 @@ class TestIsSatisfied:
     def test_undefined_is_vacuous(self):
         assert cip.is_satisfied(UNARY, None)
 
+    @pytest.mark.parametrize(
+        "r, theta, measured, satisfied",
+        [
+            (0.5, 0.25, 0.25, True),  # the band's edges
+            (0.5, 0.25, 0.75, True),
+            (0.5, 0.25, 0.75 + 1e-13, True),  # within the slack
+            (0.5, 0.25, 0.25 - 1e-9, False),
+            (0.5, 0.25, 0.75 + 1e-9, False),
+            (0.5, 0.0, 0.5, True),
+            (0.0, 0.1, 0.0, True),  # r = 0: the band is [0, 0.1]
+            (0.0, 0.1, 0.1, True),
+            (0.0, 0.1, 0.2, False),
+            (0.0, 0.1, -0.5, False),
+            (1.0, 0.1, 1.0, True),  # r = 1: the band is [0.9, 1]
+            (1.0, 0.1, 0.9, True),
+            (1.0, 0.1, 0.8, False),
+            (1.0, 0.5, 1.5, False),  # clamped: r + theta = 1.5 lies outside [0, 1]
+        ],
+    )
+    def test_band_edges(self, r, theta, measured, satisfied):
+        c = cip.Constraint(id="x", kind="unary", pos="N", r=r, theta=theta)
+        assert cip.is_satisfied(c, measured) == satisfied
+
+    @pytest.mark.parametrize("measured", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, None])
+    def test_violation_is_the_distance_to_the_band(self, measured):
+        c = cip.Constraint(id="x", kind="unary", pos="N", r=0.5, theta=0.25)
+        if measured is None:
+            assert c.violation(measured) == 0.0
+        elif c.lower <= measured <= c.upper:
+            assert c.violation(measured) <= 0.0
+        else:
+            distance = min(abs(measured - c.lower), abs(measured - c.upper))
+            assert c.violation(measured) == pytest.approx(distance)
+
 
 class TestRatioGap:
     def test_identical(self):
@@ -318,6 +356,10 @@ class TestRatioGap:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cip.ratio_gap([UNARY], [0.5, 0.6], [0.8], [0.1])
+
+    def test_negative_coverage(self):
+        with pytest.raises(ValueError, match="^coverages must be nonnegative$"):
+            cip.ratio_gap([UNARY, BINARY], [0.5, 0.2], [0.8, 0.8], [0.2, -0.1])
 
 
 class TestCoverage:

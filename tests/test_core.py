@@ -113,6 +113,12 @@ class TestScoreFile:
         with pytest.raises(cip.FormatError, match="expected 3 rows, got 2"):
             cip.read_scores(io.StringIO(line))
 
+    @pytest.mark.parametrize("scores", ['"ab"', "[0, 1]", "[[0], 1]", "{}"])
+    def test_scores_not_a_list_of_rows(self, scores):
+        line = f'{{"n": 1, "scores": {scores}}}\n'
+        with pytest.raises(cip.FormatError, match=r"^line 1: 'scores' is not a list of rows$"):
+            cip.read_scores(io.StringIO(line))
+
     def test_nonfinite_off_diagonal(self):
         line = '{"n": 2, "scores": [[1, 2], [0, 3], [Infinity, 0]]}\n'
         with pytest.raises(cip.FormatError, match=r"line 1.*non-finite"):
@@ -276,6 +282,9 @@ class TestUas:
             cip.uas([cip.ParseTree((0,))], [sentence])
 
 
+ONE_TOKEN = make_sentence(["A"], gold_heads=[0])
+
+
 class TestTypeInvariants:
     def test_sentence_requires_tree_gold(self):
         with pytest.raises(ValueError):
@@ -311,6 +320,44 @@ class TestTypeInvariants:
         matrix = cip.ScoreMatrix(np.zeros((2, 1)), sent_id="y")
         with pytest.raises(ValueError, match="sent_id"):
             cip.pair_corpus([sentence], [matrix])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: cip.Sentence(forms=(), upos=()), "sentence must contain at least one token"),
+            (lambda: cip.Sentence(forms=("a",), upos=()), "forms and upos lengths differ"),
+            (
+                lambda: cip.Sentence(forms=("a",), upos=("A",), gold_heads=(0, 1)),
+                "gold heads length differs from token count",
+            ),
+            (
+                lambda: cip.Sentence(forms=("a",), upos=("A",), gold_labels=("x", "y")),
+                "gold labels length differs from token count",
+            ),
+            (lambda: cip.ScoreMatrix(np.zeros((2, 2))), r"expected \(n\+1\) x n score array"),
+            (lambda: cip.ScoreMatrix(np.zeros(2)), r"expected \(n\+1\) x n score array"),
+            (lambda: cip.ScoreMatrix(np.zeros((1, 0))), r"expected \(n\+1\) x n score array"),
+            (
+                lambda: cip.pair_corpus([ONE_TOKEN] * 2, [cip.ScoreMatrix(np.zeros((2, 1)))]),
+                "2 sentences but 1 score matrices",
+            ),
+            (
+                lambda: cip.write_conllu([ONE_TOKEN] * 2, io.StringIO(), [cip.ParseTree((0,))]),
+                "trees and sentences differ in length",
+            ),
+            (
+                lambda: cip.uas([cip.ParseTree((0,))], [ONE_TOKEN] * 2),
+                "predicted and gold differ in sentence count",
+            ),
+        ],
+        ids=[
+            "no-token", "upos-length", "heads-length", "labels-length", "square-scores",
+            "flat-scores", "empty-scores", "pair-count", "write-count", "uas-count",
+        ],
+    )
+    def test_rejects_inputs_that_do_not_line_up(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
 
 def test_public_names_resolve():

@@ -459,6 +459,8 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(ValueError, match="n <= 6"):
             cip.brute_force_decode(cip.ScoreMatrix(np.zeros((8, 7))))
+        with pytest.raises(ValueError, match="^tree table limited to n <= 6, got 7$"):
+            tree_table(7)
 
     def test_tree_counts(self):
         # Cayley: (n+1)^(n-1) spanning trees over n tokens plus the root.

@@ -292,6 +292,38 @@ class TestLrInfer:
         assert [t.heads for t in redecoded] == [t.heads for t in result.trees]
 
     @pytest.mark.parametrize("projective", [False, True])
+    def test_converged_iff_every_final_ratio_is_satisfied(self, projective):
+        # LR stops on the band test of ``is_satisfied``, so ``converged``
+        # holds exactly when every final ratio lies in its band.  Every
+        # third draw puts the edge of the unary band just off the baseline
+        # ratio and stops after the baseline decode, so a slack in either
+        # test shows; both outcomes occur, and each must agree.
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for draw in range(45):
+            corpus = random_corpus(rng, int(rng.integers(1, 6)), [1, 2, 3, 5])
+            r, theta = float(rng.choice([0.0, 1.0, rng.uniform()])), float(rng.uniform(0, 0.2))
+            max_iter = int(rng.integers(1, 10))
+            plain = cip.lr_infer(corpus, [], projective=projective).trees
+            baseline = cip.ratio(cip.Constraint("u", "unary", "NOUN", 0.5, 0.0), corpus, plain)
+            if draw % 3 == 0 and baseline is not None:
+                step = float(rng.choice([0.0, 1e-13, 1e-10, 1e-6, 1e-3, 0.01]))
+                r, theta, max_iter = baseline - step if baseline >= 0.5 else baseline + step, 0.0, 1
+            cons = [
+                cip.Constraint(id="u", kind="unary", pos="NOUN", r=r, theta=theta),
+                cip.Constraint(
+                    id="b", kind="binary", pos="NOUN", pos2="DET",
+                    r=float(rng.uniform()), theta=0.5 if max_iter == 1 else 0.05,
+                ),
+            ]
+            result = cip.lr_infer(corpus, cons, cip.LrParams(max_iter=max_iter),
+                                  projective=projective)
+            satisfied = all(cip.is_satisfied(c, cip.ratio(c, corpus, result.trees)) for c in cons)
+            assert result.converged == satisfied
+            outcomes.append(satisfied)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("single_root", [False, True])
     def test_matches_sentence_loop(self, projective, single_root):
         # Mixed lengths, length-1 sentences, and an ADJ constraint that

@@ -151,6 +151,8 @@ class TestParams:
             cip.PrParams(decay=1.5)
         with pytest.raises(ValueError):
             cip.PrParams(batch_size=0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            cip.PrParams(max_iter=0)
         with pytest.raises(TypeError):
             cip.PrParams(optimizer="plain_sgd")
 

@@ -38,6 +38,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             unary_spec(min_len=5, max_len=3)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_sentences": 0}, "n_sentences must be at least 1"),
+            ({"min_len": 0}, "need 1 <= min_len <= max_len"),
+            ({"sigma": -0.1}, "sigma must be nonnegative"),
+            ({"margin": 0.0}, "margin must be positive"),
+            ({"flip_prob": 1.5}, r"flip_prob must lie in \[0, 1\]"),
+            ({"pos_weights": POS + (("PRON", 0.0),)}, "POS weight for 'PRON' must be positive"),
+            ({"pos_weights": POS + (("NOUN", 0.1),)}, "duplicate POS 'NOUN' in inventory"),
+            (
+                {"planted": (cip.Constraint("x", "binary", "NOUN", 0.5, 0.0, pos2="PRON"),)},
+                "planted POS 'PRON' not in inventory",
+            ),
+        ],
+        ids=[
+            "no-sentences", "zero-min-len", "negative-sigma", "zero-margin", "flip-prob",
+            "zero-weight", "duplicate-pos", "binary-pos2",
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            unary_spec(**fields)
+
     def test_from_dict_round_trip(self):
         spec = cip.SyntheticSpec.from_dict(
             {
@@ -143,6 +167,27 @@ class TestGeneration:
             seed=1,
         )
         with pytest.raises(ValueError, match="infeasible"):
+            cip.generate_synthetic(spec)
+
+    def test_infeasible_binary_planting(self):
+        # Length-2 sentences hold one arc each, 50 in all; a share of 0.6 of
+        # the 100 tokens asks for 60 ADJ-NOUN arcs.
+        spec = cip.SyntheticSpec(
+            n_sentences=50,
+            min_len=2,
+            max_len=2,
+            pos_weights=(("ADJ", 0.6), ("NOUN", 0.6), ("VERB", 0.1)),
+            planted=(
+                cip.Constraint(id="an", kind="binary", pos="ADJ", pos2="NOUN", r=0.5, theta=0.0),
+            ),
+            seed=1,
+        )
+        with pytest.raises(ValueError, match="infeasible: only 50 of 60 arcs available$"):
+            cip.generate_synthetic(spec)
+
+    def test_every_pos_planted_leaves_no_filler(self):
+        spec = unary_spec(pos_weights=(("NOUN", 0.3),))
+        with pytest.raises(ValueError, match="^no POS left for filler tokens"):
             cip.generate_synthetic(spec)
 
     def test_projective_by_default_nonprojective_on_request(self):
