@@ -292,9 +292,10 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
         src.append(s)
         tgt.append(t)
         cov.append(coverage)
+    both = f"{args.source} and {args.target}"
     if not kept:
-        raise ValueError("no constraint has a defined ratio in both reports")
-    gap = cns.ratio_gap(kept, src, tgt, cov)
+        raise ValueError(f"{both}: no constraint has a defined ratio in both reports")
+    gap = _named(both, cns.ratio_gap, kept, src, tgt, cov)
     payload = {"ratio_gap": gap}
     print(json.dumps(payload))
     if args.report:

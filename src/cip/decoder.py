@@ -327,10 +327,9 @@ def projective_tree_table(n: int) -> np.ndarray:
 
 
 def brute_force_decode(matrix: ScoreMatrix) -> tuple[ParseTree, float]:
-    """Exact optimum by enumeration of ``tree_table``; guards against n > 6."""
+    """Exact optimum by enumeration of ``tree_table``, which guards against
+    n > 6."""
     n = matrix.n
-    if n > _TABLE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {_TABLE_MAX_N}, got {n}")
     table = tree_table(n)
     totals = matrix.scores[table, np.arange(n)].sum(axis=1)
     heads = tuple(int(h) for h in table[int(np.argmax(totals))])

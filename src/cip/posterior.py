@@ -21,13 +21,19 @@ a dependent by that class turns its sum over heads into a sum over the few
 classes that occur: ``log Z`` and its gradient see a column only through
 ``p``'s mass on each joint class.  ``pack_columns`` computes those masses
 once per solve, straight from the ``CorpusView`` buckets, for the columns
-some feature row touches (``PackedColumns``); every dual step is then one
-small ``(columns, classes) @ (classes, rows)`` pass.  The trace sums that
-pass over the corpus, and a minibatch step over the columns of the batch's
-sentences.  Trees are decoded from ``scores - lambda . phi``, which has the
-same argmax as ``log q``: the view adds the ``(C, 3)`` offset table of
-``-lambda . phi``, each constraint's two weighted rows summed, to the
-scores by class.
+some feature row touches (``PackedColumns``).  ``lambda`` reweights a joint
+class by one factor for every column, so every dual step is one pass in
+linear space: the class weights ``exp(-lambda . phi)``, scaled so the
+largest is 1, then two matrix-vector products with the ``(columns,
+classes)`` masses, one for each column's normaliser and one for the class
+totals of their inverses.  The trace takes that pass's corpus sums, and a
+minibatch step the sums with the inverses of columns outside the batch's
+sentences zeroed.  Where the weights span more than ``_LINEAR_SPAN`` nats
+a normaliser could underflow, and the pass is taken in log space column by
+column instead.  Trees are decoded from ``scores - lambda . phi``, which
+has the same argmax as ``log q``: the view adds the ``(C, 3)`` offset
+table of ``-lambda . phi``, each constraint's two weighted rows summed, to
+the scores by class.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ from .view import CorpusView, InferenceResult
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Widest spread of class offsets that ``PackedColumns.sums`` takes in linear
+# space.  Some class holds at least 1/K of every column's mass, so each
+# ``mass @ e`` is at least exp(-600) / K, far above the smallest normal float.
+_LINEAR_SPAN = 600.0
 
 
 @dataclass(frozen=True)
@@ -75,12 +85,12 @@ class PackedColumns:
     ``sentence[t]``, in corpus order.  An arc's joint class is its class
     under every constraint at once; the ``K`` joint classes that occur in
     the packed columns are numbered in the order of their keys
-    ``sum_c (class_c mod 3) * 3**c``.  ``log_mass[t, k]`` is the log of
-    ``p``'s total mass on the heads of column ``t`` in joint class ``k``
-    (``-inf`` where that mass is 0), and ``phi[k, f]`` the value of feature
-    row ``f`` on every arc of joint class ``k``.  Columns no row touches are
-    left out: ``lambda`` does not reweight them, so their share of log Z is
-    exactly ``log 1 = 0`` and of the gradient 0.
+    ``sum_c (class_c mod 3) * 3**c``.  ``mass[t, k]`` is ``p``'s total mass
+    on the heads of column ``t`` in joint class ``k`` (each row sums to 1),
+    and ``phi[k, f]`` the value of feature row ``f`` on every arc of joint
+    class ``k``.  Columns no row touches are left out: ``lambda`` does not
+    reweight them, so their share of log Z is exactly ``log 1 = 0`` and of
+    the gradient 0.
 
     Row ``2i`` is the upper-bound feature of constraint ``i`` and row
     ``2i + 1`` the lower-bound feature; ``labels`` names them.
@@ -88,18 +98,52 @@ class PackedColumns:
     -1 (the last), so row ``f`` is ``table[f]`` indexed by the class grid
     of constraint ``f // 2``.
 
-    ``columns`` is the one pass the dual makes per step.  Its sums over all
-    rows are log Z and minus its gradient; its sums over the rows whose
-    ``sentence`` lies in a batch are the batch's.
+    ``sums`` is the one pass the dual makes per step.  It stays in linear
+    space: ``lambda`` enters a column only through the ``K`` class offsets
+    ``a = phi @ lambda``, so with ``e = exp(min(a) - a)`` column ``t``'s
+    share of log Z is ``log (mass @ e)[t] - min(a)``, and the whole pass is
+    two matrix-vector products with ``mass``.  When the offsets span more
+    than ``_LINEAR_SPAN`` nats a column's ``mass @ e`` could underflow, and
+    the pass falls back to ``columns``, the same values column by column in
+    log space.
     """
 
-    log_mass: np.ndarray
+    mass: np.ndarray
     phi: np.ndarray
     sentence: np.ndarray
     column: np.ndarray
     n_sentences: int
     labels: tuple[str, ...]
     table: np.ndarray
+
+    def sums(
+        self, lambdas: Sequence[float], batch: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """log Z at ``lambdas``, the expected feature rows under ``q``
+        summed over every packed column (the ascent direction of ``-log
+        Z``), and the same sum over the columns where the boolean mask
+        ``batch`` is true (over every column when ``batch`` is None)."""
+        if not self.sentence.size:
+            zeros = np.zeros(len(self.labels))
+            return 0.0, zeros, zeros
+        offsets = self.phi @ lambdas
+        # Python's min and max beat numpy's reductions on so few values.
+        values = offsets.tolist()
+        low = min(values)
+        if max(values) - low > _LINEAR_SPAN:
+            columns = self.columns(lambdas)
+            expected = columns[:, 1:].sum(axis=0)
+            chosen = expected if batch is None else columns[batch, 1:].sum(axis=0)
+            return float(columns[:, 0].sum()), expected, chosen
+        weights = np.exp(low - offsets)
+        z = self.mass @ weights
+        inverse = 1.0 / z
+        expected = (inverse @ self.mass * weights) @ self.phi
+        if batch is None:
+            chosen = expected
+        else:
+            chosen = (inverse * batch @ self.mass * weights) @ self.phi
+        return float(np.log(z).sum() - z.size * low), expected, chosen
 
     def columns(self, lambdas: Sequence[float]) -> np.ndarray:
         """The log-sum-exp of every packed column at ``lambdas``: a
@@ -108,7 +152,9 @@ class PackedColumns:
         negated gradient of that share."""
         if not self.sentence.size:
             return np.zeros((0, 1 + len(self.labels)))
-        logw = self.log_mass - self.phi @ lambdas
+        log_mass = np.full(self.mass.shape, -np.inf)
+        np.log(self.mass, out=log_mass, where=self.mass > 0)
+        logw = log_mass - self.phi @ lambdas
         top = logw.max(axis=1, keepdims=True)
         weights = np.exp(logw - top)
         mass = weights.sum(axis=1, keepdims=True)
@@ -172,15 +218,13 @@ def pack_columns(view: CorpusView) -> PackedColumns:
     mass = np.bincount(
         np.concatenate(rows) * width + inverse, np.concatenate(probs), minlength=packed * width
     ).reshape(packed, width)
-    log_mass = np.full(mass.shape, -np.inf)
-    np.log(mass, out=log_mass, where=mass > 0)
     features = np.arange(len(labels))
     digits = classes[:, None] // powers % 3  # (K, C): each constraint's class index
     # Buckets run by length; a stable sort by sentence restores corpus order
     # and keeps each sentence's columns ascending.
     order = np.argsort(np.concatenate(sentence), kind="stable")
     return PackedColumns(
-        log_mass=log_mass[order],
+        mass=mass[order],
         phi=table[features, digits[:, features // 2]],
         sentence=np.concatenate(sentence)[order],
         column=np.concatenate(column)[order],
@@ -211,7 +255,7 @@ def solve_dual(
     is rescaled to full-corpus magnitude.  The loop stops at the iteration
     cap or when the full-corpus gradient norm, restricted to coordinates not
     pinned at the boundary, falls below ``grad_tol``.  Each step makes one
-    ``columns`` pass at the current ``lambda``.  Its corpus sums go to the
+    ``sums`` pass at the current ``lambda``.  Its corpus sums go to the
     trace record; the step follows them when the batch holds every
     sentence, and otherwise the sums over the columns of the batch's
     sentences.  The 2C multipliers and the optimizer state are Python
@@ -225,8 +269,8 @@ def solve_dual(
 
     size = packed.n_sentences
     batch = min(params.batch_size, size)
+    scale = size / batch
     if batch < size:
-        scale = size / batch
         rng = np.random.default_rng(params.seed)
         order = rng.permutation(size)
         cursor = 0
@@ -234,40 +278,41 @@ def solve_dual(
     moment1 = [0.0] * d
     moment2 = [0.0] * d
 
-    def record(iteration: int) -> tuple[float, list[float], np.ndarray]:
+    def record(iteration: int, in_batch: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """Trace the full-corpus state at ``lambdas``; return the projected
-        gradient norm, the full-corpus ascent direction and the pass's
-        columns."""
-        columns = packed.columns(lambdas)
-        totals = columns.sum(axis=0).tolist()
-        ascent = totals[1:]
-        norm = math.hypot(*(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent)))
+        gradient norm and the ascent direction summed over the columns of
+        ``in_batch`` (a mask over the packed columns; None: all of them)."""
+        log_z, ascent, direction = packed.sums(lambdas, in_batch)
+        norm = math.hypot(
+            *(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent.tolist()))
+        )
         trace.append(
             DualTraceRecord(
                 iteration=iteration,
                 grad_norm=norm,
-                neg_log_z=-totals[0],
+                neg_log_z=-log_z,
                 lambdas=tuple(lambdas),
             )
         )
-        return norm, ascent, columns
+        return norm, direction
 
     for iteration in range(params.max_iter):
-        norm, gradient, columns = record(iteration)
-        if norm < params.grad_tol:
-            return np.array(lambdas), trace
+        in_batch = None
         if batch < size:
             if cursor + batch > size:
                 order = rng.permutation(size)
                 cursor = 0
-            in_batch = np.zeros(size, dtype=bool)
-            in_batch[order[cursor:cursor + batch]] = True
+            chosen = np.zeros(size, dtype=bool)
+            chosen[order[cursor:cursor + batch]] = True
+            in_batch = chosen[packed.sentence]
             cursor += batch
-            gradient = (columns[in_batch[packed.sentence], 1:].sum(axis=0) * scale).tolist()
+        norm, direction = record(iteration, in_batch)
+        if norm < params.grad_tol:
+            return np.array(lambdas), trace
         rate = params.lr0 * params.decay**iteration
         bias1 = 1 - _ADAM_BETA1 ** (iteration + 1)
         bias2 = 1 - _ADAM_BETA2 ** (iteration + 1)
-        for i, g in enumerate(gradient):
+        for i, g in enumerate((direction * scale).tolist()):
             moment1[i] = _ADAM_BETA1 * moment1[i] + (1 - _ADAM_BETA1) * g
             moment2[i] = _ADAM_BETA2 * moment2[i] + (1 - _ADAM_BETA2) * (g * g)
             step = rate * (moment1[i] / bias1) / (math.sqrt(moment2[i] / bias2) + _ADAM_EPS)

@@ -1030,7 +1030,30 @@ def test_ratio_gap_without_shared_ratios_names_the_reason(workspace, tmp_path, c
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.endswith("cip: no constraint has a defined ratio in both reports\n")
+    assert err.endswith(
+        f"cip: {reports['source']} and {reports['target']}: "
+        "no constraint has a defined ratio in both reports\n"
+    )
+
+
+def test_ratio_gap_with_zero_coverage_names_both_reports(workspace, tmp_path, capsys):
+    reports = {}
+    for name, coverage in (("source", 0.2), ("target", 0.0)):
+        reports[name] = tmp_path / f"{name}.json"
+        row = {"id": "noun-left", "ratio": 0.9, "count": 3, "coverage": coverage}
+        reports[name].write_text(json.dumps({"ratios": [row]}))
+    code = main(
+        [
+            "ratio-gap",
+            "--constraints", str(workspace["constraints"]),
+            "--source", str(reports["source"]),
+            "--target", str(reports["target"]),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"cip: {reports['source']} and {reports['target']}: all coverages are zero\n"
+    )
 
 
 GOOD_ROW = {"id": "noun-left", "ratio": 0.9, "count": 3, "coverage": 0.2}

@@ -457,7 +457,7 @@ class TestBruteForce:
         assert objective == pytest.approx(manual, abs=1e-12)
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="n <= 6"):
+        with pytest.raises(ValueError, match="^tree table limited to n <= 6, got 7$"):
             cip.brute_force_decode(cip.ScoreMatrix(np.zeros((8, 7))))
         with pytest.raises(ValueError, match="^tree table limited to n <= 6, got 7$"):
             tree_table(7)

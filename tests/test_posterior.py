@@ -1,5 +1,6 @@
 """Partition function, dual ascent, and posterior decoding."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -41,17 +42,11 @@ def enum_log_partition(corpus, dists, constraints, lambdas):
     return float(np.log(total))
 
 
-def corpus_sums(packed, lambdas, subset=None):
-    """log Z and its gradient at ``lambdas`` from one ``packed.columns``
-    pass, summed per sentence with ``np.add.at`` and then over the
-    sentences of ``subset`` (default: all)."""
-    columns = packed.columns(np.asarray(lambdas, dtype=float))
-    totals = np.zeros((packed.n_sentences, columns.shape[1]))
-    np.add.at(totals, packed.sentence, columns)
-    if subset is not None:
-        totals = totals[subset]
-    total = totals.sum(axis=0)
-    return float(total[0]), -total[1:]
+def corpus_sums(packed, lambdas):
+    """log Z and its gradient at ``lambdas`` from one ``packed.sums``
+    pass."""
+    log_z, expected, _ = packed.sums(np.asarray(lambdas, dtype=float))
+    return log_z, -expected
 
 
 def small_problem(rng, constraints=None, n_sentences=2, lengths=(2, 3, 4)):
@@ -121,17 +116,27 @@ def loop_columns(log_p, phi, lambdas):
     return np.hstack((top + np.log(mass), np.einsum("fth,th->tf", phi, q)))
 
 
+def loop_sums(columns, batch=None):
+    """What ``PackedColumns.sums`` returns, summed from the per-column
+    values of ``loop_columns``: log Z, the expected feature rows over every
+    column, and over the columns of the mask ``batch`` (default: all)."""
+    chosen = columns if batch is None else columns[batch]
+    return columns[:, 0].sum(), columns[:, 1:].sum(axis=0), chosen[:, 1:].sum(axis=0)
+
+
 class LoopPacked:
-    """What ``solve_dual`` reads of a ``PackedColumns``, with ``columns``
-    evaluated by ``loop_columns`` on the arrays of ``loop_pack_columns``."""
+    """What ``solve_dual`` reads of a ``PackedColumns``, with ``sums``
+    taken by ``loop_sums`` over the log-space columns of ``loop_columns``
+    on the arrays of ``loop_pack_columns``."""
 
     def __init__(self, corpus, constraints, labels):
         self.log_p, self.phi, self.sentence, _ = loop_pack_columns(corpus, constraints)
         self.labels = labels
         self.n_sentences = len(corpus)
 
-    def columns(self, lambdas):
-        return loop_columns(self.log_p, self.phi, np.asarray(lambdas, dtype=float))
+    def sums(self, lambdas, batch=None):
+        columns = loop_columns(self.log_p, self.phi, np.asarray(lambdas, dtype=float))
+        return loop_sums(columns, batch)
 
 
 def kl_divergence(q, p):
@@ -213,10 +218,17 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
         log_p, phi_values, sentence, column = loop_pack_columns(
             corpus, constraints, root_counts_left
         )
+        # Every other sentence's columns: a batch for the third output.
+        batch = packed.sentence % 2 == 0
         for _ in range(3):
             lam = lambda_rng.uniform(0, 3, len(packed.labels))
+            columns = loop_columns(log_p, phi_values, lam)
+            np.testing.assert_allclose(packed.columns(lam), columns, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                packed.columns(lam), loop_columns(log_p, phi_values, lam), rtol=0, atol=1e-12
+                np.hstack(packed.sums(lam, batch)),
+                np.hstack(loop_sums(columns, batch)),
+                rtol=0,
+                atol=1e-12,
             )
             total_log_z, total_grad = corpus_sums(packed, lam)
         assert np.array_equal(packed.sentence, sentence)
@@ -243,12 +255,19 @@ class TestLogPartition:
         assert log_z == pytest.approx(0.0, abs=1e-12)
 
     def test_no_matching_arcs(self):
+        # No packed column, so no joint class either (K = 0): every sum is 0.
         sentence = make_sentence(("DET", "VERB"))
         matrix = cip.ScoreMatrix(np.random.default_rng(0).normal(0, 1, (3, 2)))
         corpus = cip.Corpus(((sentence, matrix),))
         packed = pack_columns(CorpusView.of(corpus, [NOUN_LEFT]))
+        assert packed.mass.shape == (0, 0)
         for lam in (0.0, 1.0, 7.0):
             assert corpus_sums(packed, np.array([lam, lam]))[0] == 0.0
+            for batch in (None, np.zeros(0, dtype=bool)):
+                log_z, expected, step = packed.sums(np.array([lam, lam]), batch)
+                assert log_z == 0.0
+                np.testing.assert_array_equal(expected, [0.0, 0.0])
+                np.testing.assert_array_equal(step, [0.0, 0.0])
 
     def test_two_token_hand_case(self):
         sentence = make_sentence(("DET", "NOUN"))
@@ -366,27 +385,29 @@ class TestRaggedCorpus:
         rng = np.random.default_rng(61)
         corpus, _, packed = ragged_problem(rng, RAGGED_CORPORA["mixed"], RAGGED_CONSTRAINTS)
         passes = []
-        columns = PackedColumns.columns
+        sums = PackedColumns.sums
 
-        def counted(self, lambdas):
+        def counted(self, lambdas, batch=None):
             passes.append(1)
-            return columns(self, lambdas)
+            return sums(self, lambdas, batch)
 
-        monkeypatch.setattr(PackedColumns, "columns", counted)
+        monkeypatch.setattr(PackedColumns, "sums", counted)
         params = cip.PrParams(batch_size=batch_size, max_iter=12, grad_tol=0.0, seed=3)
         lam, trace = cip.solve_dual(packed, params)
         assert len(passes) == len(trace) == params.max_iter + 1
         monkeypatch.undo()
 
-        # Replay the Adam steps: each follows the full gradient at the
-        # traced multipliers when the batch holds every sentence, and
-        # otherwise the rescaled gradient of the sampler's batch.
+        # Replay the Adam steps on the log-space reference: each follows the
+        # full gradient at the traced multipliers when the batch holds every
+        # sentence, and otherwise the rescaled gradient of the sampler's
+        # batch.
+        loop = LoopPacked(corpus, RAGGED_CONSTRAINTS, packed.labels)
         size = len(corpus)
         batch = min(batch_size, size)
         sampler = np.random.default_rng(params.seed)
         order = sampler.permutation(size)
         cursor = 0
-        subset = None
+        in_batch = None
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         moment1 = moment2 = np.zeros(len(packed.labels))
         for before, after in zip(trace, trace[1:]):
@@ -394,10 +415,11 @@ class TestRaggedCorpus:
                 if cursor + batch > size:
                     order = sampler.permutation(size)
                     cursor = 0
-                subset = order[cursor:cursor + batch]
+                in_batch = np.isin(loop.sentence, order[cursor:cursor + batch])
                 cursor += batch
             current = np.array(before.lambdas)
-            gradient = -corpus_sums(packed, current, subset)[1] * size / batch
+            log_z, _, ascent = loop.sums(current, in_batch)
+            gradient = ascent * size / batch
             moment1 = beta1 * moment1 + (1 - beta1) * gradient
             moment2 = beta2 * moment2 + (1 - beta2) * gradient**2
             steps = before.iteration + 1
@@ -406,10 +428,61 @@ class TestRaggedCorpus:
             rate = params.lr0 * params.decay**before.iteration
             expected = np.maximum(current + rate * unbiased1 / (np.sqrt(unbiased2) + eps), 0.0)
             np.testing.assert_allclose(after.lambdas, expected, rtol=0, atol=1e-12)
-            full, _ = corpus_sums(packed, current)
-            assert before.neg_log_z == pytest.approx(-full, abs=1e-12)
-            assert before.neg_log_z == -packed.columns(current).sum(axis=0)[0]
+            assert before.neg_log_z == -corpus_sums(packed, current)[0]
+            assert before.neg_log_z == pytest.approx(-log_z, abs=1e-12)
         np.testing.assert_array_equal(lam, trace[-1].lambdas)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per log-space pass that ``PackedColumns.sums`` falls back
+    to."""
+    calls = []
+    columns = PackedColumns.columns
+
+    def counted(self, lambdas):
+        calls.append(1)
+        return columns(self, lambdas)
+
+    monkeypatch.setattr(PackedColumns, "columns", counted)
+    return calls
+
+
+WIDE = cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.7, theta=0.05)
+# Two NOUNs at most per sentence, so that the enumeration's weights stay
+# finite at a span of 720; the first NOUN of each has no head on its left.
+WIDE_ROWS = [("NOUN", "VERB"), ("DET", "NOUN", "ADP"), ("NOUN", "ADP", "NOUN")]
+
+
+class TestWideOffsets:
+    """``PackedColumns.sums`` where the class offsets ``phi @ lambda`` span
+    hundreds of nats.  At ``lambda = (0, L)`` the lower row of ``WIDE``
+    gives classes 0, +1 and -1 the offsets 0, -0.35 L and 0.65 L: a span of
+    L.  A NOUN with no head on its left keeps its mass on classes 0 and -1,
+    so its linear-space sum ``mass @ exp(min(a) - a)`` is at most
+    ``exp(-0.35 L)``, which is 0 in floating point beyond L = 2,130."""
+
+    @pytest.mark.parametrize("span", [590.0, 720.0, 2500.0, 1e5])
+    def test_sums_match_log_space_reference(self, span, fallbacks):
+        rng = np.random.default_rng(67)
+        corpus, dists, packed = ragged_problem(rng, WIDE_ROWS, [WIDE])
+        lam = np.array([0.0, span])
+        offsets = packed.phi @ lam
+        assert offsets.max() - offsets.min() == pytest.approx(span)
+        linear = packed.mass @ np.exp(offsets.min() - offsets)
+        assert np.any(linear == 0.0) == (span > 2130)
+
+        batch = packed.sentence != 1
+        values = np.hstack(packed.sums(lam, batch))
+        # Linear space up to a span of 600 nats, log space beyond.
+        assert len(fallbacks) == (span > 600)
+        assert np.all(np.isfinite(values))
+        log_p, phi_values, _, _ = loop_pack_columns(corpus, [WIDE])
+        reference = np.hstack(loop_sums(loop_columns(log_p, phi_values, lam), batch))
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=1e-12)
+        if span < 745:
+            oracle = enum_log_partition(corpus, dists, [WIDE], lam)
+            assert values[0] == pytest.approx(oracle, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -508,6 +581,27 @@ class TestSolveDual:
         packed = pack_columns(CorpusView.of(corpus, [c]))
         lam, _ = cip.solve_dual(packed, cip.PrParams(max_iter=20))
         assert lam[0] == 0.0  # effective upper ratio 1.0 never binds
+
+    def test_infeasible_band_stays_finite(self, fallbacks):
+        # With the root arc counted left, every head of a sentence-final
+        # NOUN is on its left, so no q meets the upper bound 0: the dual is
+        # unbounded and steps that never decay drive lambda far past the
+        # span that linear space covers.
+        rng = np.random.default_rng(68)
+        rows = [("DET", "NOUN"), ("NOUN", "VERB", "NOUN"), ("VERB", "DET")]
+        corpus = ragged_problem(rng, rows, [])[0]
+        c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.0, theta=0.0)
+        packed = pack_columns(CorpusView.of(corpus, [c], root_counts_left=True))
+        params = cip.PrParams(lr0=50.0, decay=1.0, max_iter=200, grad_tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, trace = cip.solve_dual(packed, params)
+        assert fallbacks
+        assert lam[0] > 1000
+        values = [[r.grad_norm, r.neg_log_z, *r.lambdas] for r in trace]
+        assert np.all(np.isfinite(values))
+        # Two sentence-final NOUNs, each adding lambda_upper to -log Z.
+        assert trace[-1].neg_log_z >= 2 * lam[0] - 1e-6
 
     def test_no_features(self):
         corpus = cip.Corpus((noun_toy_entry(0.5),))
