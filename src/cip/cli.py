@@ -154,7 +154,7 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
     sentences = _load(args.conllu, core.read_conllu)
     constraint_list = _load(args.constraints, cns.load_constraints)
     config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
-    chosen = typology.sample_sentences(sentences, args.sample, args.seed)
+    chosen = _named(args.conllu, typology.sample_sentences, sentences, args.sample, args.seed)
     total_arcs = sum(len(s) for s in chosen)
     rows = []
     oracle = []
@@ -222,7 +222,7 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
                 if lang != args.target
             ]
             target = typology.feature_vector(table, args.target, vocab)
-            fixed = {"r": typology.fit_unary_ratio(train, target)}
+            fixed = {"r": _named(args.unary_ratios, typology.fit_unary_ratio, train, target)}
             template_keys = ("features",)
         else:
             print(f"compile-constraints: unknown template kind {kind!r}", file=sys.stderr)
@@ -303,6 +303,14 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    """An argparse type: a nonnegative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``cip`` parser, built once per process."""
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-ratios", help="constraint ratios from gold trees")
     p.add_argument("--conllu", required=True)
     p.add_argument("--constraints", required=True)
-    p.add_argument("--sample", type=int)
+    p.add_argument("--sample", type=_nonnegative, help="sentences to sample (default: all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--oracle-out", help="write constraints with measured ratios")

@@ -305,6 +305,8 @@ def is_projective(heads: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 _TABLE_MAX_N = 6
+# Most joint assignments that ``brute_force_constrained`` enumerates.
+_GUARD = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -342,21 +344,20 @@ def brute_force_constrained(
     *,
     projective: bool = False,
     root_counts_left: bool = False,
-    guard: int = 10**6,
 ) -> tuple[list[ParseTree], float]:
     """Exact maximizer of the corpus objective subject to every constraint's
     ratio band, by enumerating the Cartesian product of per-sentence trees.
 
     Raises InfeasibleError when no joint assignment satisfies all
-    constraints, and ValueError when the product exceeds ``guard``.
+    constraints, and ValueError when the product exceeds ``_GUARD``.
     """
     tables = []
     total = 1
     for sentence, matrix in corpus:
         table = projective_tree_table(matrix.n) if projective else tree_table(matrix.n)
         total *= len(table)
-        if total > guard:
-            raise ValueError(f"search space exceeds guard of {guard} joint assignments")
+        if total > _GUARD:
+            raise ValueError(f"search space exceeds guard of {_GUARD} joint assignments")
         tables.append(table)
 
     shape = tuple(len(t) for t in tables)

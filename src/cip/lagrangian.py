@@ -46,7 +46,9 @@ class LrParams:
 @dataclass(frozen=True)
 class IterationRecord:
     """One decode, numbered from 1: the multipliers used for it, the step
-    size, the measured ratios, and the raw / augmented objectives."""
+    size, the measured ratios, and the raw / augmented objectives.
+    ``dual_value`` bounds only the equality problem ``ratio = r``, so when
+    ``theta > 0`` ``dual_value - objective`` is no dual-primal gap."""
 
     iteration: int
     alpha: float
@@ -64,7 +66,10 @@ def lr_decode(
     single_root: bool = False,
 ) -> InferenceResult:
     """Iterate augmented decoding over ``view`` until all ratio constraints
-    hold (see ``lr_infer``).  ``labels`` are the constraint ids."""
+    hold (see ``lr_infer``); ``labels`` are the constraint ids.  The loop
+    keeps the least-violating iterate before its stop test and has one exit:
+    a satisfied iterate violates by less than every earlier one, so it is
+    the one kept."""
     constraints = view.constraints
     labels = tuple(c.id for c in constraints)
     rows = np.array([_class_row(c.r) for c in constraints]).reshape(-1, 3)
@@ -89,19 +94,18 @@ def lr_decode(
             )
         )
 
-        if all(map(is_satisfied, constraints, ratios)):
-            return InferenceResult(view.trees(heads), lambdas, labels, trace, True)
-
-        violation = max(map(Constraint.violation, constraints, ratios))
-        if best is None or (violation, -objective) < (best[0], best[1]):
+        violation = max(map(Constraint.violation, constraints, ratios), default=0.0)
+        if best is None or (violation, -objective) < best[:2]:
             best = (violation, -objective, heads, lambdas)
+        converged = all(map(is_satisfied, constraints, ratios))
+        if converged:
+            break
 
         errors = np.array([0.0 if m is None else c.r - m for c, m in zip(constraints, ratios)])
         lambdas = lambdas + alpha * errors
         alpha *= params.eta
 
-    assert best is not None
-    return InferenceResult(view.trees(best[2]), best[3], labels, trace, False)
+    return InferenceResult(view.trees(best[2]), best[3], labels, trace, converged)
 
 
 def lr_infer(

@@ -252,15 +252,16 @@ def solve_dual(
     by Adam steps (bias-corrected moment estimates) with a decaying rate.
 
     Batches are sampled without replacement per epoch and the batch gradient
-    is rescaled to full-corpus magnitude.  The loop stops at the iteration
-    cap or when the full-corpus gradient norm, restricted to coordinates not
-    pinned at the boundary, falls below ``grad_tol``.  Each step makes one
-    ``sums`` pass at the current ``lambda``.  Its corpus sums go to the
-    trace record; the step follows them when the batch holds every
-    sentence, and otherwise the sums over the columns of the batch's
-    sentences.  The 2C multipliers and the optimizer state are Python
-    floats: for so few values, a numpy call per operation would cost more
-    than the arithmetic.
+    is rescaled to full-corpus magnitude.  Each iteration of the one loop
+    makes one ``sums`` pass at the current ``lambda`` and traces its corpus
+    sums.  The loop then stops, before any step, when the full-corpus
+    gradient norm, restricted to coordinates not pinned at the boundary,
+    falls below ``grad_tol``, or after ``max_iter`` steps, a record that
+    draws no batch.  Otherwise the step follows the corpus sums when the
+    batch holds every sentence, and the sums over the columns of the
+    batch's sentences when not.  The 2C multipliers and the optimizer state
+    are Python floats: for so few values, a numpy call per operation would
+    cost more than the arithmetic.
     """
     d = len(packed.labels)
     trace: list[DualTraceRecord] = []
@@ -278,27 +279,10 @@ def solve_dual(
     moment1 = [0.0] * d
     moment2 = [0.0] * d
 
-    def record(iteration: int, in_batch: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Trace the full-corpus state at ``lambdas``; return the projected
-        gradient norm and the ascent direction summed over the columns of
-        ``in_batch`` (a mask over the packed columns; None: all of them)."""
-        log_z, ascent, direction = packed.sums(lambdas, in_batch)
-        norm = math.hypot(
-            *(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent.tolist()))
-        )
-        trace.append(
-            DualTraceRecord(
-                iteration=iteration,
-                grad_norm=norm,
-                neg_log_z=-log_z,
-                lambdas=tuple(lambdas),
-            )
-        )
-        return norm, direction
-
-    for iteration in range(params.max_iter):
+    for iteration in range(params.max_iter + 1):
+        # A mask over the packed columns; None: all of them.
         in_batch = None
-        if batch < size:
+        if batch < size and iteration < params.max_iter:
             if cursor + batch > size:
                 order = rng.permutation(size)
                 cursor = 0
@@ -306,9 +290,17 @@ def solve_dual(
             chosen[order[cursor:cursor + batch]] = True
             in_batch = chosen[packed.sentence]
             cursor += batch
-        norm, direction = record(iteration, in_batch)
-        if norm < params.grad_tol:
-            return np.array(lambdas), trace
+        log_z, ascent, direction = packed.sums(lambdas, in_batch)
+        norm = math.hypot(
+            *(a if lam > 0 else max(a, 0.0) for lam, a in zip(lambdas, ascent.tolist()))
+        )
+        trace.append(
+            DualTraceRecord(
+                iteration=iteration, grad_norm=norm, neg_log_z=-log_z, lambdas=tuple(lambdas)
+            )
+        )
+        if norm < params.grad_tol or iteration == params.max_iter:
+            break
         rate = params.lr0 * params.decay**iteration
         bias1 = 1 - _ADAM_BETA1 ** (iteration + 1)
         bias2 = 1 - _ADAM_BETA2 ** (iteration + 1)
@@ -318,7 +310,6 @@ def solve_dual(
             step = rate * (moment1[i] / bias1) / (math.sqrt(moment2[i] / bias2) + _ADAM_EPS)
             lambdas[i] = max(lambdas[i] + step, 0.0)
 
-    record(params.max_iter)
     return np.array(lambdas), trace
 
 

@@ -164,7 +164,7 @@ def sample_sentences(
     if sample_size is None:
         return list(sentences)
     if sample_size > len(sentences):
-        raise ValueError("sample_size exceeds corpus size")
+        raise ValueError(f"sample_size {sample_size} exceeds corpus size {len(sentences)}")
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(sentences), size=sample_size, replace=False)
     return [sentences[int(i)] for i in sorted(picked)]
@@ -173,20 +173,15 @@ def sample_sentences(
 def estimate_ratio(
     sentences: Sequence[Sentence],
     constraint: Constraint,
-    sample_size: int | None = None,
-    seed: int = 0,
     *,
     root_counts_left: bool = False,
 ) -> tuple[float | None, int]:
-    """Ratio of positive arcs in gold trees, with the matched-arc count.
-
-    ``sample_size`` restricts the estimate to a uniform without-replacement
-    sample of sentences (seeded).  Returns (None, 0) when no arc matches.
-    """
-    chosen = sample_sentences(sentences, sample_size, seed)
-    for sentence in chosen:
+    """Ratio of positive arcs in the gold trees of ``sentences`` (a sample
+    is drawn with ``sample_sentences``), with the matched-arc count; (None,
+    0) when no arc matches."""
+    for sentence in sentences:
         if sentence.gold_heads is None:
             raise ValueError(f"sentence {sentence.sent_id!r} has no gold heads")
-    heads = [sentence.gold_heads for sentence in chosen]
-    plus, minus = _tree_counts(constraint, chosen, heads, root_counts_left)
+    heads = [sentence.gold_heads for sentence in sentences]
+    plus, minus = _tree_counts(constraint, sentences, heads, root_counts_left)
     return _ratio(plus, minus), plus + minus

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import runpy
 import stat
 import subprocess
 import sys
@@ -398,6 +399,23 @@ def test_estimate_ratios_sampling(workspace, tmp_path):
     assert json.loads(out.read_text())["ratios"][0]["count"] > 0
 
 
+def test_estimate_ratios_rejects_a_negative_sample(workspace, capsys):
+    argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+            "--constraints", str(workspace["constraints"]), "--sample", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --sample: must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_estimate_ratios_names_the_corpus_a_sample_exceeds(workspace, capsys):
+    argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+            "--constraints", str(workspace["constraints"]), "--sample", "31"]
+    assert main(argv) == 1
+    expected = f"cip: {workspace['gold']}: sample_size 31 exceeds corpus size 30\n"
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_estimate_ratios_honours_root_counts_left(workspace, tmp_path):
     # VERB tokens attach to the root in most sentences, so counting root
     # arcs as left-headed moves the VERB ratio.
@@ -608,12 +626,22 @@ def _without(template, key):
             "{t}: template 1: unknown key 'theta'",
         ),
         ([BINARY_TEMPLATE, BINARY_TEMPLATE], UNARY_RATIOS, "{t}: template 1: repeated id 'C2'"),
+        ([_without(UNARY_TEMPLATE, "kind")], UNARY_RATIOS, "{t}: template 0: missing key 'kind'"),
+        (
+            [_without(BINARY_TEMPLATE, "feature")],
+            UNARY_RATIOS,
+            "{t}: template 0: missing key 'feature'",
+        ),
+        # The target's own ratio is left out of the regression.
+        ([UNARY_TEMPLATE], {"hi": 0.5}, "{r}: need at least 2 training languages"),
+        ([UNARY_TEMPLATE], {"hi": 0.5, "en": 0.3}, "{r}: need at least 2 training languages"),
     ],
     ids=[
         "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
         "template-not-an-object", "templates-not-an-array", "ratios-not-an-object",
         "null-ratio", "orientation-missing-target-value", "misspelt-theta", "unary-with-feature",
         "string-features", "nan-ratio", "unary-sets-r", "binary-sets-theta", "repeated-id",
+        "without-kind", "binary-without-feature", "ratios-only-target", "ratios-one-other",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(
@@ -1377,3 +1405,21 @@ def test_help_lists_every_subcommand(capsys):
         "decode", "evaluate", "estimate-ratios", "compile-constraints", "synth", "ratio-gap"
     ):
         assert command in out
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["ok", "missing-file"])
+def test_module_entry_point_matches_main(workspace, capsys, monkeypatch, missing):
+    """``python -m cip.cli`` exits with ``main``'s code and prints its output.
+    The module runs as ``__main__`` in this process, as ``python -m`` runs
+    it; ``test_commands_in_one_process_match_separate_processes`` runs it
+    in subprocesses."""
+    pred = str(workspace["gold"]) + (".missing" if missing else "")
+    argv = ["evaluate", "--pred", pred, "--gold", str(workspace["gold"])]
+    code = main(argv)
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["cip", *argv])
+    monkeypatch.delitem(sys.modules, "cip.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cip.cli", run_name="__main__")
+    assert exc.value.code == code == (1 if missing else 0)
+    assert capsys.readouterr() == expected

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cip
-from cip.typology import MISSING, build_feature_vocab, feature_vector
+from cip.typology import MISSING, build_feature_vocab, feature_vector, sample_sentences
 
 from conftest import make_sentence
 
@@ -78,6 +78,16 @@ class TestFeatureEncoding:
         assert vec[vocab.index(("86A", MISSING))] == 1.0
         assert vec.sum() == 2.0  # exactly one level per feature
 
+    def test_value_outside_the_vocab_is_missing(self):
+        # A vocab built from another table lacks fr's value of 87A.
+        table = cip.TypologyTable.from_csv(io.StringIO(WALS_CSV))
+        other_csv = "lang,feature,value\nxx,87A,Adjective-Noun\n"
+        other = cip.TypologyTable.from_csv(io.StringIO(other_csv))
+        vocab = build_feature_vocab(other, ("87A",))
+        assert vocab == (("87A", "Adjective-Noun"), ("87A", MISSING))
+        assert feature_vector(table, "fr", vocab).tolist() == [0.0, 1.0]
+        assert feature_vector(table, "en", vocab).tolist() == [1.0, 0.0]
+
 
 class TestFitUnaryRatio:
     def test_constant_fit(self):
@@ -113,6 +123,16 @@ class TestFitUnaryRatio:
         assert result == pytest.approx(0.4)
         assert any("degenerate" in r.message for r in caplog.records)
 
+    def test_non_finite_fit_falls_back_to_mean(self, caplog):
+        # A singular value just above lstsq's cutoff and a huge ratio send a
+        # coefficient to infinity.
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1e-15])
+        train = [(a, 0.2), (b, 1e308)]
+        with caplog.at_level(logging.WARNING):
+            result = cip.fit_unary_ratio(train, a)
+        assert result == 1.0  # the mean, 5e307, clamped
+        assert any("degenerate" in r.message for r in caplog.records)
+
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             cip.fit_unary_ratio([(np.ones(2), 0.5)], np.ones(2))
@@ -146,14 +166,14 @@ class TestEstimateRatio:
         sentences = [gold_sentence("PP")] * 3 + [gold_sentence("MP")] * 2
         c = cip.Constraint(id="c", kind="unary", pos="NOUN", r=0.5, theta=0.1)
         whole = cip.estimate_ratio(sentences, c)
-        sampled = cip.estimate_ratio(sentences, c, sample_size=len(sentences))
+        sampled = cip.estimate_ratio(sample_sentences(sentences, len(sentences)), c)
         assert whole == sampled
 
     def test_seeded_sampling_is_deterministic(self):
         sentences = [gold_sentence("PP")] * 6 + [gold_sentence("MP")] * 6
         c = cip.Constraint(id="c", kind="unary", pos="NOUN", r=0.5, theta=0.1)
-        a = cip.estimate_ratio(sentences, c, sample_size=5, seed=3)
-        b = cip.estimate_ratio(sentences, c, sample_size=5, seed=3)
+        a = cip.estimate_ratio(sample_sentences(sentences, 5, seed=3), c)
+        b = cip.estimate_ratio(sample_sentences(sentences, 5, seed=3), c)
         assert a == b
 
     def test_growing_samples_converge_to_whole_corpus(self):
@@ -165,7 +185,7 @@ class TestEstimateRatio:
         whole, _ = cip.estimate_ratio(sentences, c)
         errors = []
         for size in (20, 100, 200):
-            sampled, _ = cip.estimate_ratio(sentences, c, sample_size=size, seed=1)
+            sampled, _ = cip.estimate_ratio(sample_sentences(sentences, size, seed=1), c)
             errors.append(abs(sampled - whole))
         assert errors[-1] == 0.0
         assert errors[0] < 0.2
@@ -181,6 +201,5 @@ class TestEstimateRatio:
             cip.estimate_ratio([make_sentence(("NOUN",))], c)
 
     def test_sample_too_large(self):
-        c = cip.Constraint(id="c", kind="unary", pos="NOUN", r=0.5, theta=0.1)
-        with pytest.raises(ValueError):
-            cip.estimate_ratio([gold_sentence("PP")], c, sample_size=2)
+        with pytest.raises(ValueError, match="^sample_size 2 exceeds corpus size 1$"):
+            sample_sentences([gold_sentence("PP")], 2)
