@@ -303,11 +303,19 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nonnegative(text: str) -> int:
-    """An argparse type: a nonnegative int."""
+def _positive(text: str) -> int:
+    """An argparse type: a positive int."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _margin(text: str) -> float:
+    """An argparse type: a constraint margin, a float in [0, 0.5]."""
+    value = float(text)
+    if not 0.0 <= value <= 0.5:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 0.5], got {value}")
     return value
 
 
@@ -339,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-ratios", help="constraint ratios from gold trees")
     p.add_argument("--conllu", required=True)
     p.add_argument("--constraints", required=True)
-    p.add_argument("--sample", type=_nonnegative, help="sentences to sample (default: all)")
+    p.add_argument("--sample", type=_positive, help="sentences to sample (default: all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--oracle-out", help="write constraints with measured ratios")
-    p.add_argument("--oracle-theta", type=float, default=0.01)
+    p.add_argument("--oracle-theta", type=_margin, default=0.01)
     p.add_argument("--config", help="decode config; its root_counts_left applies")
 
     p = sub.add_parser("compile-constraints", help="constraints from typology data")
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-conllu", required=True)
     p.add_argument("--out-scores", required=True)
     p.add_argument("--out-constraints")
-    p.add_argument("--oracle-theta", type=float, default=0.01)
+    p.add_argument("--oracle-theta", type=_margin, default=0.01)
     p.add_argument("--report")
 
     p = sub.add_parser("ratio-gap", help="coverage-weighted ratio difference")

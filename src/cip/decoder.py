@@ -6,6 +6,18 @@ trees.  The brute-force functions enumerate candidate trees outright and
 exist as independent references for verifying the fast decoders and for
 solving the corpus-level constrained problem exactly on tiny inputs.
 
+Both fast decoders take a length bucket: ``_bucket_mst_heads`` and
+``_bucket_projective_heads`` decode a ``(B, n+1, n)`` stack of score arrays,
+which is what ``CorpusView.decode`` hands them, and the public decoders are
+their B = 1 case.  Chu-Liu/Edmonds works on dependent-major weights,
+``dm[d, h]`` for the arc h -> d, so the greedy step is one ``argmax`` along
+contiguous rows for the whole bucket, and only sentences whose greedy
+parents form a cycle are contracted.  Each contraction makes one permuted
+copy, the other nodes then the cycle members, and reads the best arcs
+leaving and entering the cycle from its slices.  Eisner takes the overflow
+bound and the square weights once per bucket and fills one chart per
+sentence.
+
 Decoding is deterministic.  Multi-root ties go to the lower head index:
 every argmax, including those over cycle members during contraction, takes
 the first maximum.  ``mst_decode(single_root=True)`` first decodes over all
@@ -39,104 +51,115 @@ class InfeasibleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _find_cycle(parent: Sequence[int], m: int) -> list[int] | None:
-    color = [0] * m  # 0 unvisited, 1 on current path, 2 finished
-    color[0] = 2
+    """A cycle of the parent pointers over nodes 1 .. m - 1, or None.  Each
+    walk from an unvisited node marks the nodes it reaches with its start;
+    a walk that reaches its own mark has closed a cycle."""
+    mark = [0] * m
+    mark[0] = -1
     for start in range(1, m):
-        if color[start]:
+        if mark[start]:
             continue
-        path = []
         v = start
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
+        while not mark[v]:
+            mark[v] = start
             v = parent[v]
-        if color[v] == 1:
-            return path[path.index(v):]
-        for u in path:
-            color[u] = 2
+        if mark[v] == start:
+            cycle = [v]
+            u = parent[v]
+            while u != v:
+                cycle.append(u)
+                u = parent[u]
+            return cycle
     return None
 
 
-def _max_arborescence(weights: np.ndarray) -> np.ndarray:
-    """Greedy selection plus cycle contraction on an m x m weight matrix.
+def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
+    """Greedy selection plus cycle contraction on an m x m dependent-major
+    weight matrix: ``dm[d, h]`` is the weight of the arc h -> d.
 
-    Node 0 is the root (column 0 must be -inf).  Returns the parent of every
-    node; entry 0 is unused.
+    Node 0 is the root (row 0 must be -inf).  ``parent``, when given, is
+    the greedy parent of every node, ``dm.argmax(axis=1)``.  Returns the
+    parent of every node; entry 0 is unused.
     """
-    m = weights.shape[0]
-    parent = weights.argmax(axis=0)
-    cycle = _find_cycle(parent.tolist(), m)
+    if parent is None:
+        parent = dm.argmax(axis=1).tolist()
+    cycle = _find_cycle(parent, len(parent))
     if cycle is None:
         return parent
 
-    # Cycle members and the other nodes both in ascending order, so every
-    # argmax below keeps the lowest-index tie-break.  The root is rest[0].
-    in_cycle = np.zeros(m, dtype=bool)
-    in_cycle[cycle] = True
-    members = in_cycle.nonzero()[0]
-    rest = (~in_cycle).nonzero()[0]
+    # The other nodes, then the cycle members, both in ascending order, so
+    # every argmax below keeps the lowest-index tie-break.  The root is
+    # rest[0], and the contracted cycle takes index c_id, after the rest.
+    members = sorted(cycle)
+    in_cycle = set(cycle)
+    rest = [v for v in range(len(parent)) if v not in in_cycle]
     c_id = len(rest)
-    from_rest = weights.take(rest, axis=0)
-    from_members = weights.take(members, axis=0)
-    contracted = np.empty((c_id + 1, c_id + 1))
-    contracted[c_id, c_id] = NEG_INF
-    contracted[:c_id, :c_id] = from_rest.take(rest, axis=1)
+    order = np.array(rest + members)
+    perm = dm.take(order, axis=0).take(order, axis=1)
     # Arcs leaving the cycle: the best member head of every outside node.
-    out_arcs = from_members.take(rest, axis=1)
-    leaving = members[out_arcs.argmax(axis=0)]
-    contracted[c_id, :c_id] = out_arcs.max(axis=0)
-    # Arcs entering the cycle: the best gain over the member's greedy parent.
-    gains = from_rest.take(members, axis=1) - weights[parent[members], members]
-    entering = members[gains.argmax(axis=1)]
-    contracted[:c_id, c_id] = gains.max(axis=1)
+    out_arcs = perm[:c_id, c_id:]
+    leaving = out_arcs.argmax(axis=1).tolist()
+    out_best = np.maximum.reduce(out_arcs, axis=1)
+    # Arcs entering the cycle: the best gain over the member's greedy
+    # parent, whose weight is the maximum of the member's row.
+    into = perm[c_id:]
+    gains = into[:, :c_id] - np.maximum.reduce(into, axis=1)[:, None]
+    # The contracted matrix is the leading c_id + 1 block of perm: the
+    # cycle node takes the first member's row and column.
+    perm[:c_id, c_id] = out_best
+    perm[c_id, :c_id] = np.maximum.reduce(gains)
+    perm[c_id, c_id] = NEG_INF
 
-    sub_parent = _max_arborescence(contracted)
-    result = parent.copy()
-    # An outside node headed by the contracted node takes its best member
-    # head; the clip only keeps rest.take in range for those nodes.
-    inner = sub_parent[1:c_id]
-    result[rest[1:]] = np.where(
-        inner == c_id, leaving[1:], rest.take(inner, mode="clip")
-    )
-    head = int(sub_parent[c_id])
-    result[entering[head]] = rest[head]
+    sub_parent = _arborescence(perm[: c_id + 1, : c_id + 1])
+    # An outside node headed by the cycle takes its best member head, and
+    # the cycle's head enters it at the member of the best gain.
+    result = parent[:]
+    for v, head, leave in zip(rest, sub_parent, leaving):
+        result[v] = members[leave] if head == c_id else rest[head]
+    head = sub_parent[c_id]
+    result[members[int(gains[:, head].argmax())]] = rest[head]
     return result
 
 
-def _square(scores: np.ndarray) -> np.ndarray:
-    """The ``(n+1) x (n+1)`` weights of an ``(n+1) x n`` score array: column
-    0 (arcs into the root) is -inf."""
-    n = scores.shape[1]
-    weights = np.full((n + 1, n + 1), NEG_INF)
-    weights[:, 1:] = scores
-    return weights
-
-
-def _mst_heads(scores: np.ndarray, single_root: bool = False) -> np.ndarray:
-    """Heads of the best spanning tree over an ``(n+1) x n`` score array
-    whose off-diagonal entries are finite (see ``mst_decode``)."""
-    n = scores.shape[1]
+def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
+    """Heads of the best spanning tree of every sentence of a ``(B, n+1, n)``
+    stack of score arrays whose off-diagonal entries are finite, as a
+    ``(B, n)`` array (see ``mst_decode``)."""
+    size, _, n = x.shape
     if n == 1:
-        return np.zeros(1, dtype=int)
-    weights = _square(scores)
-    parent = _max_arborescence(weights)
-    if not single_root or np.count_nonzero(parent[1:] == 0) == 1:
-        # An optimum over all trees that is single-rooted is also optimal
-        # among the single-root trees, which are a subset.
-        return parent[1:]
-    # Subtract one penalty C from every root arc.  A tree with k > 1 root
-    # children becomes a single-root tree by moving k - 1 of them under the
-    # first, which loses at most (k - 1) * (max - min) over the finite
-    # scores; with C above max - min each extra root child costs more than
-    # that, so the optimum has exactly one root child.  Every single-root
-    # tree moves by the same C, so they rank as under the raw scores.
+        return np.zeros((size, 1), dtype=int)
+    # dm[b, d, h] = x[b, h, d - 1]: the weight of h -> d, row 0 -inf.
+    dm = np.full((size, n + 1, n + 1), NEG_INF)
+    dm[:, 1:] = x.transpose(0, 2, 1)
+    heads = []
+    for b, parent in enumerate(dm.argmax(axis=2).tolist()):
+        tree = _arborescence(dm[b], parent)[1:]
+        if single_root and tree.count(0) != 1:
+            # An optimum over all trees that is single-rooted is also
+            # optimal among the single-root trees, which are a subset;
+            # otherwise decode again with a penalty on the root arcs.
+            tree = _arborescence(_penalised(dm[b], x[b]))[1:]
+        heads.append(tree)
+    return np.array(heads)
+
+
+def _penalised(dm: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``dm`` with one penalty C subtracted from every root arc, in place.
+
+    A tree with k > 1 root children becomes a single-root tree by moving
+    k - 1 of them under the first, which loses at most (k - 1) * (max -
+    min) over the finite ``scores``; with C above max - min each extra root
+    child costs more than that, so the optimum has exactly one root child.
+    Every single-root tree moves by the same C, so they rank as under the
+    raw scores.
+    """
     finite = scores[np.isfinite(scores)]
     with np.errstate(over="ignore"):
         penalty = 1.0 + (finite.max() - finite.min())
     if not np.isfinite(penalty):
         raise ValueError("score range too large for single-root decoding")
-    weights[0, 1:] -= penalty
-    return _max_arborescence(weights)[1:]
+    dm[1:, 0] -= penalty
+    return dm
 
 
 def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
@@ -152,7 +175,8 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     the one with the lowest root child.  That second decode raises
     ``ValueError`` when the range of the finite scores overflows.
     """
-    return ParseTree(tuple(_mst_heads(matrix.scores, single_root).tolist()))
+    heads = _bucket_mst_heads(matrix.scores[None], single_root)[0]
+    return ParseTree(tuple(heads.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,30 +276,42 @@ def _eisner_backtrack(split: np.ndarray, i: int, j: int, direction: int,
         _eisner_backtrack(split, k + 1, j, _LEFT, True, heads)
 
 
-def _projective_heads(scores: np.ndarray, single_root: bool = False) -> list[int]:
-    """Heads of the best projective tree over an ``(n+1) x n`` score array
-    whose off-diagonal entries are finite (see ``projective_decode``)."""
-    n = scores.shape[1]
+def _square(x: np.ndarray) -> np.ndarray:
+    """The ``(..., n+1, n+1)`` weights of ``(..., n+1, n)`` score arrays:
+    column 0 (arcs into the root) is -inf."""
+    n = x.shape[-1]
+    weights = np.full((*x.shape[:-1], n + 1), NEG_INF)
+    weights[..., 1:] = x
+    return weights
+
+
+def _bucket_projective_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
+    """Heads of the best projective tree of every sentence of a ``(B, n+1,
+    n)`` stack of score arrays whose off-diagonal entries are finite, as a
+    ``(B, n)`` array (see ``projective_decode``)."""
+    size, _, n = x.shape
     if n == 1:
-        return [0]
+        return np.zeros((size, 1), dtype=int)
     with np.errstate(over="ignore"):
-        bound = n * np.abs(scores[np.isfinite(scores)]).max()
+        bound = n * np.abs(x[np.isfinite(x)]).max()
     if not np.isfinite(bound):
         raise ValueError("score range too large for projective decoding")
-    weights = _square(scores)
-    heads = [0] * n
-    if not single_root:
-        _, _, split = _eisner_chart(weights, 0, n)
-        _eisner_backtrack(split, 0, n, _RIGHT, True, heads)
-    else:
-        left, right, split = _eisner_chart(weights, 1, n)
-        # Root child m = 1 .. n heads the spans [1, m] and [m, n].
-        value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
-        best_m = 1 + int(np.argmax(value))
-        heads[best_m - 1] = 0
-        _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)
-        _eisner_backtrack(split, best_m, n, _RIGHT, True, heads)
-    return heads
+    heads = []
+    for weights in _square(x):
+        tree = [0] * n
+        if not single_root:
+            _, _, split = _eisner_chart(weights, 0, n)
+            _eisner_backtrack(split, 0, n, _RIGHT, True, tree)
+        else:
+            left, right, split = _eisner_chart(weights, 1, n)
+            # Root child m = 1 .. n heads the spans [1, m] and [m, n].
+            value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
+            best_m = 1 + int(np.argmax(value))
+            tree[best_m - 1] = 0
+            _eisner_backtrack(split, 1, best_m, _LEFT, True, tree)
+            _eisner_backtrack(split, best_m, n, _RIGHT, True, tree)
+        heads.append(tree)
+    return np.array(heads)
 
 
 def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
@@ -285,7 +321,8 @@ def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> Pars
     overflows: a chart cell sums at most ``n`` arc scores, so below that
     bound no sum is infinite or NaN and the first best split is exact.
     """
-    return ParseTree(tuple(_projective_heads(matrix.scores, single_root)))
+    heads = _bucket_projective_heads(matrix.scores[None], single_root)[0]
+    return ParseTree(tuple(heads.tolist()))
 
 
 def is_projective(heads: Sequence[int]) -> bool:

@@ -7,9 +7,9 @@ runs on the sum.  ``CorpusView`` groups the sentences by length once per
 job.  Each bucket stacks its scores into a ``(B, n+1, n)`` array and its
 class grids into a ``(C, B, n+1, n)`` int8 array, so the table lookup, the
 finite check and the gather of the decoded arcs take a few array steps per
-bucket, and each sentence is decoded from raw arrays.  Per-sentence sums
-are added in corpus order, so totals are the same as a sentence-by-sentence
-loop gives.
+bucket, and each decoder takes the whole stack (see ``decoder``).
+Per-sentence sums are added in corpus order, so totals are the same as a
+sentence-by-sentence loop gives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import orjson
 
 from .constraints import Constraint, _grids, _ratio
 from .core import Corpus, ParseTree, Sentence
-from .decoder import _mst_heads, _projective_heads
+from .decoder import _bucket_mst_heads, _bucket_projective_heads
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class CorpusView:
         key = (projective, single_root)
         if plain and key in self._plain:
             return self._plain[key]
-        decode = _projective_heads if projective else _mst_heads
+        decode = _bucket_projective_heads if projective else _bucket_mst_heads
         heads = []
         for x in (b.scores for b in self.buckets) if plain else self.shifted(offsets):
             # The n self positions of each sentence are -inf or NaN, so
@@ -117,7 +117,7 @@ class CorpusView:
             size, _, n = x.shape
             if np.count_nonzero(np.isfinite(x)) != size * n * n:
                 raise ValueError("non-finite score at a non-self position")
-            heads.append(np.array([decode(row, single_root) for row in x]))
+            heads.append(decode(x, single_root))
         if plain:
             self._plain[key] = heads
         return heads

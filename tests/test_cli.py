@@ -405,7 +405,41 @@ def test_estimate_ratios_rejects_a_negative_sample(workspace, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "argument --sample: must be nonnegative, got -1" in capsys.readouterr().err
+    assert "argument --sample: must be positive, got -1" in capsys.readouterr().err
+
+
+def test_estimate_ratios_rejects_an_empty_sample(workspace, tmp_path, capsys):
+    # A sample of no sentences matches no arc, so every ratio would read null.
+    out = tmp_path / "ratios.json"
+    argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+            "--constraints", str(workspace["constraints"]), "--sample", "0", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --sample: must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.7", "-0.1", "7", "nan", "inf"])
+@pytest.mark.parametrize("command", ["synth", "estimate-ratios"])
+def test_oracle_theta_outside_its_range_is_a_usage_error(
+    workspace, tmp_path, capsys, command, value
+):
+    # Checked by argparse, before any output file is written.
+    outputs = [tmp_path / name for name in ("a.conllu", "b.jsonl", "c.json")]
+    if command == "synth":
+        argv = ["synth", "--spec", str(workspace["spec"]), "--out-conllu", str(outputs[0]),
+                "--out-scores", str(outputs[1]), "--out-constraints", str(outputs[2])]
+    else:
+        argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+                "--constraints", str(workspace["constraints"]), "--out", str(outputs[0]),
+                "--oracle-out", str(outputs[2])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle-theta", value])
+    assert exc.value.code == 2
+    expected = f"argument --oracle-theta: must lie in [0, 0.5], got {float(value)}"
+    assert expected in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_estimate_ratios_names_the_corpus_a_sample_exceeds(workspace, capsys):
@@ -1208,12 +1242,12 @@ def test_decode_holds_the_scores_once(workspace, monkeypatch):
 def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkeypatch):
     # The baseline decode also serves LR's first iteration, whose
     # multipliers are all 0.
-    calls = []
-    real = cip.view._mst_heads
+    calls = []  # sentences per bucket call
+    real = cip.view._bucket_mst_heads
     monkeypatch.setattr(
         cip.view,
-        "_mst_heads",
-        lambda scores, single_root: calls.append(1) or real(scores, single_root),
+        "_bucket_mst_heads",
+        lambda x, single_root: calls.append(len(x)) or real(x, single_root),
     )
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lr": {"max_iter": 3, "alpha0": 1e-6}}))
@@ -1232,7 +1266,10 @@ def test_lr_decodes_each_sentence_once_per_iteration(workspace, tmp_path, monkey
     assert code == 0
     iterations = json.loads(workspace["report"].read_text())["iterations"]
     assert iterations == 3
-    assert len(calls) == SPEC["n_sentences"] * iterations
+    with workspace["gold"].open() as handle:
+        buckets = len({len(sentence) for sentence in cip.read_conllu(handle)})
+    assert len(calls) == buckets * iterations
+    assert sum(calls) == SPEC["n_sentences"] * iterations
 
 
 @pytest.mark.parametrize("grad_tol, steps", [(0.0, 20), (2.0, 2)], ids=["cap", "grad-tol"])

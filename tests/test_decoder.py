@@ -10,10 +10,12 @@ from cip.decoder import (
     _INCOMP,
     _LEFT,
     _RIGHT,
+    _arborescence,
+    _bucket_mst_heads,
+    _bucket_projective_heads,
     _eisner_backtrack,
     _eisner_chart,
     _find_cycle,
-    _max_arborescence,
     _square,
     projective_tree_table,
     tree_table,
@@ -27,8 +29,9 @@ def best_in_table(matrix, table):
 
 
 def loop_max_arborescence(weights):
-    """Chu-Liu/Edmonds with the contraction written arc by arc: the
-    reference that ``_max_arborescence`` must match, ties included."""
+    """Chu-Liu/Edmonds on head-major weights (``weights[h, d]`` is the arc
+    h -> d) with the contraction written arc by arc: the reference that
+    ``_arborescence`` must match on the transposed weights, ties included."""
     m = weights.shape[0]
     parent = np.zeros(m, dtype=int)
     for d in range(1, m):
@@ -65,6 +68,20 @@ def loop_max_arborescence(weights):
     head, dep = entering[int(sub_parent[c_id])]
     result[dep] = head
     return result
+
+
+def loop_mst_heads(scores, single_root):
+    """The heads of one ``(n+1) x n`` score array from
+    ``loop_max_arborescence``; with ``single_root``, a tree with several
+    root children is decoded again with the root penalty of
+    ``_penalised``."""
+    weights = _square(scores)
+    heads = loop_max_arborescence(weights)[1:]
+    if single_root and np.count_nonzero(heads == 0) != 1:
+        finite = scores[np.isfinite(scores)]
+        weights[0, 1:] -= 1.0 + (finite.max() - finite.min())
+        heads = loop_max_arborescence(weights)[1:]
+    return heads.tolist()
 
 
 def loop_eisner_chart(weights, lo, hi):
@@ -198,9 +215,51 @@ class TestMstDecode:
             weights = _square(cip.ScoreMatrix(scores).scores)
             for penalty in (0.0, 5.0):
                 weights[0, 1:] -= penalty
-                assert np.array_equal(
-                    _max_arborescence(weights), loop_max_arborescence(weights)
-                )
+                assert _arborescence(weights.T.copy()) == loop_max_arborescence(
+                    weights
+                ).tolist()
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, shape: rng.integers(-2, 3, shape).astype(float),
+            lambda rng, shape: rng.integers(-2, 3, shape) + rng.normal(0, 1, shape),
+            lambda rng, shape: rng.normal(0, 900, shape),
+        ],
+        ids=["int-ties", "ties-noise", "scale900"],
+    )
+    def test_bucket_matches_sentence_decode(self, draw, single_root):
+        # Every sentence of a stack decodes as it does on its own, ties
+        # and the root penalty included, and to an optimum for n <= 6.
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n, size = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+            x = np.stack([cip.ScoreMatrix(draw(rng, (n + 1, n))).scores for _ in range(size)])
+            heads = _bucket_mst_heads(x, single_root)
+            assert heads.shape == (size, n)
+            table = tree_table(n) if n <= 6 else None
+            if table is not None and single_root:
+                table = table[(table == 0).sum(axis=1) == 1]
+            for scores, row in zip(x, heads.tolist()):
+                assert row == loop_mst_heads(scores, single_root)
+                if table is not None:
+                    best = scores[table, np.arange(n)].sum(axis=1).max()
+                    assert scores[row, np.arange(n)].sum() == pytest.approx(
+                        best, rel=1e-12, abs=1e-9
+                    )
+
+    def test_bucket_root_penalty_overflow_raises(self):
+        one_root = [[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]
+        # A range near the float limit: harmless while the best tree over
+        # all trees has one root child, an error when it has two.
+        keeps = [[1.5e308, -1.5e308], [0.0, 0.0], [0.0, 0.0]]
+        huge = [[1.5e308, 0.0], [0.0, -1.5e308], [0.0, 0.0]]
+        x = np.stack([cip.ScoreMatrix(np.array(s)).scores for s in (one_root, keeps, huge)])
+        assert _bucket_mst_heads(x).tolist() == [[0, 1], [0, 1], [0, 0]]
+        assert _bucket_mst_heads(x[:2], single_root=True).tolist() == [[0, 1], [0, 1]]
+        with pytest.raises(ValueError, match="^score range too large for single-root decoding$"):
+            _bucket_mst_heads(x, single_root=True)
 
     def test_column_shift_leaves_tree_unchanged(self):
         rng = np.random.default_rng(11)
@@ -280,9 +339,11 @@ class TestMstDecode:
 
     def test_single_root_optimum_costs_one_arborescence(self, monkeypatch):
         calls = []
-        real = decoder._max_arborescence
+        real = decoder._arborescence
         monkeypatch.setattr(
-            decoder, "_max_arborescence", lambda weights: calls.append(1) or real(weights)
+            decoder,
+            "_arborescence",
+            lambda dm, parent=None: calls.append(1) or real(dm, parent),
         )
         one_root = cip.ScoreMatrix(np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         assert cip.mst_decode(one_root, single_root=True).heads == (0, 1)
@@ -430,6 +491,29 @@ class TestProjectiveDecode:
                 assert cip.projective_decode(
                     matrix, single_root=single_root
                 ).heads == loop_projective_heads(weights, ref, single_root)
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_bucket_matches_loop_reference(self, single_root):
+        # Every sentence of a stack decodes as the loop chart decodes it on
+        # its own, and one sentence whose chart sums could overflow fails
+        # the whole stack.
+        rng = np.random.default_rng(24)
+        lo = 1 if single_root else 0
+        for _ in range(60):
+            n, size = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+            draw = rng.integers(-2, 3, (size, n + 1, n)).astype(float)
+            x = np.stack([cip.ScoreMatrix(scores).scores for scores in draw])
+            heads = _bucket_projective_heads(x, single_root)
+            assert heads.shape == (size, n)
+            for weights, row in zip(_square(x), heads.tolist()):
+                chart = loop_eisner_chart(weights, lo, n)
+                assert tuple(row) == loop_projective_heads(weights, chart, single_root)
+        x = np.zeros((3, 4, 3))
+        x[2, 0, 0], x[2, 2, 1] = 1.5e308, -1.5e308
+        x = np.stack([cip.ScoreMatrix(scores).scores for scores in x])
+        assert _bucket_projective_heads(x[:2], single_root).shape == (2, 3)
+        with pytest.raises(ValueError, match="^score range too large for projective decoding$"):
+            _bucket_projective_heads(x, single_root)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
     def test_single_root_chart_ignores_root_row_and_column(self, n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cip
 from cip.core import is_tree
-from cip.decoder import _max_arborescence, _square, projective_tree_table, tree_table
+from cip.decoder import _arborescence, _square, projective_tree_table, tree_table
 
 VALUES = st.one_of(
     st.integers(-2, 2).map(float),  # ties everywhere
@@ -71,6 +71,6 @@ def test_single_root_mst_keeps_a_single_root_optimum(matrix):
         assert tree.heads == free.heads
     else:
         finite = matrix.scores[np.isfinite(matrix.scores)]
-        weights = _square(matrix.scores)
-        weights[0, 1:] -= 1.0 + (finite.max() - finite.min())
-        assert tree.heads == tuple(_max_arborescence(weights)[1:].tolist())
+        dm = _square(matrix.scores).T.copy()
+        dm[1:, 0] -= 1.0 + (finite.max() - finite.min())
+        assert tree.heads == tuple(_arborescence(dm)[1:])
