@@ -83,15 +83,18 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print("decode: --trace requires --method lr or pr", file=sys.stderr)
         return 2
 
-    view = CorpusView.of(corpus, constraint_list, config.root_counts_left)
+    view = CorpusView.of(
+        corpus, constraint_list, config.root_counts_left,
+        projective=args.projective, single_root=config.single_root,
+    )
     # From here on the view holds the scores: once, as its stacked copy.
     del corpus, matrices
-    decode = {"projective": args.projective, "single_root": config.single_root}
-    baseline = view.decode(**decode)
+    # A score range that a decoder cannot sum is a fault of the scores.
+    baseline = _named(args.scores, view.decode)
     if args.method == "lr":
-        result = lagrangian.lr_decode(view, config.lr, **decode)
+        result = _named(args.scores, lagrangian.lr_decode, view, config.lr)
     elif args.method == "pr":
-        result = posterior.pr_decode(view, config.pr, **decode)
+        result = _named(args.scores, posterior.pr_decode, view, config.pr)
     else:
         result = InferenceResult(view.trees(baseline), np.zeros(0), (), [], True)
     if args.trace:
@@ -305,7 +308,10 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
 
 def _positive(text: str) -> int:
     """An argparse type: a positive int."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -313,7 +319,10 @@ def _positive(text: str) -> int:
 
 def _margin(text: str) -> float:
     """An argparse type: a constraint margin, a float in [0, 0.5]."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 0.5], got {text!r}") from None
     if not 0.0 <= value <= 0.5:
         raise argparse.ArgumentTypeError(f"must lie in [0, 0.5], got {value}")
     return value

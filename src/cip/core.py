@@ -491,7 +491,8 @@ def _read_each(cls: type, objs: Iterable, where: str, **defaults: Any) -> list:
 # ---------------------------------------------------------------------------
 
 def uas(predicted: Sequence[ParseTree], gold: Sequence[Sentence]) -> float:
-    """Unlabeled attachment score, micro-averaged over tokens."""
+    """Unlabeled attachment score, micro-averaged over tokens; ``ValueError``
+    when there are none."""
     if len(predicted) != len(gold):
         raise ValueError("predicted and gold differ in sentence count")
     correct = 0
@@ -503,4 +504,6 @@ def uas(predicted: Sequence[ParseTree], gold: Sequence[Sentence]) -> float:
             raise ValueError(f"sentence {k}: tree and sentence lengths differ")
         correct += sum(p == g for p, g in zip(tree.heads, sentence.gold_heads))
         total += len(sentence)
+    if total == 0:
+        raise ValueError("no tokens to score")
     return correct / total

@@ -132,34 +132,45 @@ def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
     dm = np.full((size, n + 1, n + 1), NEG_INF)
     dm[:, 1:] = x.transpose(0, 2, 1)
     heads = []
-    for b, parent in enumerate(dm.argmax(axis=2).tolist()):
-        tree = _arborescence(dm[b], parent)[1:]
-        if single_root and tree.count(0) != 1:
-            # An optimum over all trees that is single-rooted is also
-            # optimal among the single-root trees, which are a subset;
-            # otherwise decode again with a penalty on the root arcs.
-            tree = _arborescence(_penalised(dm[b], x[b]))[1:]
-        heads.append(tree)
+    # A contraction subtracts weights; where that overflows, its argmax
+    # would compare infinities, so the decode raises instead.
+    with np.errstate(over="raise"):
+        for b, parent in enumerate(dm.argmax(axis=2).tolist()):
+            try:
+                tree = _arborescence(dm[b], parent)[1:]
+            except FloatingPointError:
+                raise ValueError("score range too large for spanning-tree decoding") from None
+            if single_root and tree.count(0) != 1:
+                # An optimum over all trees that is single-rooted is also
+                # optimal among the single-root trees, which are a subset;
+                # otherwise decode again with a penalty on the root arcs.
+                tree = _single_root_tree(dm[b], x[b])
+            heads.append(tree)
     return np.array(heads)
 
 
-def _penalised(dm: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """``dm`` with one penalty C subtracted from every root arc, in place.
+def _single_root_tree(dm: np.ndarray, scores: np.ndarray) -> list[int]:
+    """The heads of Chu-Liu/Edmonds on ``dm`` with one penalty C subtracted
+    from every root arc, in place.
 
     A tree with k > 1 root children becomes a single-root tree by moving
     k - 1 of them under the first, which loses at most (k - 1) * (max -
     min) over the finite ``scores``; with C above max - min each extra root
     child costs more than that, so the optimum has exactly one root child.
     Every single-root tree moves by the same C, so they rank as under the
-    raw scores.
+    raw scores.  Once the range reaches 2**53, C = 1 + (max - min) rounds
+    to the range itself and a second root child can tie; that, and an
+    overflow, raise ``ValueError``.
     """
     finite = scores[np.isfinite(scores)]
-    with np.errstate(over="ignore"):
-        penalty = 1.0 + (finite.max() - finite.min())
-    if not np.isfinite(penalty):
+    try:
+        dm[1:, 0] -= 1.0 + (finite.max() - finite.min())
+        tree = _arborescence(dm)[1:]
+    except FloatingPointError:
+        tree = []
+    if tree.count(0) != 1:
         raise ValueError("score range too large for single-root decoding")
-    dm[1:, 0] -= penalty
-    return dm
+    return tree
 
 
 def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
@@ -173,7 +184,8 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     among tied single-root optima it returns the tree that Chu-Liu/Edmonds
     selects on the penalised scores, which is deterministic but not always
     the one with the lowest root child.  That second decode raises
-    ``ValueError`` when the range of the finite scores overflows.
+    ``ValueError`` when the penalty cannot exceed the range of the finite
+    scores, and either decode when a contraction overflows.
     """
     heads = _bucket_mst_heads(matrix.scores[None], single_root)[0]
     return ParseTree(tuple(heads.tolist()))

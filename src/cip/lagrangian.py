@@ -58,13 +58,7 @@ class IterationRecord:
     dual_value: float
 
 
-def lr_decode(
-    view: CorpusView,
-    params: LrParams = LrParams(),
-    *,
-    projective: bool = False,
-    single_root: bool = False,
-) -> InferenceResult:
+def lr_decode(view: CorpusView, params: LrParams = LrParams()) -> InferenceResult:
     """Iterate augmented decoding over ``view`` until all ratio constraints
     hold (see ``lr_infer``); ``labels`` are the constraint ids.  The loop
     keeps the least-violating iterate before its stop test and has one exit:
@@ -81,7 +75,7 @@ def lr_decode(
 
     for iteration in range(1, params.max_iter + 1):
         offsets = lambdas[:, None] * rows
-        heads = view.decode(offsets, projective=projective, single_root=single_root)
+        heads = view.decode(offsets)
         objective, dual_value, ratios = view.gather(heads, offsets)
         trace.append(
             IterationRecord(
@@ -125,8 +119,11 @@ def lr_infer(
     multipliers are returned (ties broken by higher objective).
 
     Raises ``ValueError`` when an augmented score overflows, as
-    ``ScoreMatrix`` does for a non-finite score.
+    ``ScoreMatrix`` does for a non-finite score, and when its range is too
+    large for the decoder.
     """
-    view = CorpusView.of(corpus, constraints, root_counts_left)
-    return lr_decode(view, params, projective=projective, single_root=single_root)
+    view = CorpusView.of(
+        corpus, constraints, root_counts_left, projective=projective, single_root=single_root
+    )
+    return lr_decode(view, params)
 

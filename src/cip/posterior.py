@@ -326,13 +326,7 @@ def posterior_arc_probs(view: CorpusView, lambdas: np.ndarray) -> list[np.ndarra
     return probs
 
 
-def pr_decode(
-    view: CorpusView,
-    params: PrParams = PrParams(),
-    *,
-    projective: bool = False,
-    single_root: bool = False,
-) -> InferenceResult:
+def pr_decode(view: CorpusView, params: PrParams = PrParams()) -> InferenceResult:
     """Full pipeline on ``view``: pack the touched columns, solve the dual,
     decode.
 
@@ -344,7 +338,7 @@ def pr_decode(
     packed = pack_columns(view)
     lambdas, trace = solve_dual(packed, params)
     offsets = _offsets(packed.table, lambdas)
-    heads = view.decode(offsets, projective=projective, single_root=single_root)
+    heads = view.decode(offsets)
     # The trace is empty only without feature rows: nothing to solve.
     converged = not trace or trace[-1].grad_norm < params.grad_tol
     return InferenceResult(view.trees(heads), lambdas, packed.labels, trace, converged)
@@ -360,6 +354,8 @@ def pr_infer(
     root_counts_left: bool = False,
 ) -> InferenceResult:
     """``pr_decode`` on a view of ``corpus``."""
-    view = CorpusView.of(corpus, constraints, root_counts_left)
-    return pr_decode(view, params, projective=projective, single_root=single_root)
+    view = CorpusView.of(
+        corpus, constraints, root_counts_left, projective=projective, single_root=single_root
+    )
+    return pr_decode(view, params)
 

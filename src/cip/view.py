@@ -4,8 +4,9 @@ LR and PR decode the same way: each constraint gives every arc a +1/-1/0
 class, the arc's score gains the entries that its classes pick from a
 ``(C, 3)`` offset table, one row per constraint, and an ordinary decoder
 runs on the sum.  ``CorpusView`` groups the sentences by length once per
-job.  Each bucket stacks its scores into a ``(B, n+1, n)`` array and its
-class grids into a ``(C, B, n+1, n)`` int8 array, so the table lookup, the
+job and holds the job's decode rule, so LR and PR hand it offsets only.
+Each bucket stacks its scores into a ``(B, n+1, n)`` array and its class
+grids into a ``(C, B, n+1, n)`` int8 array, so the table lookup, the
 finite check and the gather of the decoded arcs take a few array steps per
 bucket, and each decoder takes the whole stack (see ``decoder``).
 Per-sentence sums are added in corpus order, so totals are the same as a
@@ -14,8 +15,9 @@ sentence-by-sentence loop gives.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import IO, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -67,7 +69,9 @@ class _Bucket:
 
 @dataclass(frozen=True, eq=False)
 class CorpusView:
-    """A corpus with its scores and class grids stacked per sentence length.
+    """A corpus with its scores and class grids stacked per sentence length,
+    decoded by one rule: Eisner when ``projective``, else Chu-Liu/Edmonds,
+    each restricted to one root child when ``single_root``.
 
     The view keeps the sentences and the stacked scores, not the corpus, so
     the scores are held once when the caller drops the corpus.  Heads travel
@@ -77,12 +81,13 @@ class CorpusView:
     sentences: tuple[Sentence, ...]
     constraints: tuple[Constraint, ...]
     buckets: tuple[_Bucket, ...]
-    # The heads of ``decode()`` without offsets, by (projective, single_root).
-    _plain: dict = field(default_factory=dict, init=False, repr=False)
+    projective: bool = False
+    single_root: bool = False
 
     @classmethod
     def of(
-        cls, corpus: Corpus, constraints: Sequence[Constraint], root_counts_left: bool = False
+        cls, corpus: Corpus, constraints: Sequence[Constraint], root_counts_left: bool = False,
+        *, projective: bool = False, single_root: bool = False,
     ) -> CorpusView:
         if len(corpus) == 0:
             raise ValueError("corpus is empty")
@@ -90,36 +95,35 @@ class CorpusView:
             _Bucket(index, np.stack([corpus[k][1].scores for k in index]), classes)
             for index, classes in _grids(constraints, corpus.sentences, root_counts_left)
         ]
-        return cls(corpus.sentences, tuple(constraints), tuple(buckets))
+        return cls(corpus.sentences, tuple(constraints), tuple(buckets), projective, single_root)
 
-    def decode(
-        self,
-        offsets: np.ndarray | None = None,
-        *,
-        projective: bool = False,
-        single_root: bool = False,
-    ) -> list[np.ndarray]:
+    def decode(self, offsets: np.ndarray | None = None) -> list[np.ndarray]:
         """Heads of every bucket, decoded from ``shifted(offsets)``.  With no
         offsets, or all-zero ones, that is the bucket scores (``x + 0.0 ==
-        x``, -inf included): those are decoded once per ``(projective,
-        single_root)``, and later such calls return the same arrays, which
-        callers must not modify.  Raises ``ValueError`` for a non-finite
-        score at a non-self position, as ``ScoreMatrix`` does."""
-        plain = offsets is None or not offsets.any()
-        key = (projective, single_root)
-        if plain and key in self._plain:
-            return self._plain[key]
-        decode = _bucket_projective_heads if projective else _bucket_mst_heads
+        x``, -inf included): those are decoded once, and later such calls
+        return the same arrays, which callers must not modify.  Raises
+        ``ValueError`` for a non-finite score at a non-self position, as
+        ``ScoreMatrix`` does, and when the decoder's sums would overflow."""
+        if offsets is None or not offsets.any():
+            return self._plain
+        # An augmented score that overflows fails the finite check.
+        with np.errstate(over="ignore"):
+            return self._heads(self.shifted(offsets))
+
+    @cached_property
+    def _plain(self) -> list[np.ndarray]:
+        return self._heads(b.scores for b in self.buckets)
+
+    def _heads(self, stacks: Iterable[np.ndarray]) -> list[np.ndarray]:
+        decode = _bucket_projective_heads if self.projective else _bucket_mst_heads
         heads = []
-        for x in (b.scores for b in self.buckets) if plain else self.shifted(offsets):
+        for x in stacks:
             # The n self positions of each sentence are -inf or NaN, so
             # every other entry is finite iff B * n * n entries are.
             size, _, n = x.shape
             if np.count_nonzero(np.isfinite(x)) != size * n * n:
                 raise ValueError("non-finite score at a non-self position")
-            heads.append(decode(x, single_root))
-        if plain:
-            self._plain[key] = heads
+            heads.append(decode(x, self.single_root))
         return heads
 
     def shifted(self, offsets: np.ndarray) -> Iterator[np.ndarray]:

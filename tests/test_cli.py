@@ -115,6 +115,14 @@ def test_evaluate_rejects_a_prediction_without_heads(workspace, tmp_path, capsys
     assert not report.exists()
 
 
+def test_evaluate_without_tokens_names_the_gold_file(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.conllu", tmp_path / "gold.conllu"
+    pred.write_text("")
+    gold.write_text("# no sentences\n")
+    assert main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 1
+    assert capsys.readouterr() == ("", f"cip: {gold}: no tokens to score\n")
+
+
 def test_synth_report_holds_the_true_ratios(workspace, tmp_path):
     report = tmp_path / "synth.json"
     argv = ["synth", "--spec", str(workspace["spec"]), "--report", str(report)]
@@ -408,6 +416,23 @@ def test_estimate_ratios_rejects_a_negative_sample(workspace, capsys):
     assert "argument --sample: must be positive, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sample", "x", "must be a positive integer, got 'x'"),
+        ("--sample", "1.5", "must be a positive integer, got '1.5'"),
+        ("--oracle-theta", "abc", "must be a number in [0, 0.5], got 'abc'"),
+    ],
+)
+def test_estimate_ratios_names_a_malformed_number_plainly(workspace, capsys, flag, value, message):
+    argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+            "--constraints", str(workspace["constraints"]), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
 def test_estimate_ratios_rejects_an_empty_sample(workspace, tmp_path, capsys):
     # A sample of no sentences matches no arc, so every ratio would read null.
     out = tmp_path / "ratios.json"
@@ -540,6 +565,75 @@ def test_pr_decode_survives_large_score_gap(tmp_path):
     with open(out, encoding="utf-8") as handle:
         (decoded,) = cip.read_conllu(handle)
     assert cip.ParseTree(decoded.gold_heads).heads[1] == 0
+
+
+@pytest.mark.parametrize(
+    "grid, projective, single_root, rule",
+    [
+        # 1 + (max - min) rounds to the range: a second root child ties.
+        ([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]], False, True, "single-root"),
+        # Entering the cycle 2 -> 1 -> 2 from the root overflows.
+        ([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]], False, False, "spanning-tree"),
+        # A chart cell would sum two scores of 1.5e308.
+        ([[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]], True, False, "projective"),
+    ],
+)
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+def test_decoder_range_error_names_the_scores(
+    tmp_path, capsys, grid, projective, single_root, rule, method
+):
+    paths = {name: tmp_path / name for name in ("gold", "scores", "cons", "config", "out")}
+    sentence = cip.Sentence(forms=("dogs", "ran"), upos=("NOUN", "VERB"))
+    with open(paths["gold"], "w", encoding="utf-8") as handle:
+        cip.write_conllu([sentence], handle)
+    with open(paths["scores"], "w", encoding="utf-8") as handle:
+        cip.write_scores([cip.ScoreMatrix(np.array(grid))], handle)
+    constraint = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=0.5, theta=0.1)
+    with open(paths["cons"], "w", encoding="utf-8") as handle:
+        cip.save_constraints([constraint], handle)
+    paths["config"].write_text(json.dumps({"single_root": single_root}))
+    argv = [
+        "decode",
+        "--conllu", str(paths["gold"]),
+        "--scores", str(paths["scores"]),
+        "--constraints", str(paths["cons"]),
+        "--config", str(paths["config"]),
+        "--method", method,
+        "--out", str(paths["out"]),
+    ]
+    assert main(argv + ["--projective"] * projective) == 1
+    expected = f"cip: {paths['scores']}: score range too large for {rule} decoding\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not paths["out"].exists()
+
+
+def test_lr_score_overflow_names_the_scores(tmp_path, capsys):
+    # The baseline tree heads the NOUN from its left, so LR's second
+    # iteration shifts the left arcs by -1e308, and the 1 -> 3 arc overflows.
+    paths = {name: tmp_path / name for name in ("gold", "scores", "cons", "config", "out")}
+    sentence = cip.Sentence(forms=("ran", "big", "dogs"), upos=("VERB", "ADJ", "NOUN"))
+    with open(paths["gold"], "w", encoding="utf-8") as handle:
+        cip.write_conllu([sentence], handle)
+    grid = np.zeros((4, 3))
+    grid[2, 2], grid[1, 2] = 1.0, -1e308
+    with open(paths["scores"], "w", encoding="utf-8") as handle:
+        cip.write_scores([cip.ScoreMatrix(grid)], handle)
+    constraint = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=0.0, theta=0.0)
+    with open(paths["cons"], "w", encoding="utf-8") as handle:
+        cip.save_constraints([constraint], handle)
+    paths["config"].write_text(json.dumps({"lr": {"alpha0": 1e308, "max_iter": 3}}))
+    argv = [
+        "decode",
+        "--conllu", str(paths["gold"]),
+        "--scores", str(paths["scores"]),
+        "--constraints", str(paths["cons"]),
+        "--config", str(paths["config"]),
+        "--method", "lr",
+        "--out", str(paths["out"]),
+    ]
+    assert main(argv) == 1
+    expected = f"cip: {paths['scores']}: non-finite score at a non-self position\n"
+    assert capsys.readouterr() == ("", expected)
 
 
 def test_compile_constraints(tmp_path):
@@ -1215,9 +1309,9 @@ def test_decode_holds_the_scores_once(workspace, monkeypatch):
     refs, alive = [], []
     real_of, real_write = cli.CorpusView.of, cip.core.write_conllu
 
-    def of(corpus, *args):
+    def of(corpus, *args, **rule):
         refs.extend(weakref.ref(matrix) for matrix in corpus.matrices)
-        return real_of(corpus, *args)
+        return real_of(corpus, *args, **rule)
 
     def write_conllu(*args):
         gc.collect()

@@ -74,7 +74,7 @@ def loop_mst_heads(scores, single_root):
     """The heads of one ``(n+1) x n`` score array from
     ``loop_max_arborescence``; with ``single_root``, a tree with several
     root children is decoded again with the root penalty of
-    ``_penalised``."""
+    ``_single_root_tree``."""
     weights = _square(scores)
     heads = loop_max_arborescence(weights)[1:]
     if single_root and np.count_nonzero(heads == 0) != 1:
@@ -336,6 +336,29 @@ class TestMstDecode:
         # trees already has one root child, so it is returned.
         matrix = cip.ScoreMatrix(np.array([[1.5e308, -1.5e308], [0.0, 0.0], [0.0, 0.0]]))
         assert cip.mst_decode(matrix, single_root=True).heads == (0, 1)
+
+    @pytest.mark.parametrize("decode", [cip.mst_decode, cip.projective_decode])
+    def test_single_root_range_below_2_53_keeps_one_root_child(self, decode):
+        matrix = cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e15], [-1e15, 0.0]]))
+        assert decode(matrix, single_root=True).heads == (0, 1)
+
+    def test_single_root_penalty_that_cannot_exceed_the_range_raises(self):
+        # From 2**53 on, 1 + (max - min) rounds to the range, so the tree
+        # with two root children ties the single-root ones.
+        matrix = cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]]))
+        with pytest.raises(ValueError, match="^score range too large for single-root decoding$"):
+            cip.mst_decode(matrix, single_root=True)
+        assert cip.projective_decode(matrix, single_root=True).heads == (0, 1)
+
+    def test_contraction_overflow_raises(self):
+        # The greedy parents 2 -> 1 -> 2 form a cycle, and both gains of
+        # entering it from the root overflow to -inf, where the tie went to
+        # (0, 1), which scores 5e307 below (2, 0).
+        matrix = cip.ScoreMatrix(np.array([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]]))
+        with pytest.raises(
+            ValueError, match="^score range too large for spanning-tree decoding$"
+        ):
+            cip.mst_decode(matrix)
 
     def test_single_root_optimum_costs_one_arborescence(self, monkeypatch):
         calls = []

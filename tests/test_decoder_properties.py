@@ -1,9 +1,11 @@
 """Property tests: the fast decoders against the enumeration oracles on
 score matrices drawn by hypothesis, with tied and large-magnitude values."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cip
@@ -74,3 +76,62 @@ def test_single_root_mst_keeps_a_single_root_optimum(matrix):
         dm = _square(matrix.scores).T.copy()
         dm[1:, 0] -= 1.0 + (finite.max() - finite.min())
         assert tree.heads == tuple(_arborescence(dm)[1:])
+
+
+# Magnitudes log-uniform over [1, 1e308], either sign, or zero.  A matrix
+# draws at most three, so that its entries tie, and hypothesis favours the
+# bounds, so that 1e308 - (-1e308) overflows.
+MAGNITUDES = st.floats(0, 308).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_matrices(draw):
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=3))
+    signed = st.sampled_from(pool)
+    values = st.one_of(st.just(0.0), signed, signed.map(lambda v: -v))
+    flat = draw(st.lists(values, min_size=n * (n + 1), max_size=n * (n + 1)))
+    return cip.ScoreMatrix(np.array(flat).reshape(n + 1, n))
+
+
+def exact_scores(matrix, table):
+    """The score of every tree of ``table``, summed exactly: ints in units of
+    2**-1074, the least subnormal, of which every float is a multiple."""
+    units = [
+        [int(Fraction(v) * 2**1074) if np.isfinite(v) else 0 for v in row]
+        for row in matrix.scores.tolist()
+    ]
+    return [sum(units[h][d] for d, h in enumerate(heads)) for heads in table.tolist()]
+
+
+@pytest.mark.parametrize("single_root", [False, True])
+@pytest.mark.parametrize(
+    "decode, trees",
+    [(cip.mst_decode, tree_table), (cip.projective_decode, projective_tree_table)],
+    ids=["mst", "eisner"],
+)
+@settings(max_examples=300, deadline=None)
+@given(matrix=extreme_matrices())
+# Chu-Liu/Edmonds once returned two root children for the first and a
+# tree 5e307 below the optimum for the second.
+@example(matrix=cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]])))
+@example(matrix=cip.ScoreMatrix(np.array([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]])))
+def test_extreme_ranges_decode_an_optimum_or_raise(decode, trees, single_root, matrix):
+    # Each decode either refuses the range or returns a tree under the root
+    # rule whose exact score is the best one, up to float rounding at the
+    # scale of the largest score.
+    try:
+        tree = decode(matrix, single_root=single_root)
+    except ValueError as exc:
+        assert str(exc).startswith("score range too large for ")
+        return
+    assert is_tree(tree.heads)
+    table = trees(matrix.n)
+    if single_root:
+        assert root_children(tree.heads) == 1
+        table = table[(table == 0).sum(axis=1) == 1]
+    best = max(exact_scores(matrix, table))
+    got = exact_scores(matrix, np.array([tree.heads]))[0]
+    scale = max(np.abs(matrix.scores[np.isfinite(matrix.scores)]).max(), 1.0)
+    slack = max(Fraction(1, 10**12) * abs(best), Fraction(1e-12 * matrix.n * scale) * 2**1074)
+    assert best - got <= slack

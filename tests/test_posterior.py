@@ -750,10 +750,8 @@ def test_pr_decode_matches_per_sentence_reference(projective, single_root):
         cip.Constraint(id="none", kind="unary", pos="PRON", r=0.5, theta=0.1),
     ]
     corpus, _, _ = ragged_problem(rng, RAGGED_CORPORA["mixed"] * 3, constraints)
-    view = CorpusView.of(corpus, constraints)
-    result = pr_decode(
-        view, cip.PrParams(max_iter=30), projective=projective, single_root=single_root
-    )
+    view = CorpusView.of(corpus, constraints, projective=projective, single_root=single_root)
+    result = pr_decode(view, cip.PrParams(max_iter=30))
     assert np.all(result.lambdas[:4] > 0)
     np.testing.assert_array_equal(result.lambdas[4:], 0.0)
     reference = loop_pr_trees(

@@ -64,35 +64,34 @@ def test_trace_rejects_labels_it_cannot_key_by():
         write_trace(_lr_result(("a", "a")), io.StringIO())
 
 
-def _corpus_and_view(seed):
+def _corpus_and_view(seed, **rule):
     corpus = random_corpus(np.random.default_rng(seed), 12, [1, 2, 3, 5])
-    return corpus, CorpusView.of(corpus, CONSTRAINTS)
+    return corpus, CorpusView.of(corpus, CONSTRAINTS, **rule)
 
 
 @pytest.mark.parametrize("projective, single_root", DECODERS)
 def test_zero_offsets_return_the_cached_plain_decode(projective, single_root):
     # PR's offsets at zero duals are -0.0: all-zero as well.
-    _, view = _corpus_and_view(5)
-    decode = {"projective": projective, "single_root": single_root}
-    plain = view.decode(**decode)
+    _, view = _corpus_and_view(5, projective=projective, single_root=single_root)
+    plain = view.decode()
     for zeros in (np.zeros((2, 3)), -np.zeros((2, 3))):
-        heads = view.decode(zeros, **decode)
+        heads = view.decode(zeros)
         assert len(heads) == len(plain)
         assert all(got is want for got, want in zip(heads, plain))
 
 
 @pytest.mark.parametrize("projective, single_root", DECODERS)
 def test_offsets_shift_every_arc_by_its_class(projective, single_root):
-    corpus, view = _corpus_and_view(7)
+    corpus, view = _corpus_and_view(7, projective=projective, single_root=single_root)
     decode = cip.projective_decode if projective else cip.mst_decode
     want = []
     for sentence, matrix in corpus:
         grids = [class_matrix(c, sentence) for c in CONSTRAINTS]
         shifted = matrix.scores + sum(row[grid] for row, grid in zip(OFFSETS, grids))
         want.append(decode(cip.ScoreMatrix(shifted), single_root=single_root).heads)
-    heads = view.decode(OFFSETS, projective=projective, single_root=single_root)
+    heads = view.decode(OFFSETS)
     assert [tree.heads for tree in view.trees(heads)] == want
-    plain = view.decode(projective=projective, single_root=single_root)
+    plain = view.decode()
     assert want != [tree.heads for tree in view.trees(plain)]
 
 
