@@ -47,10 +47,10 @@ def _write_json(path: str, payload: object) -> None:
     _atomic_write(path, lambda h: (json.dump(payload, h, indent=2), h.write("\n")))
 
 
-def _named(path: str, call: Callable, *args: Any) -> Any:
-    """``call(*args)``; a ``ValueError`` it raises names ``path``."""
+def _named(path: str, call: Callable, *args: Any, **kwargs: Any) -> Any:
+    """``call(*args, **kwargs)``; a ``ValueError`` it raises names ``path``."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -83,8 +83,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print("decode: --trace requires --method lr or pr", file=sys.stderr)
         return 2
 
-    view = CorpusView.of(
-        corpus, constraint_list, config.root_counts_left,
+    view = _named(
+        args.conllu, CorpusView.of, corpus, constraint_list, config.root_counts_left,
         projective=args.projective, single_root=config.single_root,
     )
     # From here on the view holds the scores: once, as its stacked copy.

@@ -14,9 +14,13 @@ their B = 1 case.  Chu-Liu/Edmonds works on dependent-major weights,
 contiguous rows for the whole bucket, and only sentences whose greedy
 parents form a cycle are contracted.  Each contraction makes one permuted
 copy, the other nodes then the cycle members, and reads the best arcs
-leaving and entering the cycle from its slices.  Eisner takes the overflow
-bound and the square weights once per bucket and fills one chart per
-sentence.
+leaving and entering the cycle from its slices; the levels are descended
+in a loop and expanded in reverse, so no depth of contraction recurses.
+Eisner takes the overflow bound and the square weights once per bucket and
+fills one chart per sentence, one numpy step per span width.  Each width
+keeps its two ``argmax`` results as its split rows, reads its best sums
+with one flat ``take`` at row offsets cached per node count, and the
+backtrack walks those rows with an explicit stack.
 
 Decoding is deterministic.  Multi-root ties go to the lower head index:
 every argmax, including those over cycle members during contraction, takes
@@ -79,46 +83,51 @@ def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
 
     Node 0 is the root (row 0 must be -inf).  ``parent``, when given, is
     the greedy parent of every node, ``dm.argmax(axis=1)``.  Returns the
-    parent of every node; entry 0 is unused.
+    parent of every node; entry 0 is unused.  Each contraction level is
+    kept on a list on the way down and expanded on the way back up, so the
+    depth of the contraction is not bound by the stack.
     """
     if parent is None:
         parent = dm.argmax(axis=1).tolist()
-    cycle = _find_cycle(parent, len(parent))
-    if cycle is None:
-        return parent
-
-    # The other nodes, then the cycle members, both in ascending order, so
-    # every argmax below keeps the lowest-index tie-break.  The root is
-    # rest[0], and the contracted cycle takes index c_id, after the rest.
-    members = sorted(cycle)
-    in_cycle = set(cycle)
-    rest = [v for v in range(len(parent)) if v not in in_cycle]
-    c_id = len(rest)
-    order = np.array(rest + members)
-    perm = dm.take(order, axis=0).take(order, axis=1)
-    # Arcs leaving the cycle: the best member head of every outside node.
-    out_arcs = perm[:c_id, c_id:]
-    leaving = out_arcs.argmax(axis=1).tolist()
-    out_best = np.maximum.reduce(out_arcs, axis=1)
-    # Arcs entering the cycle: the best gain over the member's greedy
-    # parent, whose weight is the maximum of the member's row.
-    into = perm[c_id:]
-    gains = into[:, :c_id] - np.maximum.reduce(into, axis=1)[:, None]
-    # The contracted matrix is the leading c_id + 1 block of perm: the
-    # cycle node takes the first member's row and column.
-    perm[:c_id, c_id] = out_best
-    perm[c_id, :c_id] = np.maximum.reduce(gains)
-    perm[c_id, c_id] = NEG_INF
-
-    sub_parent = _arborescence(perm[: c_id + 1, : c_id + 1])
-    # An outside node headed by the cycle takes its best member head, and
-    # the cycle's head enters it at the member of the best gain.
-    result = parent[:]
-    for v, head, leave in zip(rest, sub_parent, leaving):
-        result[v] = members[leave] if head == c_id else rest[head]
-    head = sub_parent[c_id]
-    result[members[int(gains[:, head].argmax())]] = rest[head]
-    return result
+    levels = []
+    while (cycle := _find_cycle(parent, len(parent))) is not None:
+        # The other nodes, then the cycle members, both in ascending order,
+        # so every argmax below keeps the lowest-index tie-break.  The root
+        # is rest[0], and the contracted cycle takes index c_id, after the
+        # rest.
+        members = sorted(cycle)
+        in_cycle = set(cycle)
+        rest = [v for v in range(len(parent)) if v not in in_cycle]
+        c_id = len(rest)
+        order = np.array(rest + members)
+        perm = dm.take(order, axis=0).take(order, axis=1)
+        # Arcs leaving the cycle: the best member head of every outside node.
+        out_arcs = perm[:c_id, c_id:]
+        leaving = out_arcs.argmax(axis=1).tolist()
+        out_best = np.maximum.reduce(out_arcs, axis=1)
+        # Arcs entering the cycle: the best gain over the member's greedy
+        # parent, whose weight is the maximum of the member's row.
+        into = perm[c_id:]
+        gains = into[:, :c_id] - np.maximum.reduce(into, axis=1)[:, None]
+        # The contracted matrix is the leading c_id + 1 block of perm: the
+        # cycle node takes the first member's row and column.
+        perm[:c_id, c_id] = out_best
+        perm[c_id, :c_id] = np.maximum.reduce(gains)
+        perm[c_id, c_id] = NEG_INF
+        levels.append((parent, rest, members, leaving, gains))
+        dm = perm[: c_id + 1, : c_id + 1]
+        parent = dm.argmax(axis=1).tolist()
+    for above, rest, members, leaving, gains in reversed(levels):
+        # An outside node headed by the cycle takes its best member head,
+        # and the cycle's head enters it at the member of the best gain.
+        result = above[:]
+        c_id = len(rest)
+        for v, head, leave in zip(rest, parent, leaving):
+            result[v] = members[leave] if head == c_id else rest[head]
+        head = parent[c_id]
+        result[members[int(gains[:, head].argmax())]] = rest[head]
+        parent = result
+    return parent
 
 
 def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
@@ -199,7 +208,6 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
 # complete spans headed at their right end, _RIGHT those headed at their
 # left end, _INCOMP the incomplete spans.
 _LEFT, _INCOMP, _RIGHT = 0, 1, 2
-_PAIR = np.array([[0], [1]])  # the first axis of the two complete sums
 
 
 @lru_cache(maxsize=None)
@@ -214,6 +222,21 @@ def _arc_index(size: int) -> np.ndarray:
     index = np.where((i + w < size)[:, None], index, 0)
     index.flags.writeable = False
     return index
+
+
+@lru_cache(maxsize=None)
+def _row_starts(count: int) -> tuple:
+    """The row offsets of every width's split sums in a chart over
+    ``count`` nodes: entry w is ``(2, count - w)``, and ``[r, t]`` is the
+    flat index at which row t of sum r starts in a ``(2, count - w, w)``
+    array.  Its row 0 serves a ``(count - w, w)`` array too.  Entry 0 is
+    unused."""
+    starts = [None]
+    for w in range(1, count):
+        offsets = np.arange(0, 2 * (count - w) * w, w).reshape(2, count - w)
+        offsets.flags.writeable = False
+        starts.append(offsets)
+    return tuple(starts)
 
 
 def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
@@ -232,60 +255,71 @@ def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
       complete [k, j] with head k, k = i + 1 .. j.
 
     Incomplete spans are never of width 0 and sit at width - 1, so the w
-    split points of all spans of width w are ``left[r, starts, :w] +
-    right[r, ends, hi - w + 1:]``: two forward slices and one numpy sum
-    over every start position.  The incomplete sum goes, plus each arc, to
-    ``right[_LEFT]`` (head j) and ``left[_RIGHT]`` (head i); the two
-    complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
-    ``right[_INCOMP:]``, where the wider spans read them as halves.  Each
-    best value is read at its ``argmax``, the first maximum, so
-    ``split[r, i, w]`` is the lowest best split of span [i, i + w], counted
-    from its first: ``k - i`` for ``_LEFT`` and ``_INCOMP``, ``k - i - 1``
-    for ``_RIGHT``.  Returns ``(left, right, split)``.
+    split points of all spans of width w are ``left[r, i, :w] + right[r, j,
+    hi - w + 1:]`` over the starts i and ends j: two forward slices and one
+    numpy sum over every start position.  Each best value is read at its
+    ``argmax``, the first maximum, with one flat ``take`` at the width's
+    row offsets (``_row_starts``).  The incomplete sum is added to each arc
+    straight into ``right[_LEFT]`` (head j) and ``left[_RIGHT]`` (head i);
+    the two complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
+    ``right[_INCOMP:]``, where the wider spans read them as halves.
+
+    Returns ``(left, right, splits)``.  ``splits[w]`` holds the width's two
+    ``argmax`` results, its split rows: ``(k_incomp, k_complete)``, indexed
+    by ``i - lo``, with ``k_complete`` rows 0 (``_LEFT``) and 1
+    (``_RIGHT``).  Each is the lowest best split of span [i, i + w],
+    counted from its first: ``k - i`` for ``_LEFT`` and ``_INCOMP``, ``k -
+    i - 1`` for ``_RIGHT``.  Entry 0 is unused.
     """
     size = hi + 1
     left, right = np.full((2, 3, size, size), NEG_INF)
     left[:_RIGHT, lo:, 0] = right[_INCOMP:, lo:, hi] = 0.0
-    split = np.zeros((3, size, size), dtype=int)
     arcs = weights.take(_arc_index(size))
-    rows = np.arange(size - lo)
+    offsets = _row_starts(size - lo)
+    splits = [None]
     for w in range(1, size - lo):
         i, j, c = slice(lo, size - w), slice(lo + w, size), hi - w
-        starts = rows[: size - lo - w]
+        rows = offsets[w]
         halves = left[_INCOMP, i, :w] + right[_INCOMP, j, c + 1:]
-        k = halves.argmax(axis=1)
-        split[_INCOMP, i, w] = k
-        incomplete = halves[starts, k] + arcs[w, :, i]
-        right[_LEFT, j, c + 1] = incomplete[0]
-        left[_RIGHT, i, w - 1] = incomplete[1]
+        k_incomp = halves.argmax(axis=1)
+        best = halves.take(k_incomp + rows[0])
+        np.add(best, arcs[w, 0, i], out=right[_LEFT, j, c + 1])
+        np.add(best, arcs[w, 1, i], out=left[_RIGHT, i, w - 1])
         halves = left[::2, i, :w] + right[::2, j, c + 1:]
-        k = halves.argmax(axis=2)
-        split[::2, i, w] = k
-        best = halves[_PAIR, starts, k]
-        left[:_RIGHT, i, w] = right[_INCOMP:, j, c] = best
-    return left, right, split
+        k_complete = halves.argmax(axis=2)
+        left[:_RIGHT, i, w] = right[_INCOMP:, j, c] = halves.take(k_complete + rows)
+        splits.append((k_incomp, k_complete))
+    return left, right, splits
 
 
-def _eisner_backtrack(split: np.ndarray, i: int, j: int, direction: int,
-                      complete: bool, heads: list[int]) -> None:
-    if i == j:
-        return
-    if complete:
-        k = i + int(split[direction, i, j - i])
-        if direction == _LEFT:
-            _eisner_backtrack(split, i, k, _LEFT, True, heads)
-            _eisner_backtrack(split, k, j, _LEFT, False, heads)
+def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> None:
+    """Set ``heads`` along the best derivation of each span in ``spans``,
+    read from the split rows of ``_eisner_chart`` over [lo, hi].  A span is
+    ``(i, j, direction, complete)``, direction ``_LEFT`` with its head at
+    j; the walk keeps the spans still to expand on a stack."""
+    stack = list(spans)
+    while stack:
+        i, j, direction, complete = stack.pop()
+        if i == j:
+            continue
+        k_incomp, k_complete = splits[j - i]
+        if complete:
+            if direction == _LEFT:
+                k = i + int(k_complete[0, i - lo])
+                stack.append((i, k, _LEFT, True))
+                stack.append((k, j, _LEFT, False))
+            else:
+                k = i + 1 + int(k_complete[1, i - lo])
+                stack.append((i, k, _RIGHT, False))
+                stack.append((k, j, _RIGHT, True))
         else:
-            _eisner_backtrack(split, i, k + 1, _RIGHT, False, heads)
-            _eisner_backtrack(split, k + 1, j, _RIGHT, True, heads)
-    else:
-        k = i + int(split[_INCOMP, i, j - i])
-        if direction == _LEFT:
-            heads[i - 1] = j
-        else:
-            heads[j - 1] = i
-        _eisner_backtrack(split, i, k, _RIGHT, True, heads)
-        _eisner_backtrack(split, k + 1, j, _LEFT, True, heads)
+            if direction == _LEFT:
+                heads[i - 1] = j
+            else:
+                heads[j - 1] = i
+            k = i + int(k_incomp[i - lo])
+            stack.append((i, k, _RIGHT, True))
+            stack.append((k + 1, j, _LEFT, True))
 
 
 def _square(x: np.ndarray) -> np.ndarray:
@@ -312,16 +346,17 @@ def _bucket_projective_heads(x: np.ndarray, single_root: bool = False) -> np.nda
     for weights in _square(x):
         tree = [0] * n
         if not single_root:
-            _, _, split = _eisner_chart(weights, 0, n)
-            _eisner_backtrack(split, 0, n, _RIGHT, True, tree)
+            _, _, splits = _eisner_chart(weights, 0, n)
+            _eisner_backtrack(splits, 0, [(0, n, _RIGHT, True)], tree)
         else:
-            left, right, split = _eisner_chart(weights, 1, n)
+            left, right, splits = _eisner_chart(weights, 1, n)
             # Root child m = 1 .. n heads the spans [1, m] and [m, n].
             value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
             best_m = 1 + int(np.argmax(value))
             tree[best_m - 1] = 0
-            _eisner_backtrack(split, 1, best_m, _LEFT, True, tree)
-            _eisner_backtrack(split, best_m, n, _RIGHT, True, tree)
+            _eisner_backtrack(
+                splits, 1, [(1, best_m, _LEFT, True), (best_m, n, _RIGHT, True)], tree
+            )
         heads.append(tree)
     return np.array(heads)
 

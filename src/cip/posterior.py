@@ -177,8 +177,11 @@ def _offsets(table: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
 
 def _head_probs(scores: np.ndarray) -> np.ndarray:
     """Softmax of a ``(B, n+1, n)`` score stack over its head axis: each
-    sentence's per-dependent head distributions, 0 on the self positions."""
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    sentence's per-dependent head distributions, 0 on the self positions.
+    A column whose scores span more than the float range overflows to -inf
+    below its maximum, which is a probability of 0 either way."""
+    with np.errstate(over="ignore"):
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 

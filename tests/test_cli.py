@@ -298,7 +298,7 @@ def test_empty_corpus_is_a_clean_error(tmp_path, capsys, method, report):
     if report:
         argv += ["--report", str(tmp_path / "report.json")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "cip: corpus is empty\n"
+    assert capsys.readouterr().err == f"cip: {gold}: corpus is empty\n"
     assert not out.exists()
 
 

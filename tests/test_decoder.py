@@ -1,5 +1,8 @@
 """Decoders against brute-force enumeration."""
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -123,7 +126,7 @@ def loop_eisner_chart(weights, lo, hi):
 
 def chart_by_span(weights, lo, hi):
     """``_eisner_chart`` laid out as ``loop_eisner_chart``'s four charts."""
-    left, right, split = _eisner_chart(weights, lo, hi)
+    left, right, splits = _eisner_chart(weights, lo, hi)
     size = hi + 1
     i, j = np.triu_indices(size)
     # Complete spans are kept twice: by start and width in ``left``, by end
@@ -133,15 +136,21 @@ def chart_by_span(weights, lo, hi):
     assert np.array_equal(comp_r, right[_RIGHT, j, hi - (j - i)])
     comp = np.full((size, size, 2), NEG_INF)
     comp[i, j, 0], comp[i, j, 1] = comp_l, comp_r
-    # Spans of width 0 have no split.  The others count theirs from their
-    # first: k - i, or k - i - 1 for a complete span headed at i.
-    i, j = np.triu_indices(size, 1)
+    # Spans of width 0 have no split.  Each wider one has its width's split
+    # rows, indexed by start - lo, which count the split from the span's
+    # first node: k - i, or k - i - 1 for a complete span headed at i.
     comp_bp = np.zeros((size, size, 2), dtype=int)
-    comp_bp[i, j, 0] = i + split[_LEFT, i, j - i]
-    comp_bp[i, j, 1] = i + 1 + split[_RIGHT, i, j - i]
     incomp_bp = np.zeros((size, size, 2), dtype=int)
-    incomp_bp[i, j, 0] = incomp_bp[i, j, 1] = i + split[_INCOMP, i, j - i]
+    assert splits[0] is None and len(splits) == size - lo
+    for w, (k_incomp, k_complete) in enumerate(splits[1:], start=1):
+        assert k_incomp.shape == (size - lo - w,)
+        assert k_complete.shape == (2, size - lo - w)
+        i = np.arange(lo, size - w)
+        comp_bp[i, i + w, 0] = i + k_complete[0]
+        comp_bp[i, i + w, 1] = i + 1 + k_complete[1]
+        incomp_bp[i, i + w, 0] = incomp_bp[i, i + w, 1] = i + k_incomp
     # Incomplete spans sit at width - 1: head j by end, head i by start.
+    i, j = np.triu_indices(size, 1)
     incomp = np.full((size, size, 2), NEG_INF)
     incomp[i, j, 0] = right[_LEFT, j, hi - (j - i - 1)]
     incomp[i, j, 1] = left[_RIGHT, i, j - i - 1]
@@ -154,23 +163,42 @@ def loop_projective_heads(weights, chart, single_root):
     ``>`` loop) and over [0, n] otherwise."""
     comp, _, comp_bp, incomp_bp = chart
     n = comp.shape[0] - 1
-    split = np.zeros((3, n + 1, n + 1), dtype=int)
-    i, j = np.triu_indices(n + 1)
-    split[_LEFT, i, j - i] = comp_bp[i, j, 0] - i
-    split[_RIGHT, i, j - i] = comp_bp[i, j, 1] - i - 1
-    split[_INCOMP, i, j - i] = incomp_bp[i, j, 1] - i
+    lo = 1 if single_root else 0
+    # The pointers as ``_eisner_chart``'s split rows, one pair per width.
+    splits = [None]
+    for w in range(1, n + 1 - lo):
+        i = np.arange(lo, n + 1 - w)
+        k_complete = np.stack((comp_bp[i, i + w, 0] - i, comp_bp[i, i + w, 1] - i - 1))
+        splits.append((incomp_bp[i, i + w, 1] - i, k_complete))
     heads = [0] * n
     if not single_root:
-        _eisner_backtrack(split, 0, n, _RIGHT, True, heads)
+        _eisner_backtrack(splits, 0, [(0, n, _RIGHT, True)], heads)
         return tuple(heads)
     best, best_m = NEG_INF, 1
     for m in range(1, n + 1):
         value = weights[0, m] + comp[1, m, 0] + comp[m, n, 1]
         if value > best:
             best, best_m = value, m
-    _eisner_backtrack(split, 1, best_m, _LEFT, True, heads)
-    _eisner_backtrack(split, best_m, n, _RIGHT, True, heads)
+    _eisner_backtrack(splits, 1, [(1, best_m, _LEFT, True), (best_m, n, _RIGHT, True)], heads)
     return tuple(heads)
+
+
+def stack_depth():
+    """The number of frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestMstDecode:
@@ -361,21 +389,43 @@ class TestMstDecode:
             cip.mst_decode(matrix)
 
     def test_single_root_optimum_costs_one_arborescence(self, monkeypatch):
-        calls = []
-        real = decoder._arborescence
+        calls, levels = [], []
+        real, find = decoder._arborescence, decoder._find_cycle
         monkeypatch.setattr(
             decoder,
             "_arborescence",
             lambda dm, parent=None: calls.append(1) or real(dm, parent),
         )
+        monkeypatch.setattr(
+            decoder, "_find_cycle", lambda parent, m: levels.append(1) or find(parent, m)
+        )
         one_root = cip.ScoreMatrix(np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         assert cip.mst_decode(one_root, single_root=True).heads == (0, 1)
-        assert len(calls) == 1
+        assert len(calls) == len(levels) == 1
         # Two root children: the penalised decode runs as well, and its
-        # greedy heads form the cycle 1 <-> 2, contracted once.
+        # greedy heads form the cycle 1 <-> 2, contracted once, so that
+        # decode looks for a cycle on two levels.
         two_roots = cip.ScoreMatrix(np.array([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]))
         assert cip.mst_decode(two_roots, single_root=True).heads == (0, 1)
-        assert len(calls) == 1 + 1 + 2
+        assert len(calls) == 1 + 1 + 1
+        assert len(levels) == 1 + 1 + 2
+
+    def test_long_contraction_chain_needs_no_recursion(self):
+        # Greedy parents close the cycle 1 <-> 2, and each contracted cycle
+        # then forms a new one with the next token, which prefers its left
+        # neighbour by 1e-4: n - 1 contraction levels, kept on a list.
+        n = 120
+        scores = np.full((n + 1, n), -100.0)
+        scores[0] = 0.0
+        scores[2, 0] = scores[1, 1] = 10.0
+        d = np.arange(3, n + 1)
+        scores[d - 1, d - 1] = 10.0
+        scores[d, d - 2] = 10.0 - 1e-4
+        matrix = cip.ScoreMatrix(scores)
+        with recursion_limit(stack_depth() + 60):
+            heads = cip.mst_decode(matrix).heads
+        assert heads == tuple(range(n))
+        assert heads == tuple(loop_max_arborescence(_square(matrix.scores))[1:])
 
 
 class TestProjectiveDecode:
@@ -546,8 +596,24 @@ class TestProjectiveDecode:
         weights = _square(rng.integers(-2, 3, (n + 1, n)).astype(float))
         poisoned = weights.copy()
         poisoned[0, :] = poisoned[:, 0] = np.nan
-        for got, want in zip(_eisner_chart(poisoned, 1, n), _eisner_chart(weights, 1, n)):
-            assert np.array_equal(got, want)
+        got, want = _eisner_chart(poisoned, 1, n), _eisner_chart(weights, 1, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(got[2]) == len(want[2])
+        for got_rows, want_rows in zip(got[2][1:], want[2][1:]):
+            for a, b in zip(got_rows, want_rows):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_long_right_branching_chain_needs_no_recursion(self, single_root):
+        # Every token heads the next, so the derivation nests about 2n spans
+        # deep; the backtrack walks it with a stack, not the call stack.
+        n = 150
+        scores = np.full((n + 1, n), -5.0)
+        scores[np.arange(n), np.arange(n)] = 1.0
+        matrix = cip.ScoreMatrix(scores)
+        with recursion_limit(stack_depth() + 60):
+            heads = cip.projective_decode(matrix, single_root=single_root).heads
+        assert heads == tuple(range(n))
 
 
 class TestBruteForce:

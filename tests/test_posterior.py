@@ -649,6 +649,17 @@ class TestPosteriorArcProbs:
                 assert measured <= previous
             previous = measured
 
+    def test_column_spanning_the_float_range(self):
+        # The score of head 2 minus the column maximum overflows to -inf,
+        # which is a probability of 0, without a warning.
+        scores = np.array([[1e308, 0.0], [0.0, 0.0], [-1e308, 0.0]])
+        corpus = cip.Corpus(((make_sentence(("NOUN", "VERB")), cip.ScoreMatrix(scores)),))
+        view = CorpusView.of(corpus, [NOUN_LEFT])
+        (q,) = cip.posterior_arc_probs(view, np.zeros(2))
+        np.testing.assert_array_equal(q, [[1.0, 0.5], [0.0, 0.5], [0.0, 0.0]])
+        packed = pack_columns(view)
+        np.testing.assert_array_equal(packed.mass.sum(axis=1), 1.0)
+
     def test_kl_zero_at_identity_nonnegative_elsewhere(self):
         rng = np.random.default_rng(49)
         _, dists, _, view = small_problem(rng)
