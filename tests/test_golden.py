@@ -1,19 +1,30 @@
-"""Decoded heads against heads recorded from an earlier decoder.
+"""Decoded output against output recorded from an earlier commit.
 
 ``tests/data/golden`` holds a synthetic corpus of 48 sentences of 1-12
 tokens (``corpus.conllu``), its scores (``scores.jsonl``), the same scores
 rounded to integers so that ties are everywhere (``scores_tied.jsonl``),
-two constraints and ``heads.json``: the HEAD column that ``cip decode``
-wrote for every score file, method, ``--projective`` and ``single_root``.
-A decoder rewrite must keep every head, ties included.  Only heads are
-compared, not floats.
+two constraints, and what ``cip decode`` wrote for every score file,
+method, ``--projective`` and ``single_root``:
 
-To record the heads of another commit, run this file at that commit:
-``PYTHONPATH=src python tests/test_golden.py``.
+- ``heads.json``: the HEAD column of ``--out``, per sentence;
+- ``reports.json``: the ``--report`` object;
+- ``traces.json``: the ``--trace`` records of the LR and PR cases.
+
+A decoder rewrite must keep every head, ties included, so heads are
+compared exactly.  Report and trace numbers are compared with
+``math.isclose(rel_tol=1e-9, abs_tol=1e-12)``, and every other value
+exactly.  Each file keeps one case per line.
+
+A change that changes a recorded file re-records it in the same commit and
+says why in CHANGES.md.  To record the output of a commit, run this file at
+that commit: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import functools
 import itertools
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,14 +39,23 @@ CASES = [
         ("scores", "scores_tied"), ("baseline", "lr", "pr"), (False, True), (False, True)
     )
 ]
+TRACED = [case for case in CASES if case.split("/")[1] != "baseline"]
+FILES = ("heads", "reports", "traces")
 
 
-def decode_heads(case: str, workdir: Path) -> list[list[int]]:
-    """The HEAD column ``cip decode`` writes for ``case``, per sentence."""
+@functools.cache
+def decode_case(case: str) -> dict:
+    """What ``cip decode`` writes for ``case``: its heads per sentence, its
+    report and, for LR and PR, its trace records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _decode_case(case, Path(tmp))
+
+
+def _decode_case(case: str, workdir: Path) -> dict:
     scores, method, decoder, root = case.split("/")
     config = workdir / "config.json"
     config.write_text(json.dumps({"single_root": root == "single"}))
-    out = workdir / "out.conllu"
+    out, report, trace = workdir / "out.conllu", workdir / "report.json", workdir / "trace.jsonl"
     argv = [
         "decode",
         "--conllu", str(GOLDEN / "corpus.conllu"),
@@ -44,33 +64,95 @@ def decode_heads(case: str, workdir: Path) -> list[list[int]]:
         "--method", method,
         "--config", str(config),
         "--out", str(out),
+        "--report", str(report),
     ]
     if decoder == "eisner":
         argv.append("--projective")
+    if case in TRACED:
+        argv += ["--trace", str(trace)]
     assert main(argv) == 0
     with out.open() as handle:
-        return [list(s.gold_heads) for s in cip.read_conllu(handle)]
+        recorded = {"heads": [list(s.gold_heads) for s in cip.read_conllu(handle)]}
+    recorded["reports"] = json.loads(report.read_text())
+    if case in TRACED:
+        recorded["traces"] = [json.loads(line) for line in trace.read_text().splitlines()]
+    return recorded
+
+
+def leaves(value, key: str = "") -> dict:
+    """The scalars of a JSON value by their path, ``a.b[2].c``."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{name}", item) for name, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return {key: value}
+    return {path: leaf for k, item in items for path, leaf in leaves(item, k).items()}
+
+
+def mismatches(got, want) -> list[tuple[float, str]]:
+    """``(difference, path)`` of every scalar of ``got`` that differs from
+    ``want``: numbers beyond the tolerance, other values at all; a path on
+    one side only differs by inf."""
+    got, want = leaves(got), leaves(want)
+    found = [(math.inf, key) for key in sorted(got.keys() ^ want.keys())]
+    for key in sorted(got.keys() & want.keys()):
+        a, b = got[key], want[key]
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers and not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12):
+            found.append((abs(a - b), key))
+        elif not numbers and a != b:
+            found.append((math.inf, key))
+    return found
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads((GOLDEN / "heads.json").read_text())
+    return {name: json.loads((GOLDEN / f"{name}.json").read_text()) for name in FILES}
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden["heads"]) == sorted(CASES)
+    assert sorted(golden["reports"]) == sorted(CASES)
+    assert sorted(golden["traces"]) == sorted(TRACED)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_heads_match_golden(case, golden, tmp_path):
-    assert decode_heads(case, tmp_path) == golden[case]
+def test_heads_match_golden(case, golden):
+    assert decode_case(case)["heads"] == golden["heads"][case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_and_trace_match_golden(case, golden):
+    recorded = decode_case(case)
+    for name in ("reports", "traces"):
+        if name in recorded:
+            found = mismatches(recorded[name], golden[name][case])
+            if found:
+                difference, key = max(found)
+                pytest.fail(f"{case}: {name}{key}: largest difference {difference:g}"
+                            f" ({len(found)} values differ)")
+
+
+def test_mismatches_name_the_largest_difference():
+    want = {"a": [1.0, 2.0], "b": "x", "c": None}
+    assert mismatches(want, want) == []
+    assert mismatches({"a": [1.0 + 1e-13, 2.0], "b": "x", "c": None}, want) == []
+    got = {"a": [1.5, 2.1], "b": "x", "c": None}
+    assert max(mismatches(got, want)) == (0.5, ".a[0]")
+    assert mismatches({"a": [1.0, 2.0], "b": "y", "c": 0.0}, want) == [
+        (math.inf, ".b"), (math.inf, ".c")
+    ]
+    assert mismatches({"a": [1.0], "b": "x", "c": None}, want) == [(math.inf, ".a[1]")]
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        heads = {case: decode_heads(case, Path(tmp)) for case in CASES}
-    # One case per line, so that a diff names the cases that moved.
-    lines = [f"{json.dumps(case)}: {json.dumps(heads[case])}" for case in CASES]
-    (GOLDEN / "heads.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    output = {case: decode_case(case) for case in CASES}
+    for name in FILES:
+        # One case per line, so that a diff names the cases that moved.
+        lines = [
+            f"{json.dumps(case)}: {json.dumps(output[case][name])}"
+            for case in CASES
+            if name in output[case]
+        ]
+        (GOLDEN / f"{name}.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
