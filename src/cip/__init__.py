@@ -28,13 +28,12 @@ from .decoder import (
     InfeasibleError,
     brute_force_constrained,
     brute_force_decode,
-    decode_corpus,
     is_projective,
     mst_decode,
     projective_decode,
 )
-from .lagrangian import LrParams, lr_infer
-from .posterior import PrParams, posterior_arc_probs, pr_infer, solve_dual
+from .lagrangian import LrParams, lr_decode
+from .posterior import PrParams, posterior_arc_probs, pr_decode, solve_dual
 from .synthetic import SyntheticSpec, generate_synthetic
 from .typology import (
     Orientation,
@@ -43,13 +42,14 @@ from .typology import (
     estimate_ratio,
     fit_unary_ratio,
 )
-from .view import InferenceResult
+from .view import CorpusView, InferenceResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Constraint",
     "Corpus",
+    "CorpusView",
     "FormatError",
     "InfeasibleError",
     "InferenceConfig",
@@ -66,7 +66,6 @@ __all__ = [
     "brute_force_decode",
     "compile_binary",
     "coverage",
-    "decode_corpus",
     "estimate_ratio",
     "expected_ratio",
     "fit_unary_ratio",
@@ -74,11 +73,11 @@ __all__ = [
     "is_projective",
     "is_satisfied",
     "load_constraints",
-    "lr_infer",
+    "lr_decode",
     "mst_decode",
     "pair_corpus",
     "posterior_arc_probs",
-    "pr_infer",
+    "pr_decode",
     "projective_decode",
     "ratio",
     "ratio_gap",

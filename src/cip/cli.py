@@ -77,8 +77,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
     constraint_list = _load(args.constraints, cns.load_constraints) if args.constraints else []
     if args.method in ("lr", "pr") and not constraint_list:
-        print("decode: --method lr/pr requires --constraints", file=sys.stderr)
-        return 2
+        if not args.constraints:
+            print("decode: --method lr/pr requires --constraints", file=sys.stderr)
+            return 2
+        raise ValueError(f"{args.constraints}: no constraints for --method {args.method}")
     if args.trace and args.method == "baseline":
         print("decode: --trace requires --method lr or pr", file=sys.stderr)
         return 2

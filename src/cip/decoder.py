@@ -483,14 +483,3 @@ def brute_force_constrained(
         matrix.tree_score(tree.heads) for (_, matrix), tree in zip(corpus, trees)
     )
     return trees, float(objective)
-
-
-def decode_corpus(
-    corpus: Corpus,
-    *,
-    projective: bool = False,
-    single_root: bool = False,
-) -> list[ParseTree]:
-    """Per-sentence unconstrained decode of a whole corpus."""
-    decode = projective_decode if projective else mst_decode
-    return [decode(matrix, single_root=single_root) for _, matrix in corpus]

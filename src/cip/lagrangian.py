@@ -9,22 +9,21 @@ measured-ratio error, ``lambda += alpha * (r - r_hat)``, with a
 geometrically decaying step size; the loop stops early once every measured
 ratio sits in its band, by the test of ``is_satisfied``.
 
-``lr_decode`` runs on a ``CorpusView``: every iteration passes the view the
-``(C, 3)`` offset table ``lambdas[:, None] * rows``, each row the class row
-of its constraint's ``r``.  The view decodes each length bucket from raw
-arrays and gathers the objective, the dual value and the ratio counts in a
-few array steps per bucket.  Trees are built only for the returned iterate.
+``lr_decode`` runs on a ``CorpusView`` from ``CorpusView.of``, which holds
+the decode rule: every iteration passes the view the ``(C, 3)`` offset
+table ``lambdas[:, None] * rows``, each row the class row of its
+constraint's ``r``.  The view decodes each length bucket from raw arrays
+and gathers the objective, the dual value and the ratio counts in a few
+array steps per bucket.  Trees are built only for the returned iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .constraints import Constraint, _class_row, is_satisfied
-from .core import Corpus
 from .view import CorpusView, InferenceResult
 
 
@@ -59,11 +58,18 @@ class IterationRecord:
 
 
 def lr_decode(view: CorpusView, params: LrParams = LrParams()) -> InferenceResult:
-    """Iterate augmented decoding over ``view`` until all ratio constraints
-    hold (see ``lr_infer``); ``labels`` are the constraint ids.  The loop
-    keeps the least-violating iterate before its stop test and has one exit:
-    a satisfied iterate violates by less than every earlier one, so it is
-    the one kept."""
+    """Iterate augmented decoding over ``view`` until every constraint holds.
+
+    Returns an ``InferenceResult``: the decoded trees, the multipliers they
+    were decoded under, the constraint ids as ``labels``, the per-iteration
+    trace, and whether the loop converged.  At the iteration cap the
+    least-violating iterate's trees and multipliers are returned (ties
+    broken by higher objective).  The loop keeps that iterate before its
+    stop test and has one exit: a satisfied iterate violates by less than
+    every earlier one, so it is the one kept.  Raises ``ValueError`` when
+    an augmented score overflows, as ``ScoreMatrix`` does for a non-finite
+    score, and when its range is too large for the decoder.
+    """
     constraints = view.constraints
     labels = tuple(c.id for c in constraints)
     rows = np.array([_class_row(c.r) for c in constraints]).reshape(-1, 3)
@@ -100,30 +106,3 @@ def lr_decode(view: CorpusView, params: LrParams = LrParams()) -> InferenceResul
         alpha *= params.eta
 
     return InferenceResult(view.trees(best[2]), best[3], labels, trace, converged)
-
-
-def lr_infer(
-    corpus: Corpus,
-    constraints: Sequence[Constraint],
-    params: LrParams = LrParams(),
-    *,
-    projective: bool = False,
-    single_root: bool = False,
-    root_counts_left: bool = False,
-) -> InferenceResult:
-    """Iterate augmented decoding until all ratio constraints hold.
-
-    Returns an ``InferenceResult``: the decoded trees, the multipliers they
-    were decoded under, the per-iteration trace, and whether the loop
-    converged.  At the iteration cap the least-violating iterate's trees and
-    multipliers are returned (ties broken by higher objective).
-
-    Raises ``ValueError`` when an augmented score overflows, as
-    ``ScoreMatrix`` does for a non-finite score, and when its range is too
-    large for the decoder.
-    """
-    view = CorpusView.of(
-        corpus, constraints, root_counts_left, projective=projective, single_root=single_root
-    )
-    return lr_decode(view, params)
-

@@ -45,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from .constraints import Constraint, _class_row
-from .core import Corpus
 from .view import CorpusView, InferenceResult
 
 _ADAM_BETA1 = 0.9
@@ -336,7 +335,9 @@ def pr_decode(view: CorpusView, params: PrParams = PrParams()) -> InferenceResul
     Trees are decoded from ``scores - lambda . phi``.  That differs from
     ``log q`` by a constant per dependent column, which shifts every tree's
     score equally, so the argmax is the MAP tree of the reweighted
-    distributions; the scores stay finite where ``q`` underflows.
+    distributions; the scores stay finite where ``q`` underflows.  Returns
+    an ``InferenceResult`` whose ``labels`` name the feature rows; raises
+    ``ValueError`` as ``lr_decode`` does.
     """
     packed = pack_columns(view)
     lambdas, trace = solve_dual(packed, params)
@@ -345,20 +346,3 @@ def pr_decode(view: CorpusView, params: PrParams = PrParams()) -> InferenceResul
     # The trace is empty only without feature rows: nothing to solve.
     converged = not trace or trace[-1].grad_norm < params.grad_tol
     return InferenceResult(view.trees(heads), lambdas, packed.labels, trace, converged)
-
-
-def pr_infer(
-    corpus: Corpus,
-    constraints: Sequence[Constraint],
-    params: PrParams = PrParams(),
-    *,
-    projective: bool = False,
-    single_root: bool = False,
-    root_counts_left: bool = False,
-) -> InferenceResult:
-    """``pr_decode`` on a view of ``corpus``."""
-    view = CorpusView.of(
-        corpus, constraints, root_counts_left, projective=projective, single_root=single_root
-    )
-    return pr_decode(view, params)
-

@@ -47,7 +47,8 @@ class TypologyTable:
 
     @classmethod
     def from_csv(cls, stream: IO[str] | Iterable[str]) -> "TypologyTable":
-        """Read a ``lang,feature,value`` CSV (header required)."""
+        """Read a ``lang,feature,value`` CSV (header required), one row per
+        language and feature."""
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["lang", "feature", "value"]:
@@ -60,7 +61,11 @@ class TypologyTable:
                 got = f"got {len(record)} fields"
                 raise ValueError(f"line {reader.line_num}: expected lang,feature,value, {got}")
             lang, feature, value = (field.strip() for field in record[:3])
-            rows.setdefault(lang, {})[feature] = value
+            features = rows.setdefault(lang, {})
+            if feature in features:
+                where = f"line {reader.line_num}"
+                raise ValueError(f"{where}: repeated feature {feature!r} for {lang!r}")
+            features[feature] = value
         return cls(rows={lang: dict(feats) for lang, feats in rows.items()})
 
     def value(self, lang: str, feature: str) -> str | None:

@@ -124,7 +124,7 @@ def test_criterion_2_weak_duality():
             continue
         checked += 1
         _, optimum = cip.brute_force_constrained(corpus, constraints)
-        result = cip.lr_infer(corpus, constraints)
+        result = cip.lr_decode(CorpusView.of(corpus, constraints))
         for record in result.trace:
             duality_ok &= record.dual_value >= optimum - 1e-9
         ratios = [cip.ratio(c, corpus, result.trees) for c in constraints]
@@ -182,12 +182,12 @@ def test_criterion_4_posterior_identity():
             ((make_sentence(upos), cip.ScoreMatrix(rng.normal(0, 2, (n + 1, n)))),)
         )
         baseline = [cip.mst_decode(m) for _, m in corpus]
-        empty = cip.pr_infer(corpus, [])
+        empty = cip.pr_decode(CorpusView.of(corpus, []))
         ok &= empty.lambdas.size == 0
         ok &= [t.heads for t in empty.trees] == [t.heads for t in baseline]
         # A slack band around the baseline expectation keeps lambda* at 0.
         loose = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.5)
-        result = cip.pr_infer(corpus, [loose])
+        result = cip.pr_decode(CorpusView.of(corpus, [loose]))
         ok &= np.all(result.lambdas == 0.0)
         ok &= [t.heads for t in result.trees] == [t.heads for t in baseline]
     _verdict("criterion 4: posterior identity at lambda = 0", bool(ok))
@@ -252,13 +252,14 @@ def transfer_suite():
             id="noun-left", kind="unary", pos="NOUN",
             r=true_ratios["noun-left"], theta=0.01,
         )
-        baseline = cip.decode_corpus(corpus)
+        view = CorpusView.of(corpus, [oracle])
+        baseline = view.trees(view.decode())
         base_uas = cip.uas(baseline, corpus.sentences)
         base_ratio = cip.ratio(oracle, corpus, baseline)
         cov = cip.coverage(oracle, corpus, baseline)
         gap = cip.ratio_gap([oracle], [base_ratio], [oracle.r], [cov])
-        lr_trees = cip.lr_infer(corpus, [oracle]).trees
-        pr_trees = cip.pr_infer(corpus, [oracle]).trees
+        lr_trees = cip.lr_decode(view).trees
+        pr_trees = cip.pr_decode(view).trees
         rows.append(
             {
                 "gap": gap,

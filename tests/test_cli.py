@@ -257,6 +257,27 @@ def test_decode_requires_constraints_for_lr(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["lr", "pr"])
+def test_decode_names_an_empty_constraint_file(workspace, capsys, method):
+    # The flag is given, so the fault is the file's content, not the usage.
+    workspace["constraints"].write_text("[]\n")
+    code = main(
+        [
+            "decode",
+            "--conllu", str(workspace["gold"]),
+            "--scores", str(workspace["scores"]),
+            "--constraints", str(workspace["constraints"]),
+            "--method", method,
+            "--out", str(workspace["out"]),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"cip: {workspace['constraints']}: no constraints for --method {method}\n"
+    )
+    assert not workspace["out"].exists()
+
+
 def test_decode_rejects_trace_for_baseline(workspace, capsys):
     code = main(
         [
@@ -696,6 +717,22 @@ def test_compile_constraints_missing_feature(tmp_path):
     with open(out, encoding="utf-8") as handle:
         (constraint,) = cip.load_constraints(handle)
     assert (constraint.r, constraint.theta) == (0.5, 0.25)
+
+
+def test_compile_constraints_names_a_repeated_row(tmp_path, capsys):
+    wals = tmp_path / "tiny.csv"
+    wals.write_text("lang,feature,value\nxx,85A,Postpositions\nxx,85A,Prepositions\n")
+    out = tmp_path / "compiled.json"
+    argv = [
+        "compile-constraints",
+        "--wals", str(wals),
+        "--templates", os.path.join(DATA, "templates.json"),
+        "--target", "xx",
+        "--out", str(out),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"cip: {wals}: line 3: repeated feature '85A' for 'xx'\n"
+    assert not out.exists()
 
 
 with open(os.path.join(DATA, "templates.json"), encoding="utf-8") as _handle:

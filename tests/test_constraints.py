@@ -151,7 +151,8 @@ class TestClassMatrix:
     def test_ratio_and_coverage_match_classify_arc(self):
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 40, [1, 2, 4, 7, 9], ("NOUN", "ADP", "VERB"))
-        trees = cip.decode_corpus(corpus)
+        view = cip.CorpusView.of(corpus, [])
+        trees = view.trees(view.decode())
         for c in (UNARY, BINARY):
             for root_counts_left in (False, True):
                 classes = [

@@ -39,7 +39,7 @@ def lookup_scores(matrix, sentence, constraints, lambdas):
     return matrix.scores + _lookup(offsets, grids)
 
 
-def loop_lr_infer(
+def loop_lr_decode(
     corpus,
     constraints,
     params=cip.LrParams(),
@@ -48,9 +48,10 @@ def loop_lr_infer(
     single_root=False,
     root_counts_left=False,
 ):
-    """``lr_infer`` written sentence by sentence, with a ``ScoreMatrix`` and
-    a public decode per sentence and iteration: the reference that the
-    length-bucketed loop must match, floats included."""
+    """``lr_decode`` on ``CorpusView.of(corpus, constraints, ...)`` written
+    sentence by sentence, with a ``ScoreMatrix`` and a public decode per
+    sentence and iteration: the reference that the length-bucketed loop
+    must match, floats included."""
     decode = cip.projective_decode if projective else cip.mst_decode
     n_constraints = len(constraints)
     labels = tuple(c.id for c in constraints)
@@ -167,23 +168,25 @@ class TestAugmentScores:
 class TestLrInfer:
     def test_already_satisfied_returns_baseline(self, noun_toy_corpus):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=1 / 3, theta=0.01)
-        baseline = cip.decode_corpus(noun_toy_corpus)
-        result = cip.lr_infer(noun_toy_corpus, [c])
+        view = cip.CorpusView.of(noun_toy_corpus, [c])
+        baseline = view.trees(view.decode())
+        result = cip.lr_decode(view)
         assert result.converged
         assert len(result.trace) == 1
         assert result.trace[0].lambdas == (0.0,)
         assert [t.heads for t in result.trees] == [t.heads for t in baseline]
 
     def test_empty_constraints_match_mst(self, noun_toy_corpus):
-        baseline = cip.decode_corpus(noun_toy_corpus)
-        result = cip.lr_infer(noun_toy_corpus, [])
+        baseline = [cip.mst_decode(m) for _, m in noun_toy_corpus]
+        result = cip.lr_decode(cip.CorpusView.of(noun_toy_corpus, []))
         assert result.converged
         assert [t.heads for t in result.trees] == [t.heads for t in baseline]
 
     def test_toy_corpus_converges_to_all_left(self, noun_toy_corpus):
-        baseline = cip.decode_corpus(noun_toy_corpus)
+        view = cip.CorpusView.of(noun_toy_corpus, [NOUN_LEFT])
+        baseline = view.trees(view.decode())
         assert cip.ratio(NOUN_LEFT, noun_toy_corpus, baseline) == pytest.approx(1 / 3)
-        result = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
+        result = cip.lr_decode(view)
         assert result.converged
         assert cip.ratio(NOUN_LEFT, noun_toy_corpus, result.trees) == 1.0
 
@@ -201,7 +204,7 @@ class TestLrInfer:
         entries = tuple(noun_toy_entry(-0.2 - 0.1 * i) for i in range(5))
         corpus = cip.Corpus(entries)
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.0, theta=0.0)
-        trace = cip.lr_infer(corpus, [c], cip.LrParams(max_iter=2)).trace
+        trace = cip.lr_decode(cip.CorpusView.of(corpus, [c]), cip.LrParams(max_iter=2)).trace
         first, second = trace[0], trace[1]
         assert first.ratios[0] > c.r
         assert second.lambdas[0] < first.lambdas[0]
@@ -238,8 +241,8 @@ class TestLrInfer:
                 assert augmented.tree_score(fast.heads) == best
 
     def test_deterministic(self, noun_toy_corpus):
-        a = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-        b = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
+        a = cip.lr_decode(cip.CorpusView.of(noun_toy_corpus, [NOUN_LEFT]))
+        b = cip.lr_decode(cip.CorpusView.of(noun_toy_corpus, [NOUN_LEFT]))
         assert a.trace == b.trace
         assert [t.heads for t in a.trees] == [t.heads for t in b.trees]
 
@@ -250,7 +253,7 @@ class TestLrInfer:
         entries = tuple(noun_toy_entry(0.3) for _ in range(2))
         corpus = cip.Corpus(entries)
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.5, theta=0.0)
-        result = cip.lr_infer(corpus, [c], cip.LrParams(max_iter=8))
+        result = cip.lr_decode(cip.CorpusView.of(corpus, [c]), cip.LrParams(max_iter=8))
         assert not result.converged
         measured = cip.ratio(c, corpus, result.trees)
         best_excess = min(
@@ -270,7 +273,7 @@ class TestLrInfer:
             cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.95, theta=0.01),
             cip.Constraint(id="b", kind="binary", pos="NOUN", pos2="ADP", r=0.05, theta=0.01),
         ]
-        result = cip.lr_infer(corpus, cons, cip.LrParams(max_iter=5))
+        result = cip.lr_decode(cip.CorpusView.of(corpus, cons), cip.LrParams(max_iter=5))
         assert not result.converged and len(result.trace) == 5
 
         def rank(record):
@@ -304,7 +307,8 @@ class TestLrInfer:
             corpus = random_corpus(rng, int(rng.integers(1, 6)), [1, 2, 3, 5])
             r, theta = float(rng.choice([0.0, 1.0, rng.uniform()])), float(rng.uniform(0, 0.2))
             max_iter = int(rng.integers(1, 10))
-            plain = cip.lr_infer(corpus, [], projective=projective).trees
+            view = cip.CorpusView.of(corpus, [], projective=projective)
+            plain = view.trees(view.decode())
             baseline = cip.ratio(cip.Constraint("u", "unary", "NOUN", 0.5, 0.0), corpus, plain)
             if draw % 3 == 0 and baseline is not None:
                 step = float(rng.choice([0.0, 1e-13, 1e-10, 1e-6, 1e-3, 0.01]))
@@ -316,8 +320,8 @@ class TestLrInfer:
                     r=float(rng.uniform()), theta=0.5 if max_iter == 1 else 0.05,
                 ),
             ]
-            result = cip.lr_infer(corpus, cons, cip.LrParams(max_iter=max_iter),
-                                  projective=projective)
+            view = cip.CorpusView.of(corpus, cons, projective=projective)
+            result = cip.lr_decode(view, cip.LrParams(max_iter=max_iter))
             satisfied = all(cip.is_satisfied(c, cip.ratio(c, corpus, result.trees)) for c in cons)
             assert result.converged == satisfied
             outcomes.append(satisfied)
@@ -340,13 +344,12 @@ class TestLrInfer:
             corpus = random_corpus(rng, 12, [1, 2, 3, 5, 8, 12])
             params = cip.LrParams(alpha0=float(rng.choice([2.0, 20.0])), max_iter=12)
             root_counts_left = bool(trial % 2)
-            kwargs = dict(
-                projective=projective,
-                single_root=single_root,
-                root_counts_left=root_counts_left,
+            rule = dict(projective=projective, single_root=single_root)
+            view = cip.CorpusView.of(corpus, cons, root_counts_left, **rule)
+            result = cip.lr_decode(view, params)
+            reference = loop_lr_decode(
+                corpus, cons, params, root_counts_left=root_counts_left, **rule
             )
-            result = cip.lr_infer(corpus, cons, params, **kwargs)
-            reference = loop_lr_infer(corpus, cons, params, **kwargs)
             assert [t.heads for t in result.trees] == [t.heads for t in reference.trees]
             assert result.trace == reference.trace
             assert np.array_equal(result.lambdas, reference.lambdas)
@@ -356,8 +359,8 @@ class TestLrInfer:
             outcomes.add(result.converged)
         # A loose band converges at once; check both outcomes are covered.
         loose = [cip.Constraint(id="u", kind="unary", pos="NOUN", r=0.5, theta=0.5)]
-        result = cip.lr_infer(corpus, loose, **kwargs)
-        reference = loop_lr_infer(corpus, loose, **kwargs)
+        result = cip.lr_decode(cip.CorpusView.of(corpus, loose, root_counts_left, **rule))
+        reference = loop_lr_decode(corpus, loose, root_counts_left=root_counts_left, **rule)
         assert result.converged
         assert (result.trees, result.trace) == (reference.trees, reference.trace)
         outcomes.add(result.converged)
@@ -374,13 +377,14 @@ class TestLrInfer:
         corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),) * 3)
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=1.0, theta=0.0)
         params = cip.LrParams(alpha0=1e308)
-        for infer in (cip.lr_infer, loop_lr_infer):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite score"):
-                infer(corpus, [c], params)
+        with pytest.raises(ValueError, match="non-finite score"):
+            cip.lr_decode(cip.CorpusView.of(corpus, [c]), params)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite score"):
+            loop_lr_decode(corpus, [c], params)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            cip.lr_infer(cip.Corpus(()), [])
+        with pytest.raises(ValueError, match="corpus is empty"):
+            cip.CorpusView.of(cip.Corpus(()), [])
 
 
 # Tags and constraint templates of the projective weak-duality properties:
@@ -432,10 +436,8 @@ def test_projective_weak_duality(problem, root_counts_left):
     _, optimum = cip.brute_force_constrained(
         corpus, constraints, projective=True, root_counts_left=root_counts_left
     )
-    result = cip.lr_infer(
-        corpus, constraints, cip.LrParams(max_iter=20),
-        projective=True, root_counts_left=root_counts_left,
-    )
+    view = cip.CorpusView.of(corpus, constraints, root_counts_left, projective=True)
+    result = cip.lr_decode(view, cip.LrParams(max_iter=20))
     for record in result.trace:
         assert record.dual_value >= optimum - 1e-9
     if result.converged:
@@ -468,7 +470,6 @@ def test_projective_infeasible_bands_never_converge(problem, bands):
     try:
         cip.brute_force_constrained(corpus, constraints, projective=True, root_counts_left=True)
     except cip.InfeasibleError:
-        result = cip.lr_infer(
-            corpus, constraints, cip.LrParams(max_iter=20), projective=True, root_counts_left=True
-        )
+        view = cip.CorpusView.of(corpus, constraints, True, projective=True)
+        result = cip.lr_decode(view, cip.LrParams(max_iter=20))
         assert not result.converged

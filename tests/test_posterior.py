@@ -675,9 +675,10 @@ class TestPrInfer:
         # report convergence.
         rng = np.random.default_rng(50)
         corpus = random_corpus(rng, 5, [2, 3, 4, 5])
-        baseline = cip.decode_corpus(corpus)
-        for infer in (cip.lr_infer, cip.pr_infer):
-            result = infer(corpus, [])
+        view = CorpusView.of(corpus, [])
+        baseline = view.trees(view.decode())
+        for decode in (cip.lr_decode, pr_decode):
+            result = decode(view)
             assert result.lambdas.size == 0
             assert [t.heads for t in result.trees] == [t.heads for t in baseline]
             assert result.converged
@@ -693,9 +694,9 @@ class TestPrInfer:
 
     def test_directional_improvement(self, noun_toy_corpus):
         c = cip.Constraint(id="x", kind="unary", pos="NOUN", r=0.9, theta=0.05)
-        baseline = cip.decode_corpus(noun_toy_corpus)
-        base_ratio = cip.ratio(c, noun_toy_corpus, baseline)
-        trees = cip.pr_infer(noun_toy_corpus, [c]).trees
+        view = CorpusView.of(noun_toy_corpus, [c])
+        base_ratio = cip.ratio(c, noun_toy_corpus, view.trees(view.decode()))
+        trees = pr_decode(view).trees
         new_ratio = cip.ratio(c, noun_toy_corpus, trees)
 
         def distance(value):
@@ -704,8 +705,9 @@ class TestPrInfer:
         assert distance(new_ratio) < distance(base_ratio)
 
     def test_agrees_with_lagrangian_on_toy(self, noun_toy_corpus):
-        lr = cip.lr_infer(noun_toy_corpus, [NOUN_LEFT])
-        pr = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT])
+        view = CorpusView.of(noun_toy_corpus, [NOUN_LEFT])
+        lr = cip.lr_decode(view)
+        pr = pr_decode(view)
         assert lr.converged
         assert cip.is_satisfied(
             NOUN_LEFT, cip.ratio(NOUN_LEFT, noun_toy_corpus, lr.trees)
@@ -722,13 +724,13 @@ class TestPrInfer:
         scores = np.zeros((4, 3))
         scores[0, 1] = 900.0
         corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),))
-        result = cip.pr_infer(corpus, [NOUN_LEFT], projective=projective)
+        result = pr_decode(CorpusView.of(corpus, [NOUN_LEFT], projective=projective))
         (tree,) = result.trees
         assert np.all(np.isfinite(result.lambdas))
         assert len(tree) == 3 and tree.heads[1] == 0
 
     def test_projective_flag(self, noun_toy_corpus):
-        trees = cip.pr_infer(noun_toy_corpus, [NOUN_LEFT], projective=True).trees
+        trees = pr_decode(CorpusView.of(noun_toy_corpus, [NOUN_LEFT], projective=True)).trees
         assert all(cip.is_projective(t.heads) for t in trees)
 
 

@@ -93,7 +93,8 @@ class TestGeneration:
 
     def test_noise_free_scores_recover_gold(self):
         corpus, _ = cip.generate_synthetic(unary_spec())
-        trees = cip.decode_corpus(corpus)
+        view = cip.CorpusView.of(corpus, [])
+        trees = view.trees(view.decode())
         assert cip.uas(trees, corpus.sentences) == 1.0
 
     def test_planted_unary_ratio_concentrates(self):
@@ -208,8 +209,9 @@ class TestGeneration:
         c = cip.Constraint(
             id="x", kind="unary", pos="NOUN", r=ratios["noun-left"], theta=0.01
         )
-        clean_ratio = cip.ratio(c, clean, cip.decode_corpus(clean))
-        corrupt_ratio = cip.ratio(c, corrupt, cip.decode_corpus(corrupt))
+        clean_view, corrupt_view = (cip.CorpusView.of(corpus, [c]) for corpus in (clean, corrupt))
+        clean_ratio = cip.ratio(c, clean, clean_view.trees(clean_view.decode()))
+        corrupt_ratio = cip.ratio(c, corrupt, corrupt_view.trees(corrupt_view.decode()))
         assert abs(corrupt_ratio - c.r) > abs(clean_ratio - c.r) + 0.2
 
     @pytest.mark.parametrize("seed", range(5))

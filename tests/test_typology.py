@@ -48,6 +48,16 @@ class TestTypologyTable:
             cip.TypologyTable.from_csv(io.StringIO(text))
 
 
+    @pytest.mark.parametrize("value", ["Prepositions", "Postpositions"])
+    def test_repeated_feature_names_its_line(self, value):
+        # A second row for a language and feature is an error, even with the
+        # same value, not a silent override.
+        text = f"lang,feature,value\nxx,85A,Postpositions\nxx,86A,x\nxx,85A,{value}\n"
+        message = r"^line 4: repeated feature '85A' for 'xx'$"
+        with pytest.raises(ValueError, match=message):
+            cip.TypologyTable.from_csv(io.StringIO(text))
+
+
 class TestCompileBinary:
     def test_dominant_pos1_first(self):
         assert cip.compile_binary("Postpositions", ORIENT_85A) == (0.875, 0.125)
