@@ -7,11 +7,12 @@ two constraints, and what ``cip decode`` wrote for every score file,
 method, ``--projective`` and ``single_root``:
 
 - ``heads.json``: the HEAD column of ``--out``, per sentence;
+- ``outputs.json``: the sha256 of the ``--out`` CoNLL-U bytes;
 - ``reports.json``: the ``--report`` object;
 - ``traces.json``: the ``--trace`` records of the LR and PR cases.
 
-A decoder rewrite must keep every head, ties included, so heads are
-compared exactly.  Report and trace numbers are compared with
+A decoder rewrite must keep every head, ties included, so heads and
+output digests are compared exactly.  Report and trace numbers are compared with
 ``math.isclose(rel_tol=1e-9, abs_tol=1e-12)``, and every other value
 exactly.  Each file keeps one case per line.
 
@@ -21,6 +22,7 @@ that commit: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -40,13 +42,14 @@ CASES = [
     )
 ]
 TRACED = [case for case in CASES if case.split("/")[1] != "baseline"]
-FILES = ("heads", "reports", "traces")
+FILES = ("heads", "outputs", "reports", "traces")
 
 
 @functools.cache
 def decode_case(case: str) -> dict:
-    """What ``cip decode`` writes for ``case``: its heads per sentence, its
-    report and, for LR and PR, its trace records."""
+    """What ``cip decode`` writes for ``case``: its heads per sentence, the
+    digest of its ``--out`` bytes, its report and, for LR and PR, its trace
+    records."""
     with tempfile.TemporaryDirectory() as tmp:
         return _decode_case(case, Path(tmp))
 
@@ -73,6 +76,7 @@ def _decode_case(case: str, workdir: Path) -> dict:
     assert main(argv) == 0
     with out.open() as handle:
         recorded = {"heads": [list(s.gold_heads) for s in cip.read_conllu(handle)]}
+    recorded["outputs"] = hashlib.sha256(out.read_bytes()).hexdigest()
     recorded["reports"] = json.loads(report.read_text())
     if case in TRACED:
         recorded["traces"] = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -113,6 +117,7 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden["heads"]) == sorted(CASES)
+    assert sorted(golden["outputs"]) == sorted(CASES)
     assert sorted(golden["reports"]) == sorted(CASES)
     assert sorted(golden["traces"]) == sorted(TRACED)
 
@@ -120,6 +125,11 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_heads_match_golden(case, golden):
     assert decode_case(case)["heads"] == golden["heads"][case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_bytes_match_golden(case, golden):
+    assert decode_case(case)["outputs"] == golden["outputs"][case]
 
 
 @pytest.mark.parametrize("case", CASES)
