@@ -70,6 +70,12 @@ def _same_count(path: str, items: Sequence, what: str, other: str, sentences: Se
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    if args.method in ("lr", "pr") and not args.constraints:
+        print("decode: --method lr/pr requires --constraints", file=sys.stderr)
+        return 2
+    if args.trace and args.method == "baseline":
+        print("decode: --trace requires --method lr or pr", file=sys.stderr)
+        return 2
     sentences = _load(args.conllu, core.read_conllu)
     matrices = _load(args.scores, core.read_scores)
     _same_count(args.scores, matrices, "score matrices", args.conllu, sentences)
@@ -77,13 +83,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     config = _load(args.config, InferenceConfig.from_stream) if args.config else InferenceConfig()
     constraint_list = _load(args.constraints, cns.load_constraints) if args.constraints else []
     if args.method in ("lr", "pr") and not constraint_list:
-        if not args.constraints:
-            print("decode: --method lr/pr requires --constraints", file=sys.stderr)
-            return 2
         raise ValueError(f"{args.constraints}: no constraints for --method {args.method}")
-    if args.trace and args.method == "baseline":
-        print("decode: --trace requires --method lr or pr", file=sys.stderr)
-        return 2
 
     view = _named(
         args.conllu, CorpusView.of, corpus, constraint_list, config.root_counts_left,
@@ -230,8 +230,7 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
             fixed = {"r": _named(args.unary_ratios, typology.fit_unary_ratio, train, target)}
             template_keys = ("features",)
         else:
-            print(f"compile-constraints: unknown template kind {kind!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{where}: kind: expected 'binary' or 'unary', got {kind!r}")
         # The rest of the template is the constraint, bar what was compiled:
         # a unary template may set its margin, a binary one may not.
         for key in fixed:

@@ -16,10 +16,11 @@ parents form a cycle are contracted.  Each contraction makes one permuted
 copy, the other nodes then the cycle members, and reads the best arcs
 leaving and entering the cycle from its slices; the levels are descended
 in a loop and expanded in reverse, so no depth of contraction recurses.
-Eisner takes the overflow bound and the square weights once per bucket and
-fills one chart per sentence, one numpy step per span width.  Each width
-keeps its two ``argmax`` results as its split rows, reads its best sums
-with one flat ``take`` at row offsets cached per node count, and the
+Eisner takes the overflow bound once per bucket and fills one chart per
+sentence, one numpy step per span width.  Each width reads its two arcs
+of every span in place, as two diagonals of the sentence's score array,
+keeps its two ``argmax`` results as its split rows and reads its best
+sums with one flat ``take`` at row offsets cached per node count; the
 backtrack walks those rows with an explicit stack.
 
 Decoding is deterministic.  Multi-root ties go to the lower head index:
@@ -135,8 +136,6 @@ def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
     stack of score arrays whose off-diagonal entries are finite, as a
     ``(B, n)`` array (see ``mst_decode``)."""
     size, _, n = x.shape
-    if n == 1:
-        return np.zeros((size, 1), dtype=int)
     # dm[b, d, h] = x[b, h, d - 1]: the weight of h -> d, row 0 -inf.
     dm = np.full((size, n + 1, n + 1), NEG_INF)
     dm[:, 1:] = x.transpose(0, 2, 1)
@@ -153,25 +152,26 @@ def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
                 # An optimum over all trees that is single-rooted is also
                 # optimal among the single-root trees, which are a subset;
                 # otherwise decode again with a penalty on the root arcs.
-                tree = _single_root_tree(dm[b], x[b])
+                tree = _single_root_tree(dm[b])
             heads.append(tree)
     return np.array(heads)
 
 
-def _single_root_tree(dm: np.ndarray, scores: np.ndarray) -> list[int]:
+def _single_root_tree(dm: np.ndarray) -> list[int]:
     """The heads of Chu-Liu/Edmonds on ``dm`` with one penalty C subtracted
     from every root arc, in place.
 
     A tree with k > 1 root children becomes a single-root tree by moving
     k - 1 of them under the first, which loses at most (k - 1) * (max -
-    min) over the finite ``scores``; with C above max - min each extra root
-    child costs more than that, so the optimum has exactly one root child.
+    min) over the finite entries of ``dm``; with C above max - min each
+    extra root child costs more than that, so the optimum has exactly one
+    root child.
     Every single-root tree moves by the same C, so they rank as under the
     raw scores.  Once the range reaches 2**53, C = 1 + (max - min) rounds
     to the range itself and a second root child can tie; that, and an
     overflow, raise ``ValueError``.
     """
-    finite = scores[np.isfinite(scores)]
+    finite = dm[np.isfinite(dm)]
     try:
         dm[1:, 0] -= 1.0 + (finite.max() - finite.min())
         tree = _arborescence(dm)[1:]
@@ -211,20 +211,6 @@ _LEFT, _INCOMP, _RIGHT = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
-def _arc_index(size: int) -> np.ndarray:
-    """Flat indices into a ``size x size`` weight matrix of both arcs of
-    every span [i, i + w]: ``[w, 0, i]`` of the arc from i + w to i,
-    ``[w, 1, i]`` of the arc from i to i + w.  Spans that end past the
-    last node index entry 0, which the chart never reads."""
-    i = np.arange(size)
-    w = i[:, None]
-    index = np.stack((i * (size + 1) + w * size, i * (size + 1) + w), axis=1)
-    index = np.where((i + w < size)[:, None], index, 0)
-    index.flags.writeable = False
-    return index
-
-
-@lru_cache(maxsize=None)
 def _row_starts(count: int) -> tuple:
     """The row offsets of every width's split sums in a chart over
     ``count`` nodes: entry w is ``(2, count - w)``, and ``[r, t]`` is the
@@ -239,13 +225,15 @@ def _row_starts(count: int) -> tuple:
     return tuple(starts)
 
 
-def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
-    """Fill the Eisner charts over the node range [lo, hi], one step per width.
+def _eisner_chart(scores: np.ndarray, lo: int):
+    """Fill the Eisner charts of an ``(n+1, n)`` score array over the node
+    range [lo, n], one step per width: over [0, n] for the multi-root
+    decode, over [1, n], without the root, for the single-root one.
 
     Every span [i, j] of width w is a left half that starts at i plus a
     right half that ends at j, at each split point k.  Row r of ``left``
     holds the left halves by start i at column w, and row r of ``right``
-    the right halves by end j at column ``hi - w``, for the three sums:
+    the right halves by end j at column ``n - w``, for the three sums:
 
     - ``_LEFT`` (complete, head j): complete [i, k] with head k plus
       incomplete [k, j] with head j, k = i .. j - 1;
@@ -256,12 +244,16 @@ def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
 
     Incomplete spans are never of width 0 and sit at width - 1, so the w
     split points of all spans of width w are ``left[r, i, :w] + right[r, j,
-    hi - w + 1:]`` over the starts i and ends j: two forward slices and one
+    n - w + 1:]`` over the starts i and ends j: two forward slices and one
     numpy sum over every start position.  Each best value is read at its
     ``argmax``, the first maximum, with one flat ``take`` at the width's
     row offsets (``_row_starts``).  The incomplete sum is added to each arc
-    straight into ``right[_LEFT]`` (head j) and ``left[_RIGHT]`` (head i);
-    the two complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
+    straight into ``right[_LEFT]`` (head j) and ``left[_RIGHT]`` (head i).
+    The arcs of width w are two diagonals of ``scores``, read in place
+    (``scores[h, d - 1]`` is the arc h -> d): ``diagonal(w - 1)`` holds i
+    -> i + w from i = 0, and ``diagonal(-w - 1)`` holds i + w -> i from i =
+    1.  No arc enters the root, so span [0, w] headed at w keeps its -inf.
+    The two complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
     ``right[_INCOMP:]``, where the wider spans read them as halves.
 
     Returns ``(left, right, splits)``.  ``splits[w]`` holds the width's two
@@ -271,20 +263,20 @@ def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
     counted from its first: ``k - i`` for ``_LEFT`` and ``_INCOMP``, ``k -
     i - 1`` for ``_RIGHT``.  Entry 0 is unused.
     """
-    size = hi + 1
+    n = scores.shape[1]
+    size = n + 1
     left, right = np.full((2, 3, size, size), NEG_INF)
-    left[:_RIGHT, lo:, 0] = right[_INCOMP:, lo:, hi] = 0.0
-    arcs = weights.take(_arc_index(size))
+    left[:_RIGHT, lo:, 0] = right[_INCOMP:, lo:, n] = 0.0
     offsets = _row_starts(size - lo)
     splits = [None]
     for w in range(1, size - lo):
-        i, j, c = slice(lo, size - w), slice(lo + w, size), hi - w
+        i, j, c = slice(lo, size - w), slice(lo + w, size), n - w
         rows = offsets[w]
         halves = left[_INCOMP, i, :w] + right[_INCOMP, j, c + 1:]
         k_incomp = halves.argmax(axis=1)
         best = halves.take(k_incomp + rows[0])
-        np.add(best, arcs[w, 0, i], out=right[_LEFT, j, c + 1])
-        np.add(best, arcs[w, 1, i], out=left[_RIGHT, i, w - 1])
+        np.add(best[1 - lo:], scores.diagonal(-w - 1), out=right[_LEFT, w + 1:, c + 1])
+        np.add(best, scores.diagonal(w - 1)[lo:], out=left[_RIGHT, i, w - 1])
         halves = left[::2, i, :w] + right[::2, j, c + 1:]
         k_complete = halves.argmax(axis=2)
         left[:_RIGHT, i, w] = right[_INCOMP:, j, c] = halves.take(k_complete + rows)
@@ -294,7 +286,7 @@ def _eisner_chart(weights: np.ndarray, lo: int, hi: int):
 
 def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> None:
     """Set ``heads`` along the best derivation of each span in ``spans``,
-    read from the split rows of ``_eisner_chart`` over [lo, hi].  A span is
+    read from the split rows of ``_eisner_chart`` over [lo, n].  A span is
     ``(i, j, direction, complete)``, direction ``_LEFT`` with its head at
     j; the walk keeps the spans still to expand on a stack."""
     stack = list(spans)
@@ -322,36 +314,25 @@ def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> N
             stack.append((k + 1, j, _LEFT, True))
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """The ``(..., n+1, n+1)`` weights of ``(..., n+1, n)`` score arrays:
-    column 0 (arcs into the root) is -inf."""
-    n = x.shape[-1]
-    weights = np.full((*x.shape[:-1], n + 1), NEG_INF)
-    weights[..., 1:] = x
-    return weights
-
-
 def _bucket_projective_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
     """Heads of the best projective tree of every sentence of a ``(B, n+1,
     n)`` stack of score arrays whose off-diagonal entries are finite, as a
     ``(B, n)`` array (see ``projective_decode``)."""
-    size, _, n = x.shape
-    if n == 1:
-        return np.zeros((size, 1), dtype=int)
+    n = x.shape[2]
     with np.errstate(over="ignore"):
         bound = n * np.abs(x[np.isfinite(x)]).max()
     if not np.isfinite(bound):
         raise ValueError("score range too large for projective decoding")
     heads = []
-    for weights in _square(x):
+    for scores in x:
         tree = [0] * n
         if not single_root:
-            _, _, splits = _eisner_chart(weights, 0, n)
+            _, _, splits = _eisner_chart(scores, 0)
             _eisner_backtrack(splits, 0, [(0, n, _RIGHT, True)], tree)
         else:
-            left, right, splits = _eisner_chart(weights, 1, n)
+            left, right, splits = _eisner_chart(scores, 1)
             # Root child m = 1 .. n heads the spans [1, m] and [m, n].
-            value = weights[0, 1:] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
+            value = scores[0] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
             best_m = 1 + int(np.argmax(value))
             tree[best_m - 1] = 0
             _eisner_backtrack(

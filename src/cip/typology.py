@@ -47,23 +47,24 @@ class TypologyTable:
 
     @classmethod
     def from_csv(cls, stream: IO[str] | Iterable[str]) -> "TypologyTable":
-        """Read a ``lang,feature,value`` CSV (header required), one row per
-        language and feature."""
+        """Read a ``lang,feature,value`` CSV (header required), one row of
+        three fields per language and feature, neither of them empty."""
         reader = csv.reader(stream)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["lang", "feature", "value"]:
+        if header is None or [h.strip() for h in header] != ["lang", "feature", "value"]:
             raise ValueError("typology CSV must start with header 'lang,feature,value'")
         rows: dict[str, dict[str, str]] = {}
         for record in reader:
             if not record or not any(field.strip() for field in record):
                 continue
-            if len(record) < 3:
-                got = f"got {len(record)} fields"
-                raise ValueError(f"line {reader.line_num}: expected lang,feature,value, {got}")
-            lang, feature, value = (field.strip() for field in record[:3])
+            where = f"line {reader.line_num}"
+            if len(record) != 3:
+                raise ValueError(f"{where}: expected lang,feature,value, got {len(record)} fields")
+            lang, feature, value = (field.strip() for field in record)
+            if not lang or not feature:
+                raise ValueError(f"{where}: empty {'lang' if not lang else 'feature'}")
             features = rows.setdefault(lang, {})
             if feature in features:
-                where = f"line {reader.line_num}"
                 raise ValueError(f"{where}: repeated feature {feature!r} for {lang!r}")
             features[feature] = value
         return cls(rows={lang: dict(feats) for lang, feats in rows.items()})

@@ -8,6 +8,15 @@ import pytest
 import cip
 
 
+def _square(x):
+    """The ``(..., n+1, n+1)`` head-major weights of ``(..., n+1, n)`` score
+    arrays: column 0 (arcs into the root) is -inf."""
+    n = x.shape[-1]
+    weights = np.full((*x.shape[:-1], n + 1), -np.inf)
+    weights[..., 1:] = x
+    return weights
+
+
 def make_sentence(upos, gold_heads=None, sent_id=""):
     forms = tuple(f"w{i + 1}" for i in range(len(upos)))
     return cip.Sentence(

@@ -296,6 +296,37 @@ def test_decode_rejects_trace_for_baseline(workspace, capsys):
         assert not workspace[name].exists()
 
 
+@pytest.mark.parametrize(
+    "method, trace, message",
+    [
+        ("lr", False, "decode: --method lr/pr requires --constraints\n"),
+        ("pr", False, "decode: --method lr/pr requires --constraints\n"),
+        ("baseline", True, "decode: --trace requires --method lr or pr\n"),
+    ],
+    ids=["lr-without-constraints", "pr-without-constraints", "trace-with-baseline"],
+)
+def test_decode_usage_error_comes_before_reading_any_file(
+    tmp_path, capsys, method, trace, message
+):
+    # No input exists, so reading one first would exit 1 with a file error.
+    missing = [tmp_path / name for name in ("nope.conllu", "nope.jsonl", "nope.json")]
+    outputs = [tmp_path / name for name in ("out.conllu", "trace.jsonl", "report.json")]
+    argv = [
+        "decode",
+        "--conllu", str(missing[0]),
+        "--scores", str(missing[1]),
+        "--config", str(missing[2]),
+        "--method", method,
+        "--out", str(outputs[0]),
+        "--report", str(outputs[2]),
+    ]
+    if trace:
+        argv += ["--constraints", str(missing[2]), "--trace", str(outputs[1])]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize("report", [False, True], ids=["no-report", "report"])
 @pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
 def test_empty_corpus_is_a_clean_error(tmp_path, capsys, method, report):
@@ -486,6 +517,26 @@ def test_oracle_theta_outside_its_range_is_a_usage_error(
     expected = f"argument --oracle-theta: must lie in [0, 0.5], got {float(value)}"
     assert expected in capsys.readouterr().err
     assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("value", ["0", "0.25", "0.5"])
+@pytest.mark.parametrize("command", ["synth", "estimate-ratios"])
+def test_oracle_theta_inside_its_range_sets_every_margin(
+    workspace, tmp_path, command, value
+):
+    # Both bounds are inside the range.
+    oracle = tmp_path / "oracle.json"
+    if command == "synth":
+        argv = ["synth", "--spec", str(workspace["spec"]),
+                "--out-conllu", str(tmp_path / "a.conllu"),
+                "--out-scores", str(tmp_path / "b.jsonl"), "--out-constraints", str(oracle)]
+    else:
+        argv = ["estimate-ratios", "--conllu", str(workspace["gold"]),
+                "--constraints", str(workspace["constraints"]), "--oracle-out", str(oracle)]
+    assert main(argv + ["--oracle-theta", value]) == 0
+    with open(oracle, encoding="utf-8") as handle:
+        written = cip.load_constraints(handle)
+    assert written and all(c.theta == float(value) for c in written)
 
 
 def test_estimate_ratios_names_the_corpus_a_sample_exceeds(workspace, capsys):
@@ -800,6 +851,11 @@ def _without(template, key):
         # The target's own ratio is left out of the regression.
         ([UNARY_TEMPLATE], {"hi": 0.5}, "{r}: need at least 2 training languages"),
         ([UNARY_TEMPLATE], {"hi": 0.5, "en": 0.3}, "{r}: need at least 2 training languages"),
+        (
+            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "kind": "ternary"}],
+            UNARY_RATIOS,
+            "{t}: template 1: kind: expected 'binary' or 'unary', got 'ternary'",
+        ),
     ],
     ids=[
         "unary-without-id", "binary-without-id", "binary-without-pos2", "list-orientations",
@@ -807,6 +863,7 @@ def _without(template, key):
         "null-ratio", "orientation-missing-target-value", "misspelt-theta", "unary-with-feature",
         "string-features", "nan-ratio", "unary-sets-r", "binary-sets-theta", "repeated-id",
         "without-kind", "binary-without-feature", "ratios-only-target", "ratios-one-other",
+        "unknown-kind",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(
@@ -840,13 +897,8 @@ def test_malformed_template_or_ratios_is_a_clean_error(
             False,
             "compile-constraints: unary templates require --unary-ratios\n",
         ),
-        (
-            [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "kind": "ternary"}],
-            True,
-            "compile-constraints: unknown template kind 'ternary'\n",
-        ),
     ],
-    ids=["unary-without-ratios", "unknown-kind"],
+    ids=["unary-without-ratios"],
 )
 def test_compile_constraints_usage_error_exits_2(
     tmp_path, capsys, templates, unary_ratios, message

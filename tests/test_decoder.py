@@ -1,6 +1,7 @@
 """Decoders against brute-force enumeration."""
 
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,12 +20,11 @@ from cip.decoder import (
     _eisner_backtrack,
     _eisner_chart,
     _find_cycle,
-    _square,
     projective_tree_table,
     tree_table,
 )
 
-from conftest import make_sentence
+from conftest import _square, make_sentence
 
 
 def best_in_table(matrix, table):
@@ -124,9 +124,10 @@ def loop_eisner_chart(weights, lo, hi):
     return comp, incomp, comp_bp, incomp_bp
 
 
-def chart_by_span(weights, lo, hi):
+def chart_by_span(scores, lo):
     """``_eisner_chart`` laid out as ``loop_eisner_chart``'s four charts."""
-    left, right, splits = _eisner_chart(weights, lo, hi)
+    left, right, splits = _eisner_chart(scores, lo)
+    hi = scores.shape[1]
     size = hi + 1
     i, j = np.triu_indices(size)
     # Complete spans are kept twice: by start and width in ``left``, by end
@@ -556,7 +557,7 @@ class TestProjectiveDecode:
             for single_root in (False, True):
                 lo = 1 if single_root else 0
                 ref = loop_eisner_chart(weights, lo, n)
-                got = chart_by_span(weights, lo, n)
+                got = chart_by_span(matrix.scores, lo)
                 for values, pointers in ((0, 2), (1, 3)):
                     assert np.array_equal(got[values], ref[values])
                     finite = np.isfinite(ref[values])
@@ -590,18 +591,37 @@ class TestProjectiveDecode:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
     def test_single_root_chart_ignores_root_row_and_column(self, n):
-        # Over [1, n] no span reads an arc into or out of node 0, so
-        # poisoning row 0 and column 0 with NaN changes no value and no split.
+        # Over [1, n] no span reads an arc out of node 0, so poisoning the
+        # root's row with NaN changes no value and no split.  The score
+        # array has no column of arcs into node 0.
         rng = np.random.default_rng(21 + n)
-        weights = _square(rng.integers(-2, 3, (n + 1, n)).astype(float))
-        poisoned = weights.copy()
-        poisoned[0, :] = poisoned[:, 0] = np.nan
-        got, want = _eisner_chart(poisoned, 1, n), _eisner_chart(weights, 1, n)
+        scores = rng.integers(-2, 3, (n + 1, n)).astype(float)
+        poisoned = scores.copy()
+        poisoned[0, :] = np.nan
+        got, want = _eisner_chart(poisoned, 1), _eisner_chart(scores, 1)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert len(got[2]) == len(want[2])
         for got_rows, want_rows in zip(got[2][1:], want[2][1:]):
             for a, b in zip(got_rows, want_rows):
                 assert np.array_equal(a, b)
+
+    def test_long_decode_keeps_no_square_index_table(self):
+        # Only the split rows' offsets stay cached per node count: 2 * (302
+        # - w) int64 per width w, about 0.73 MB over the 302 nodes here.  A
+        # square index table of the arcs would keep 2 * 302**2 int64 more
+        # (1.46 MB).  No other test decodes 301 tokens, so neither is cached.
+        n = 301
+        matrix = cip.ScoreMatrix(np.random.default_rng(30).normal(0, 1, (n + 1, n)))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cip.projective_decode(matrix)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held < 1.2e6
 
     @pytest.mark.parametrize("single_root", [False, True])
     def test_long_right_branching_chain_needs_no_recursion(self, single_root):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import cip
 from cip.core import is_tree
-from cip.decoder import _arborescence, _square, projective_tree_table, tree_table
+from cip.decoder import _arborescence, projective_tree_table, tree_table
+
+from conftest import _square
 
 VALUES = st.one_of(
     st.integers(-2, 2).map(float),  # ties everywhere

@@ -38,13 +38,32 @@ class TestTypologyTable:
         assert table.languages == ("en", "fr", "hi")
 
     def test_requires_header(self):
-        with pytest.raises(ValueError, match="header"):
-            cip.TypologyTable.from_csv(io.StringIO("en,85A,Prepositions\n"))
+        for text in ("en,85A,Prepositions\n", "lang,feature,value,notes\nen,85A,P,x\n"):
+            with pytest.raises(ValueError, match="header 'lang,feature,value'$"):
+                cip.TypologyTable.from_csv(io.StringIO(text))
 
     def test_short_row_names_its_line(self):
         text = "lang,feature,value\nen,85A,Prepositions\n\nhi,85A\n"
         message = r"^line 4: expected lang,feature,value, got 2 fields$"
         with pytest.raises(ValueError, match=message):
+            cip.TypologyTable.from_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",85A,Prepositions", "empty lang"),
+            ("  ,85A,Prepositions", "empty lang"),
+            ("xx,,Postpositions", "empty feature"),
+            ("yy,85A,Postpositions,extra", "expected lang,feature,value, got 4 fields"),
+            ("yy,85A,Postpositions,", "expected lang,feature,value, got 4 fields"),
+        ],
+        ids=["empty-lang", "blank-lang", "empty-feature", "fourth-field", "trailing-comma"],
+    )
+    def test_malformed_row_names_its_line(self, row, message):
+        # A row is rejected, not read with a blank key or with its extra
+        # fields dropped.
+        text = f"lang,feature,value\nen,85A,Prepositions\n{row}\n"
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
             cip.TypologyTable.from_csv(io.StringIO(text))
 
 
