@@ -164,8 +164,9 @@ def cmd_estimate_ratios(args: argparse.Namespace) -> int:
     rows = []
     oracle = []
     for constraint in constraint_list:
-        measured, count = typology.estimate_ratio(
-            chosen, constraint, root_counts_left=config.root_counts_left
+        measured, count = _named(
+            args.conllu, typology.estimate_ratio,
+            chosen, constraint, root_counts_left=config.root_counts_left,
         )
         rows.append(
             {
@@ -307,15 +308,23 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    """An argparse type: a positive int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _at_least(low: int, kind: str):
+    """An argparse type: an int of at least ``low``, named ``kind`` in its
+    errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+        return value
+
+    return parse
+
+
+_positive, _nonnegative = _at_least(1, "positive"), _at_least(0, "nonnegative")
 
 
 def _margin(text: str) -> float:
@@ -358,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conllu", required=True)
     p.add_argument("--constraints", required=True)
     p.add_argument("--sample", type=_positive, help="sentences to sample (default: all)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out")
     p.add_argument("--oracle-out", help="write constraints with measured ratios")
     p.add_argument("--oracle-theta", type=_margin, default=0.01)

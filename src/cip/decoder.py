@@ -225,10 +225,9 @@ def _row_starts(count: int) -> tuple:
     return tuple(starts)
 
 
-def _eisner_chart(scores: np.ndarray, lo: int):
+def _eisner_chart(scores: np.ndarray, single_root: bool = False):
     """Fill the Eisner charts of an ``(n+1, n)`` score array over the node
-    range [lo, n], one step per width: over [0, n] for the multi-root
-    decode, over [1, n], without the root, for the single-root one.
+    range [0, n], one step per width.
 
     Every span [i, j] of width w is a left half that starts at i plus a
     right half that ends at j, at each split point k.  Row r of ``left``
@@ -256,9 +255,16 @@ def _eisner_chart(scores: np.ndarray, lo: int):
     The two complete sums (rows ``::2``) go to ``left[:_RIGHT]`` and
     ``right[_INCOMP:]``, where the wider spans read them as halves.
 
+    With ``single_root``, the complete root span [0, w] is set to -inf as
+    the left half of an incomplete span once width w is filled, for every
+    w >= 1.  An incomplete span headed at the root is then [0, 0] plus a
+    complete [1, m] headed at m, so the root has exactly one child m, and
+    the complete span [0, n] takes the first best m.  Cells of spans that
+    start at i >= 1 are those of the multi-root chart.
+
     Returns ``(left, right, splits)``.  ``splits[w]`` holds the width's two
     ``argmax`` results, its split rows: ``(k_incomp, k_complete)``, indexed
-    by ``i - lo``, with ``k_complete`` rows 0 (``_LEFT``) and 1
+    by the start i, with ``k_complete`` rows 0 (``_LEFT``) and 1
     (``_RIGHT``).  Each is the lowest best split of span [i, i + w],
     counted from its first: ``k - i`` for ``_LEFT`` and ``_INCOMP``, ``k -
     i - 1`` for ``_RIGHT``.  Entry 0 is unused.
@@ -266,30 +272,33 @@ def _eisner_chart(scores: np.ndarray, lo: int):
     n = scores.shape[1]
     size = n + 1
     left, right = np.full((2, 3, size, size), NEG_INF)
-    left[:_RIGHT, lo:, 0] = right[_INCOMP:, lo:, n] = 0.0
-    offsets = _row_starts(size - lo)
+    left[:_RIGHT, :, 0] = right[_INCOMP:, :, n] = 0.0
+    offsets = _row_starts(size)
     splits = [None]
-    for w in range(1, size - lo):
-        i, j, c = slice(lo, size - w), slice(lo + w, size), n - w
+    for w in range(1, size):
+        i, j, c = slice(0, size - w), slice(w, size), n - w
         rows = offsets[w]
         halves = left[_INCOMP, i, :w] + right[_INCOMP, j, c + 1:]
         k_incomp = halves.argmax(axis=1)
         best = halves.take(k_incomp + rows[0])
-        np.add(best[1 - lo:], scores.diagonal(-w - 1), out=right[_LEFT, w + 1:, c + 1])
-        np.add(best, scores.diagonal(w - 1)[lo:], out=left[_RIGHT, i, w - 1])
+        np.add(best[1:], scores.diagonal(-w - 1), out=right[_LEFT, w + 1:, c + 1])
+        np.add(best, scores.diagonal(w - 1), out=left[_RIGHT, i, w - 1])
         halves = left[::2, i, :w] + right[::2, j, c + 1:]
         k_complete = halves.argmax(axis=2)
         left[:_RIGHT, i, w] = right[_INCOMP:, j, c] = halves.take(k_complete + rows)
+        if single_root:
+            left[_INCOMP, 0, w] = NEG_INF
         splits.append((k_incomp, k_complete))
     return left, right, splits
 
 
-def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> None:
-    """Set ``heads`` along the best derivation of each span in ``spans``,
-    read from the split rows of ``_eisner_chart`` over [lo, n].  A span is
-    ``(i, j, direction, complete)``, direction ``_LEFT`` with its head at
-    j; the walk keeps the spans still to expand on a stack."""
-    stack = list(spans)
+def _eisner_backtrack(splits: list, n: int) -> list[int]:
+    """The heads along the best derivation of the complete span [0, n]
+    headed at the root, read from the split rows of ``_eisner_chart``.  A
+    span is ``(i, j, direction, complete)``, direction ``_LEFT`` with its
+    head at j; the walk keeps the spans still to expand on a stack."""
+    heads = [0] * n
+    stack = [(0, n, _RIGHT, True)]
     while stack:
         i, j, direction, complete = stack.pop()
         if i == j:
@@ -297,11 +306,11 @@ def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> N
         k_incomp, k_complete = splits[j - i]
         if complete:
             if direction == _LEFT:
-                k = i + int(k_complete[0, i - lo])
+                k = i + int(k_complete[0, i])
                 stack.append((i, k, _LEFT, True))
                 stack.append((k, j, _LEFT, False))
             else:
-                k = i + 1 + int(k_complete[1, i - lo])
+                k = i + 1 + int(k_complete[1, i])
                 stack.append((i, k, _RIGHT, False))
                 stack.append((k, j, _RIGHT, True))
         else:
@@ -309,9 +318,10 @@ def _eisner_backtrack(splits: list, lo: int, spans: list, heads: list[int]) -> N
                 heads[i - 1] = j
             else:
                 heads[j - 1] = i
-            k = i + int(k_incomp[i - lo])
+            k = i + int(k_incomp[i])
             stack.append((i, k, _RIGHT, True))
             stack.append((k + 1, j, _LEFT, True))
+    return heads
 
 
 def _bucket_projective_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
@@ -323,23 +333,9 @@ def _bucket_projective_heads(x: np.ndarray, single_root: bool = False) -> np.nda
         bound = n * np.abs(x[np.isfinite(x)]).max()
     if not np.isfinite(bound):
         raise ValueError("score range too large for projective decoding")
-    heads = []
-    for scores in x:
-        tree = [0] * n
-        if not single_root:
-            _, _, splits = _eisner_chart(scores, 0)
-            _eisner_backtrack(splits, 0, [(0, n, _RIGHT, True)], tree)
-        else:
-            left, right, splits = _eisner_chart(scores, 1)
-            # Root child m = 1 .. n heads the spans [1, m] and [m, n].
-            value = scores[0] + left[_LEFT, 1, :n] + right[_RIGHT, n, 1:]
-            best_m = 1 + int(np.argmax(value))
-            tree[best_m - 1] = 0
-            _eisner_backtrack(
-                splits, 1, [(1, best_m, _LEFT, True), (best_m, n, _RIGHT, True)], tree
-            )
-        heads.append(tree)
-    return np.array(heads)
+    return np.array(
+        [_eisner_backtrack(_eisner_chart(scores, single_root)[2], n) for scores in x]
+    )
 
 
 def projective_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:

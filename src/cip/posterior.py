@@ -74,6 +74,8 @@ class PrParams:
             raise ValueError("batch_size must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,43 +193,54 @@ def pack_columns(view: CorpusView) -> PackedColumns:
     n_constraints = len(view.constraints)
     # Whether some row of constraint c is nonzero on an arc of class x.
     hot = table.reshape(n_constraints, 2, 3).any(axis=1)
-    powers = 3 ** np.arange(n_constraints, dtype=np.int64)
     none = np.empty(0, dtype=int)
     # Each list starts with an empty block so that concatenation works when
-    # nothing is touched.  probs, keys and rows hold one entry per head slot
-    # of each packed column.
+    # nothing is touched.  probs, rows and the columns of digits hold one
+    # entry per head slot of each packed column; digits holds each
+    # constraint's class index, class mod 3, in its rows.
     sentence, column, rows = [none], [none], [none]
-    probs, keys = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    probs, digits = [np.empty(0)], [np.empty((n_constraints, 0), dtype=np.int8)]
     packed = 0
     for bucket in view.buckets:
         size, slots, n = bucket.scores.shape
         touched = np.zeros((size, n), dtype=bool)
-        key = np.zeros((size, slots, n), dtype=np.int64)
         for c, grid in enumerate(bucket.classes):
             touched |= hot[c].take(grid).any(axis=1)
-            key += (grid % 3) * powers[c]
         b, j = np.nonzero(touched)
         if b.size == 0:
             continue
         probs.append(_head_probs(bucket.scores).transpose(0, 2, 1)[b, j].ravel())
-        keys.append(key.transpose(0, 2, 1)[b, j].ravel())
+        picked = bucket.classes.transpose(0, 1, 3, 2)[:, b, j] % 3
+        digits.append(picked.reshape(n_constraints, -1))
         rows.append(np.repeat(np.arange(packed, packed + b.size), slots))
         sentence.append(np.asarray(bucket.index)[b])
         column.append(j)
         packed += b.size
-    classes, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    digits = np.concatenate(digits, axis=1)
+    # The key sum_c digit_c * 3**c by Horner's rule from the last constraint
+    # down.  Before a step could pass the int64 range, the keys so far are
+    # renumbered by rank, which keeps their order.
+    key = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits[::-1]:
+        if key.max(initial=0) > (np.iinfo(np.int64).max - 2) // 3:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * 3 + row
+    classes, inverse = np.unique(key, return_inverse=True)
     width = len(classes)
     mass = np.bincount(
         np.concatenate(rows) * width + inverse, np.concatenate(probs), minlength=packed * width
     ).reshape(packed, width)
+    # Each joint class's digits, read at one of its arcs: (K, C).
+    arc = np.empty(width, dtype=np.intp)
+    arc[inverse] = np.arange(key.size)
+    class_digits = digits[:, arc].T
     features = np.arange(len(labels))
-    digits = classes[:, None] // powers % 3  # (K, C): each constraint's class index
     # Buckets run by length; a stable sort by sentence restores corpus order
     # and keeps each sentence's columns ascending.
     order = np.argsort(np.concatenate(sentence), kind="stable")
     return PackedColumns(
         mass=mass[order],
-        phi=table[features, digits[:, features // 2]],
+        phi=table[features, class_digits[:, features // 2]],
         sentence=np.concatenate(sentence)[order],
         column=np.concatenate(column)[order],
         n_sentences=len(view.sentences),

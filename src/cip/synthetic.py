@@ -56,6 +56,8 @@ class SyntheticSpec:
             raise ValueError("margin must be positive")
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("flip_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         seen = set()
         for pos, weight in self.pos_weights:
             if weight <= 0:

@@ -48,7 +48,7 @@ class TypologyTable:
     @classmethod
     def from_csv(cls, stream: IO[str] | Iterable[str]) -> "TypologyTable":
         """Read a ``lang,feature,value`` CSV (header required), one row of
-        three fields per language and feature, neither of them empty."""
+        three fields per language and feature, none of them empty."""
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["lang", "feature", "value"]:
@@ -61,8 +61,9 @@ class TypologyTable:
             if len(record) != 3:
                 raise ValueError(f"{where}: expected lang,feature,value, got {len(record)} fields")
             lang, feature, value = (field.strip() for field in record)
-            if not lang or not feature:
-                raise ValueError(f"{where}: empty {'lang' if not lang else 'feature'}")
+            for name, field in (("lang", lang), ("feature", feature), ("value", value)):
+                if not field:
+                    raise ValueError(f"{where}: empty {name}")
             features = rows.setdefault(lang, {})
             if feature in features:
                 raise ValueError(f"{where}: repeated feature {feature!r} for {lang!r}")

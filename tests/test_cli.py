@@ -474,6 +474,8 @@ def test_estimate_ratios_rejects_a_negative_sample(workspace, capsys):
         ("--sample", "x", "must be a positive integer, got 'x'"),
         ("--sample", "1.5", "must be a positive integer, got '1.5'"),
         ("--oracle-theta", "abc", "must be a number in [0, 0.5], got 'abc'"),
+        ("--seed", "-1", "must be nonnegative, got -1"),
+        ("--seed", "x", "must be a nonnegative integer, got 'x'"),
     ],
 )
 def test_estimate_ratios_names_a_malformed_number_plainly(workspace, capsys, flag, value, message):
@@ -1052,10 +1054,16 @@ def _mismatched(workspace, bad, case):
         with open(bad, "w", encoding="utf-8") as handle:
             cip.write_conllu([other, *sentences[1:]], handle)
         return evaluate, f"{gold}: sentence 0: tree and sentence lengths differ"
-    assert case == "gold-heads"
+    assert case in ("gold-heads", "ratio-gold-heads")
     unannotated = dataclasses.replace(sentences[0], gold_heads=None, gold_labels=None)
     with open(bad, "w", encoding="utf-8") as handle:
         cip.write_conllu([unannotated, *sentences[1:]], handle)
+    if case == "ratio-gold-heads":
+        return (
+            ["estimate-ratios", "--conllu", bad, "--constraints", workspace["constraints"],
+             "--out", out],
+            f"{bad}: sentence {unannotated.sent_id!r} has no gold heads",
+        )
     return (
         ["evaluate", "--pred", gold, "--gold", bad, "--report", out],
         f"{bad}: sentence 0 has no gold heads",
@@ -1064,7 +1072,10 @@ def _mismatched(workspace, bad, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["score-count", "score-id", "score-length", "pred-count", "pred-length", "gold-heads"],
+    [
+        "score-count", "score-id", "score-length", "pred-count", "pred-length", "gold-heads",
+        "ratio-gold-heads",
+    ],
 )
 def test_mismatched_input_files_are_named(workspace, tmp_path, capsys, case):
     """Two input files that do not line up exit 1 with one line that starts
@@ -1108,11 +1119,13 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
         ({"single-root": True}, "unknown key 'single-root'"),
         ({"lr": {"alpha0": float("nan")}}, "lr: alpha0: expected a finite number, got nan"),
         ({"pr": {"lr0": float("inf")}}, "pr: lr0: expected a finite number, got inf"),
+        ({"pr": {"seed": -1}}, "pr: seed must be nonnegative"),
     ],
     ids=[
         "string-single-root", "int-root-counts-left", "float-lr-max-iter", "float-pr-max-iter",
         "float-batch-size", "bool-seed", "string-alpha0", "bool-grad-tol", "list-section",
         "unknown-key", "eta-out-of-range", "unknown-top-level-key", "nan-alpha0", "inf-lr0",
+        "negative-seed",
     ],
 )
 def test_config_value_of_wrong_type_is_a_clean_error(
@@ -1369,11 +1382,12 @@ def test_malformed_ratio_report_is_a_clean_error(workspace, tmp_path, capsys, re
         ("flip-prob", 1.0, "spec: unknown key 'flip-prob'"),
         ("sigm", 0.3, "spec: unknown key 'sigm'"),
         ("planted", SPEC["planted"] * 2, "spec: planted: constraint 1: repeated id 'noun-left'"),
+        ("seed", -1, "spec: seed must be nonnegative"),
     ],
     ids=[
         "list-pos-weights", "null-n-sentences", "string-sigma", "int-planted", "string-flag",
         "float-n-sentences", "numeric-string-sigma", "string-pos-weight", "dashed-key",
-        "misspelt-key", "repeated-planted-id",
+        "misspelt-key", "repeated-planted-id", "negative-seed",
     ],
 )
 def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value, message):

@@ -17,7 +17,6 @@ from cip.decoder import (
     _arborescence,
     _bucket_mst_heads,
     _bucket_projective_heads,
-    _eisner_backtrack,
     _eisner_chart,
     _find_cycle,
     projective_tree_table,
@@ -124,29 +123,33 @@ def loop_eisner_chart(weights, lo, hi):
     return comp, incomp, comp_bp, incomp_bp
 
 
-def chart_by_span(scores, lo):
+def chart_by_span(scores, single_root):
     """``_eisner_chart`` laid out as ``loop_eisner_chart``'s four charts."""
-    left, right, splits = _eisner_chart(scores, lo)
+    left, right, splits = _eisner_chart(scores, single_root)
     hi = scores.shape[1]
     size = hi + 1
     i, j = np.triu_indices(size)
     # Complete spans are kept twice: by start and width in ``left``, by end
-    # and ``hi - width`` in ``right``.
-    comp_l, comp_r = left[_LEFT, i, j - i], left[_INCOMP, i, j - i]
-    assert np.array_equal(comp_l, right[_INCOMP, j, hi - (j - i)])
-    assert np.array_equal(comp_r, right[_RIGHT, j, hi - (j - i)])
+    # and ``hi - width`` in ``right``.  A single-root chart blocks the root
+    # spans [0, j], j >= 1, as left halves of incomplete spans.
+    comp_l, comp_r = right[_INCOMP, j, hi - (j - i)], right[_RIGHT, j, hi - (j - i)]
+    blocked = single_root & (i == 0) & (j > 0)
+    assert np.array_equal(comp_l, left[_LEFT, i, j - i], equal_nan=True)
+    as_half = left[_INCOMP, i, j - i]
+    assert np.array_equal(comp_r[~blocked], as_half[~blocked], equal_nan=True)
+    assert (as_half[blocked] == NEG_INF).all()
     comp = np.full((size, size, 2), NEG_INF)
     comp[i, j, 0], comp[i, j, 1] = comp_l, comp_r
     # Spans of width 0 have no split.  Each wider one has its width's split
-    # rows, indexed by start - lo, which count the split from the span's
-    # first node: k - i, or k - i - 1 for a complete span headed at i.
+    # rows, indexed by start, which count the split from the span's first
+    # node: k - i, or k - i - 1 for a complete span headed at i.
     comp_bp = np.zeros((size, size, 2), dtype=int)
     incomp_bp = np.zeros((size, size, 2), dtype=int)
-    assert splits[0] is None and len(splits) == size - lo
+    assert splits[0] is None and len(splits) == size
     for w, (k_incomp, k_complete) in enumerate(splits[1:], start=1):
-        assert k_incomp.shape == (size - lo - w,)
-        assert k_complete.shape == (2, size - lo - w)
-        i = np.arange(lo, size - w)
+        assert k_incomp.shape == (size - w,)
+        assert k_complete.shape == (2, size - w)
+        i = np.arange(size - w)
         comp_bp[i, i + w, 0] = i + k_complete[0]
         comp_bp[i, i + w, 1] = i + 1 + k_complete[1]
         incomp_bp[i, i + w, 0] = incomp_bp[i, i + w, 1] = i + k_incomp
@@ -159,28 +162,39 @@ def chart_by_span(scores, lo):
 
 
 def loop_projective_heads(weights, chart, single_root):
-    """Heads backtracked from ``chart``, a ``loop_eisner_chart`` over
-    [1, n] when ``single_root`` is set (root child chosen by a strict
-    ``>`` loop) and over [0, n] otherwise."""
+    """Heads backtracked along the pointers of ``chart``, a
+    ``loop_eisner_chart`` over [1, n] when ``single_root`` is set (root
+    child chosen by a strict ``>`` loop) and over [0, n] otherwise."""
     comp, _, comp_bp, incomp_bp = chart
     n = comp.shape[0] - 1
-    lo = 1 if single_root else 0
-    # The pointers as ``_eisner_chart``'s split rows, one pair per width.
-    splits = [None]
-    for w in range(1, n + 1 - lo):
-        i = np.arange(lo, n + 1 - w)
-        k_complete = np.stack((comp_bp[i, i + w, 0] - i, comp_bp[i, i + w, 1] - i - 1))
-        splits.append((incomp_bp[i, i + w, 1] - i, k_complete))
     heads = [0] * n
+    # A span is (i, j, direction, complete), direction 0 with its head at j.
     if not single_root:
-        _eisner_backtrack(splits, 0, [(0, n, _RIGHT, True)], heads)
-        return tuple(heads)
-    best, best_m = NEG_INF, 1
-    for m in range(1, n + 1):
-        value = weights[0, m] + comp[1, m, 0] + comp[m, n, 1]
-        if value > best:
-            best, best_m = value, m
-    _eisner_backtrack(splits, 1, [(1, best_m, _LEFT, True), (best_m, n, _RIGHT, True)], heads)
+        stack = [(0, n, 1, True)]
+    else:
+        best, best_m = NEG_INF, 1
+        for m in range(1, n + 1):
+            value = weights[0, m] + comp[1, m, 0] + comp[m, n, 1]
+            if value > best:
+                best, best_m = value, m
+        stack = [(1, best_m, 0, True), (best_m, n, 1, True)]
+    while stack:
+        i, j, direction, complete = stack.pop()
+        if i == j:
+            continue
+        if complete:
+            k = int(comp_bp[i, j, direction])
+            if direction == 0:
+                stack += [(i, k, 0, True), (k, j, 0, False)]
+            else:
+                stack += [(i, k, 1, False), (k, j, 1, True)]
+        else:
+            if direction == 0:
+                heads[i - 1] = j
+            else:
+                heads[j - 1] = i
+            k = int(incomp_bp[i, j, direction])
+            stack += [(i, k, 1, True), (k + 1, j, 0, True)]
     return tuple(heads)
 
 
@@ -555,13 +569,24 @@ class TestProjectiveDecode:
             matrix = cip.ScoreMatrix(draw((n + 1, n)))
             weights = _square(matrix.scores)
             for single_root in (False, True):
+                # The single-root chart is checked on the spans that start
+                # at i >= 1, against the reference over [1, n].
                 lo = 1 if single_root else 0
                 ref = loop_eisner_chart(weights, lo, n)
-                got = chart_by_span(matrix.scores, lo)
+                got = chart_by_span(matrix.scores, single_root)
                 for values, pointers in ((0, 2), (1, 3)):
-                    assert np.array_equal(got[values], ref[values])
-                    finite = np.isfinite(ref[values])
-                    assert np.array_equal(got[pointers][finite], ref[pointers][finite])
+                    assert np.array_equal(got[values][lo:], ref[values][lo:])
+                    finite = np.isfinite(ref[values][lo:])
+                    assert np.array_equal(
+                        got[pointers][lo:][finite], ref[pointers][lo:][finite]
+                    )
+                # The single-root span [0, j] headed at the root has one
+                # root child m, the first best of the arc, [1, m] and [m, j].
+                for j in range(1, n + 1 if single_root else 1):
+                    m = np.arange(1, j + 1)
+                    value = weights[0, m] + ref[0][1, m, 0] + ref[0][m, j, 1]
+                    assert got[0][0, j, 1] == value.max()
+                    assert got[2][0, j, 1] == 1 + value.argmax()
                 assert cip.projective_decode(
                     matrix, single_root=single_root
                 ).heads == loop_projective_heads(weights, ref, single_root)
@@ -591,19 +616,18 @@ class TestProjectiveDecode:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
     def test_single_root_chart_ignores_root_row_and_column(self, n):
-        # Over [1, n] no span reads an arc out of node 0, so poisoning the
-        # root's row with NaN changes no value and no split.  The score
+        # A span that starts at i >= 1 reads no arc out of node 0, so the
+        # single-root chart, even with the root's row poisoned with NaN,
+        # has the multi-root chart's cells and split rows there.  The score
         # array has no column of arcs into node 0.
         rng = np.random.default_rng(21 + n)
         scores = rng.integers(-2, 3, (n + 1, n)).astype(float)
         poisoned = scores.copy()
         poisoned[0, :] = np.nan
-        got, want = _eisner_chart(poisoned, 1), _eisner_chart(scores, 1)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert len(got[2]) == len(want[2])
-        for got_rows, want_rows in zip(got[2][1:], want[2][1:]):
-            for a, b in zip(got_rows, want_rows):
-                assert np.array_equal(a, b)
+        # The last two charts are the split rows, as split points.
+        got, want = chart_by_span(poisoned, True), chart_by_span(scores, False)
+        for got_cells, want_cells in zip(got, want):
+            assert np.array_equal(got_cells[1:], want_cells[1:])
 
     def test_long_decode_keeps_no_square_index_table(self):
         # Only the split rows' offsets stay cached per node count: 2 * (302

@@ -158,6 +158,8 @@ class TestParams:
             cip.PrParams(batch_size=0)
         with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
             cip.PrParams(max_iter=0)
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            cip.PrParams(seed=-1)
         with pytest.raises(TypeError):
             cip.PrParams(optimizer="plain_sgd")
 
@@ -245,6 +247,29 @@ def test_pack_columns_matches_sentence_loop(name, root_counts_left):
             ]
             assert last_nouns and not packed_pairs & set(last_nouns)
             assert packed_pairs
+
+
+def test_pack_columns_with_41_constraints_matches_sentence_loop():
+    # 41 unary constraints on distinct tags: the joint class key
+    # sum_c (class_c mod 3) * 3**c passes the int64 range from c = 40 on,
+    # where keys that wrapped would collide and decode to wrong classes.
+    tags = [f"T{c}" for c in range(41)]
+    constraints = [
+        cip.Constraint(id=f"c{c}", kind="unary", pos=tag, r=0.5, theta=0.1)
+        for c, tag in enumerate(tags)
+    ]
+    rng = np.random.default_rng(67)
+    corpus = random_corpus(rng, 30, [2, 3, 5, 8], pos_pool=tags)
+    assert {"T39", "T40"} <= {tag for s, _ in corpus for tag in s.upos}
+    packed = pack_columns(CorpusView.of(corpus, constraints))
+    log_p, phi_values, _, _ = loop_pack_columns(corpus, constraints)
+    for lam in (np.zeros(82), rng.uniform(0, 3, 82)):
+        np.testing.assert_allclose(
+            np.hstack(packed.sums(lam)),
+            np.hstack(loop_sums(loop_columns(log_p, phi_values, lam))),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestLogPartition:

@@ -46,6 +46,7 @@ class TestSpecValidation:
             ({"sigma": -0.1}, "sigma must be nonnegative"),
             ({"margin": 0.0}, "margin must be positive"),
             ({"flip_prob": 1.5}, r"flip_prob must lie in \[0, 1\]"),
+            ({"seed": -1}, "seed must be nonnegative"),
             ({"pos_weights": POS + (("PRON", 0.0),)}, "POS weight for 'PRON' must be positive"),
             ({"pos_weights": POS + (("NOUN", 0.1),)}, "duplicate POS 'NOUN' in inventory"),
             (
@@ -55,7 +56,7 @@ class TestSpecValidation:
         ],
         ids=[
             "no-sentences", "zero-min-len", "negative-sigma", "zero-margin", "flip-prob",
-            "zero-weight", "duplicate-pos", "binary-pos2",
+            "negative-seed", "zero-weight", "duplicate-pos", "binary-pos2",
         ],
     )
     def test_rejects_out_of_range_fields(self, fields, message):

@@ -54,10 +54,15 @@ class TestTypologyTable:
             (",85A,Prepositions", "empty lang"),
             ("  ,85A,Prepositions", "empty lang"),
             ("xx,,Postpositions", "empty feature"),
+            ("hi,85A,", "empty value"),
+            ("hi,85A,  ", "empty value"),
             ("yy,85A,Postpositions,extra", "expected lang,feature,value, got 4 fields"),
             ("yy,85A,Postpositions,", "expected lang,feature,value, got 4 fields"),
         ],
-        ids=["empty-lang", "blank-lang", "empty-feature", "fourth-field", "trailing-comma"],
+        ids=[
+            "empty-lang", "blank-lang", "empty-feature", "empty-value", "blank-value",
+            "fourth-field", "trailing-comma",
+        ],
     )
     def test_malformed_row_names_its_line(self, row, message):
         # A row is rejected, not read with a blank key or with its extra
