@@ -143,8 +143,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     trees = []
     for k, sentence in enumerate(predicted):
         if sentence.gold_heads is None:
-            print(f"evaluate: sentence {k} in {args.pred} has no heads", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.pred}: sentence {k} has no heads")
         trees.append(core.ParseTree(sentence.gold_heads))
     _same_count(args.pred, predicted, "sentences", args.gold, gold)
     score = _named(args.gold, core.uas, trees, gold)

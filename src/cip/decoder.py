@@ -28,11 +28,11 @@ every argmax, including those over cycle members during contraction, takes
 the first maximum.  ``mst_decode(single_root=True)`` first decodes over all
 trees and keeps that tree when it has exactly one root child, so it then
 returns what the multi-root decode returns.  Otherwise it runs the same
-Chu-Liu/Edmonds again on scores whose root arcs carry a penalty, and among
-tied single-root optima it returns the tree that decode selects, which is
-not always the one with the lowest root child.  ``projective_decode`` takes
-the first best split point in each span, and with ``single_root`` the
-lowest best root child.
+Chu-Liu/Edmonds loop again with the root child chosen last: greedy parents
+and cycle gains skip the root until one node is left, which takes it.
+Among tied single-root optima that is not always the tree with the lowest
+root child.  ``projective_decode`` takes the first best split point in
+each span, and with ``single_root`` the lowest best root child.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ def _find_cycle(parent: Sequence[int], m: int) -> list[int] | None:
     return None
 
 
-def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
+def _arborescence(
+    dm: np.ndarray, parent: list[int] | None = None, root_last: bool = False
+) -> list[int]:
     """Greedy selection plus cycle contraction on an m x m dependent-major
     weight matrix: ``dm[d, h]`` is the weight of the arc h -> d.
 
@@ -87,9 +89,24 @@ def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
     parent of every node; entry 0 is unused.  Each contraction level is
     kept on a list on the way down and expanded on the way back up, so the
     depth of the contraction is not bound by the stack.
+
+    With ``root_last``, the tree has exactly one root child.  While more
+    than one non-root node is left, each node's greedy parent is its best
+    non-root head, and each cycle member's gain is taken against that
+    head's weight; the last node left takes the root.  This is the decode
+    with an infinite penalty on every root arc: each arc weighs (minus its
+    number of root arcs, its score), compared lexicographically, and no
+    other comparison mixes arcs with different numbers of root arcs.
     """
+    skip = int(root_last)
+
+    def greedy(dm: np.ndarray) -> list[int]:
+        if root_last and len(dm) > 2:
+            return (dm[:, 1:].argmax(axis=1) + 1).tolist()
+        return dm.argmax(axis=1).tolist()
+
     if parent is None:
-        parent = dm.argmax(axis=1).tolist()
+        parent = greedy(dm)
     levels = []
     while (cycle := _find_cycle(parent, len(parent))) is not None:
         # The other nodes, then the cycle members, both in ascending order,
@@ -107,9 +124,10 @@ def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
         leaving = out_arcs.argmax(axis=1).tolist()
         out_best = np.maximum.reduce(out_arcs, axis=1)
         # Arcs entering the cycle: the best gain over the member's greedy
-        # parent, whose weight is the maximum of the member's row.
+        # parent, whose weight is the maximum of the member's row (without
+        # the root column under ``root_last``).
         into = perm[c_id:]
-        gains = into[:, :c_id] - np.maximum.reduce(into, axis=1)[:, None]
+        gains = into[:, :c_id] - np.maximum.reduce(into[:, skip:], axis=1)[:, None]
         # The contracted matrix is the leading c_id + 1 block of perm: the
         # cycle node takes the first member's row and column.
         perm[:c_id, c_id] = out_best
@@ -117,7 +135,7 @@ def _arborescence(dm: np.ndarray, parent: list[int] | None = None) -> list[int]:
         perm[c_id, c_id] = NEG_INF
         levels.append((parent, rest, members, leaving, gains))
         dm = perm[: c_id + 1, : c_id + 1]
-        parent = dm.argmax(axis=1).tolist()
+        parent = greedy(dm)
     for above, rest, members, leaving, gains in reversed(levels):
         # An outside node headed by the cycle takes its best member head,
         # and the cycle's head enters it at the member of the best gain.
@@ -146,40 +164,15 @@ def _bucket_mst_heads(x: np.ndarray, single_root: bool = False) -> np.ndarray:
         for b, parent in enumerate(dm.argmax(axis=2).tolist()):
             try:
                 tree = _arborescence(dm[b], parent)[1:]
+                if single_root and tree.count(0) != 1:
+                    # An optimum over all trees that is single-rooted is
+                    # also optimal among the single-root trees, which are a
+                    # subset; otherwise the root child is chosen last.
+                    tree = _arborescence(dm[b], root_last=True)[1:]
             except FloatingPointError:
                 raise ValueError("score range too large for spanning-tree decoding") from None
-            if single_root and tree.count(0) != 1:
-                # An optimum over all trees that is single-rooted is also
-                # optimal among the single-root trees, which are a subset;
-                # otherwise decode again with a penalty on the root arcs.
-                tree = _single_root_tree(dm[b])
             heads.append(tree)
     return np.array(heads)
-
-
-def _single_root_tree(dm: np.ndarray) -> list[int]:
-    """The heads of Chu-Liu/Edmonds on ``dm`` with one penalty C subtracted
-    from every root arc, in place.
-
-    A tree with k > 1 root children becomes a single-root tree by moving
-    k - 1 of them under the first, which loses at most (k - 1) * (max -
-    min) over the finite entries of ``dm``; with C above max - min each
-    extra root child costs more than that, so the optimum has exactly one
-    root child.
-    Every single-root tree moves by the same C, so they rank as under the
-    raw scores.  Once the range reaches 2**53, C = 1 + (max - min) rounds
-    to the range itself and a second root child can tie; that, and an
-    overflow, raise ``ValueError``.
-    """
-    finite = dm[np.isfinite(dm)]
-    try:
-        dm[1:, 0] -= 1.0 + (finite.max() - finite.min())
-        tree = _arborescence(dm)[1:]
-    except FloatingPointError:
-        tree = []
-    if tree.count(0) != 1:
-        raise ValueError("score range too large for single-root decoding")
-    return tree
 
 
 def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
@@ -188,13 +181,11 @@ def mst_decode(matrix: ScoreMatrix, *, single_root: bool = False) -> ParseTree:
     ``single_root`` restricts the root to exactly one child (off by
     default; multi-root trees are legal).  When the best tree over all trees
     has one root child, that tree is returned, at the cost of the
-    unrestricted decode.  Otherwise a second Chu-Liu/Edmonds runs with a
-    penalty on every root arc, so that a second root child never pays;
-    among tied single-root optima it returns the tree that Chu-Liu/Edmonds
-    selects on the penalised scores, which is deterministic but not always
-    the one with the lowest root child.  That second decode raises
-    ``ValueError`` when the penalty cannot exceed the range of the finite
-    scores, and either decode when a contraction overflows.
+    unrestricted decode.  Otherwise a second Chu-Liu/Edmonds runs that
+    chooses the root child last, as if every root arc carried an infinite
+    penalty; among tied single-root optima its tree is deterministic but not
+    always the one with the lowest root child.  Either decode raises
+    ``ValueError`` when a contraction overflows.
     """
     heads = _bucket_mst_heads(matrix.scores[None], single_root)[0]
     return ParseTree(tuple(heads.tolist()))

@@ -76,6 +76,8 @@ class PrParams:
             raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,8 +110,8 @@ def test_evaluate_rejects_a_prediction_without_heads(workspace, tmp_path, capsys
     pred.write_text("1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
     report = tmp_path / "uas.json"
     argv = ["evaluate", "--pred", str(pred), "--gold", str(workspace["gold"])]
-    assert main([*argv, "--report", str(report)]) == 2
-    assert capsys.readouterr().err == f"evaluate: sentence 0 in {pred} has no heads\n"
+    assert main([*argv, "--report", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"cip: {pred}: sentence 0 has no heads\n")
     assert not report.exists()
 
 
@@ -641,21 +641,9 @@ def test_pr_decode_survives_large_score_gap(tmp_path):
     assert cip.ParseTree(decoded.gold_heads).heads[1] == 0
 
 
-@pytest.mark.parametrize(
-    "grid, projective, single_root, rule",
-    [
-        # 1 + (max - min) rounds to the range: a second root child ties.
-        ([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]], False, True, "single-root"),
-        # Entering the cycle 2 -> 1 -> 2 from the root overflows.
-        ([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]], False, False, "spanning-tree"),
-        # A chart cell would sum two scores of 1.5e308.
-        ([[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]], True, False, "projective"),
-    ],
-)
-@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
-def test_decoder_range_error_names_the_scores(
-    tmp_path, capsys, grid, projective, single_root, rule, method
-):
+def range_case(tmp_path, grid, single_root):
+    """The paths of a one-sentence ``cip decode`` on score ``grid``, and its
+    argument list for every method."""
     paths = {name: tmp_path / name for name in ("gold", "scores", "cons", "config", "out")}
     sentence = cip.Sentence(forms=("dogs", "ran"), upos=("NOUN", "VERB"))
     with open(paths["gold"], "w", encoding="utf-8") as handle:
@@ -672,10 +660,40 @@ def test_decoder_range_error_names_the_scores(
         "--scores", str(paths["scores"]),
         "--constraints", str(paths["cons"]),
         "--config", str(paths["config"]),
-        "--method", method,
         "--out", str(paths["out"]),
     ]
-    assert main(argv + ["--projective"] * projective) == 1
+    return paths, argv
+
+
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+def test_single_root_range_from_2_53_decodes(tmp_path, capsys, method):
+    # A root penalty of 1 + (max - min) would round to the range here; the
+    # root-last decode needs none and keeps one root child.
+    grid = [[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]]
+    paths, argv = range_case(tmp_path, grid, single_root=True)
+    assert main([*argv, "--method", method]) == 0
+    assert capsys.readouterr() == ("", "")
+    with open(paths["out"], encoding="utf-8") as handle:
+        (decoded,) = cip.read_conllu(handle)
+    assert decoded.gold_heads == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "grid, projective, rule",
+    [
+        # Entering the cycle 2 -> 1 -> 2 from the root overflows.
+        ([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]], False, "spanning-tree"),
+        # A chart cell would sum two scores of 1.5e308.
+        ([[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]], True, "projective"),
+    ],
+    # The ids these cases had beside the single-root one, kept so that runs
+    # of the suite stay comparable.
+    ids=["grid1-False-False-spanning-tree", "grid2-True-False-projective"],
+)
+@pytest.mark.parametrize("method", ["baseline", "lr", "pr"])
+def test_decoder_range_error_names_the_scores(tmp_path, capsys, grid, projective, rule, method):
+    paths, argv = range_case(tmp_path, grid, single_root=False)
+    assert main([*argv, "--method", method] + ["--projective"] * projective) == 1
     expected = f"cip: {paths['scores']}: score range too large for {rule} decoding\n"
     assert capsys.readouterr() == ("", expected)
     assert not paths["out"].exists()
@@ -1120,12 +1138,13 @@ def test_config_with_removed_optimizer_key_is_a_clean_error(workspace, tmp_path,
         ({"lr": {"alpha0": float("nan")}}, "lr: alpha0: expected a finite number, got nan"),
         ({"pr": {"lr0": float("inf")}}, "pr: lr0: expected a finite number, got inf"),
         ({"pr": {"seed": -1}}, "pr: seed must be nonnegative"),
+        ({"pr": {"grad_tol": -1.0}}, "pr: grad_tol must be nonnegative"),
     ],
     ids=[
         "string-single-root", "int-root-counts-left", "float-lr-max-iter", "float-pr-max-iter",
         "float-batch-size", "bool-seed", "string-alpha0", "bool-grad-tol", "list-section",
         "unknown-key", "eta-out-of-range", "unknown-top-level-key", "nan-alpha0", "inf-lr0",
-        "negative-seed",
+        "negative-seed", "negative-grad-tol",
     ],
 )
 def test_config_value_of_wrong_type_is_a_clean_error(

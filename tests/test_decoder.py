@@ -75,8 +75,9 @@ def loop_max_arborescence(weights):
 def loop_mst_heads(scores, single_root):
     """The heads of one ``(n+1) x n`` score array from
     ``loop_max_arborescence``; with ``single_root``, a tree with several
-    root children is decoded again with the root penalty of
-    ``_single_root_tree``."""
+    root children is decoded again with a penalty of ``1 + (max - min)`` on
+    every root arc, the independent reference of
+    ``test_single_root_mst_keeps_a_single_root_optimum``."""
     weights = _square(scores)
     heads = loop_max_arborescence(weights)[1:]
     if single_root and np.count_nonzero(heads == 0) != 1:
@@ -248,7 +249,8 @@ class TestMstDecode:
 
     def test_contraction_matches_loop_reference(self):
         # Integer scores tie often, so equal parents check the tie-breaks
-        # of every contraction, with and without a root penalty.
+        # of every contraction, with and without a root penalty.  The
+        # root-last rule must match the penalised reference, ties included.
         rng = np.random.default_rng(17)
         for trial in range(300):
             n = int(rng.integers(2, 21))
@@ -256,11 +258,15 @@ class TestMstDecode:
             if trial % 2:
                 scores = scores + rng.normal(0, 1, scores.shape)
             weights = _square(cip.ScoreMatrix(scores).scores)
+            root_last = _arborescence(weights.T.copy(), root_last=True)[1:]
             for penalty in (0.0, 5.0):
                 weights[0, 1:] -= penalty
                 assert _arborescence(weights.T.copy()) == loop_max_arborescence(
                     weights
                 ).tolist()
+            finite = weights[np.isfinite(weights)]
+            weights[0, 1:] -= 1.0 + (finite.max() - finite.min())
+            assert root_last == loop_max_arborescence(weights)[1:].tolist()
 
     @pytest.mark.parametrize("single_root", [False, True])
     @pytest.mark.parametrize(
@@ -292,17 +298,27 @@ class TestMstDecode:
                         best, rel=1e-12, abs=1e-9
                     )
 
-    def test_bucket_root_penalty_overflow_raises(self):
+    def test_bucket_single_root_near_the_float_limit(self):
         one_root = [[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]
-        # A range near the float limit: harmless while the best tree over
-        # all trees has one root child, an error when it has two.
+        # A range near the float limit, whose best tree over all trees has
+        # one root child in the second sentence and two in the third.
         keeps = [[1.5e308, -1.5e308], [0.0, 0.0], [0.0, 0.0]]
         huge = [[1.5e308, 0.0], [0.0, -1.5e308], [0.0, 0.0]]
         x = np.stack([cip.ScoreMatrix(np.array(s)).scores for s in (one_root, keeps, huge)])
         assert _bucket_mst_heads(x).tolist() == [[0, 1], [0, 1], [0, 0]]
-        assert _bucket_mst_heads(x[:2], single_root=True).tolist() == [[0, 1], [0, 1]]
-        with pytest.raises(ValueError, match="^score range too large for single-root decoding$"):
-            _bucket_mst_heads(x, single_root=True)
+        # The root-last decode of the third ties (0, 1) with (2, 0), at 0.
+        assert _bucket_mst_heads(x, single_root=True).tolist() == [[0, 1], [0, 1], [0, 1]]
+
+    def test_single_root_contraction_overflow_raises(self):
+        # Two root children over all trees; the root-last greedy parents
+        # form the cycle 1 <-> 2, and each gain of entering it from the
+        # root, 1e308 - (-1e308), overflows.
+        matrix = cip.ScoreMatrix(np.array([[1e308, 1e308], [0.0, -1e308], [-1e308, 0.0]]))
+        assert cip.mst_decode(matrix).heads == (0, 0)
+        with pytest.raises(
+            ValueError, match="^score range too large for spanning-tree decoding$"
+        ):
+            cip.mst_decode(matrix, single_root=True)
 
     def test_column_shift_leaves_tree_unchanged(self):
         rng = np.random.default_rng(11)
@@ -366,17 +382,16 @@ class TestMstDecode:
             assert cip.mst_decode(matrix, single_root=True).heads == tree.heads
 
     def test_single_root_extreme_scores(self):
-        # A range of 2e300 still leaves a finite root penalty.
+        # A range of 2e300: (2, 0) scores 1e300, (0, 1) 0.
         matrix = cip.ScoreMatrix(np.array([[1e300, 1e300], [0.0, -1e300], [0.0, 0.0]]))
         assert cip.mst_decode(matrix, single_root=True).heads == (2, 0)
-        # A range near the float limit does not; the decoder says so.
+        # A range near the float limit: (0, 1) and (2, 0) tie at 0.
         huge = cip.ScoreMatrix(np.array([[1.5e308, 0.0], [0.0, -1.5e308], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="score range"):
-            cip.mst_decode(huge, single_root=True)
+        assert cip.mst_decode(huge, single_root=True).heads == (0, 1)
 
     def test_single_root_huge_range_keeps_single_root_optimum(self):
-        # The range overflows the root penalty, but the best tree over all
-        # trees already has one root child, so it is returned.
+        # The best tree over all trees already has one root child, so it
+        # is returned without a second decode.
         matrix = cip.ScoreMatrix(np.array([[1.5e308, -1.5e308], [0.0, 0.0], [0.0, 0.0]]))
         assert cip.mst_decode(matrix, single_root=True).heads == (0, 1)
 
@@ -385,13 +400,12 @@ class TestMstDecode:
         matrix = cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e15], [-1e15, 0.0]]))
         assert decode(matrix, single_root=True).heads == (0, 1)
 
-    def test_single_root_penalty_that_cannot_exceed_the_range_raises(self):
-        # From 2**53 on, 1 + (max - min) rounds to the range, so the tree
-        # with two root children ties the single-root ones.
+    @pytest.mark.parametrize("decode", [cip.mst_decode, cip.projective_decode])
+    def test_single_root_range_from_2_53_keeps_one_root_child(self, decode):
+        # From 2**53 on, a root penalty of 1 + (max - min) would round to
+        # the range and let a second root child tie; no penalty is taken.
         matrix = cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]]))
-        with pytest.raises(ValueError, match="^score range too large for single-root decoding$"):
-            cip.mst_decode(matrix, single_root=True)
-        assert cip.projective_decode(matrix, single_root=True).heads == (0, 1)
+        assert decode(matrix, single_root=True).heads == (0, 1)
 
     def test_contraction_overflow_raises(self):
         # The greedy parents 2 -> 1 -> 2 form a cycle, and both gains of
@@ -409,7 +423,8 @@ class TestMstDecode:
         monkeypatch.setattr(
             decoder,
             "_arborescence",
-            lambda dm, parent=None: calls.append(1) or real(dm, parent),
+            lambda dm, parent=None, root_last=False: calls.append(1)
+            or real(dm, parent, root_last),
         )
         monkeypatch.setattr(
             decoder, "_find_cycle", lambda parent, m: levels.append(1) or find(parent, m)
@@ -417,7 +432,7 @@ class TestMstDecode:
         one_root = cip.ScoreMatrix(np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         assert cip.mst_decode(one_root, single_root=True).heads == (0, 1)
         assert len(calls) == len(levels) == 1
-        # Two root children: the penalised decode runs as well, and its
+        # Two root children: the root-last decode runs as well, and its
         # greedy heads form the cycle 1 <-> 2, contracted once, so that
         # decode looks for a cycle on two levels.
         two_roots = cip.ScoreMatrix(np.array([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]]))

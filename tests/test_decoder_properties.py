@@ -68,7 +68,8 @@ def test_projective_decode_matches_oracle(matrix, single_root):
 @given(matrix=score_matrices())
 def test_single_root_mst_keeps_a_single_root_optimum(matrix):
     # The multi-root tree when it has one root child, ties included;
-    # otherwise Chu-Liu/Edmonds on the root-penalised weights.
+    # otherwise the root-last decode, which must return what Chu-Liu/Edmonds
+    # returns on the root-penalised weights: its independent reference.
     tree = cip.mst_decode(matrix, single_root=True)
     free = cip.mst_decode(matrix)
     if root_children(free.heads) == 1:
@@ -108,24 +109,29 @@ def exact_scores(matrix, table):
 
 @pytest.mark.parametrize("single_root", [False, True])
 @pytest.mark.parametrize(
-    "decode, trees",
-    [(cip.mst_decode, tree_table), (cip.projective_decode, projective_tree_table)],
+    "decode, trees, rule",
+    [
+        (cip.mst_decode, tree_table, "spanning-tree"),
+        (cip.projective_decode, projective_tree_table, "projective"),
+    ],
     ids=["mst", "eisner"],
 )
 @settings(max_examples=300, deadline=None)
 @given(matrix=extreme_matrices())
-# Chu-Liu/Edmonds once returned two root children for the first and a
-# tree 5e307 below the optimum for the second.
+# Chu-Liu/Edmonds once returned two root children for the first, a tree
+# 5e307 below the optimum for the second, and refused the first and the
+# third under the single-root rule.
 @example(matrix=cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, -1e16], [-1e16, 0.0]])))
 @example(matrix=cip.ScoreMatrix(np.array([[-1.7e308, -1.7e308], [0.0, 5e307], [1e308, 0.0]])))
-def test_extreme_ranges_decode_an_optimum_or_raise(decode, trees, single_root, matrix):
-    # Each decode either refuses the range or returns a tree under the root
-    # rule whose exact score is the best one, up to float rounding at the
-    # scale of the largest score.
+@example(matrix=cip.ScoreMatrix(np.array([[1.5e308, 0.0], [0.0, -1.5e308], [0.0, 0.0]])))
+def test_extreme_ranges_decode_an_optimum_or_raise(decode, trees, rule, single_root, matrix):
+    # Each decode either refuses the range with its own rule's message or
+    # returns a tree under the root rule whose exact score is the best one,
+    # up to float rounding at the scale of the largest score.
     try:
         tree = decode(matrix, single_root=single_root)
     except ValueError as exc:
-        assert str(exc).startswith("score range too large for ")
+        assert str(exc) == f"score range too large for {rule} decoding"
         return
     assert is_tree(tree.heads)
     table = trees(matrix.n)

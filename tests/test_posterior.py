@@ -160,6 +160,9 @@ class TestParams:
             cip.PrParams(max_iter=0)
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             cip.PrParams(seed=-1)
+        with pytest.raises(ValueError, match="^grad_tol must be nonnegative$"):
+            cip.PrParams(grad_tol=-1.0)
+        assert cip.PrParams(grad_tol=0.0).grad_tol == 0.0
         with pytest.raises(TypeError):
             cip.PrParams(optimizer="plain_sgd")
 

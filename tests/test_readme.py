@@ -14,6 +14,7 @@ from cip.cli import main
 from test_cli import DATA, SPEC
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+DECODER = README.parent / "src" / "cip" / "decoder.py"
 
 # The input files the README's commands name but do not write, by the
 # tests/data fixture that stands in for each.
@@ -69,3 +70,15 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     assert traces == ["lr.jsonl"]
     lines = (tmp_path / "lr.jsonl").read_bytes().splitlines()
     assert lines and all(isinstance(orjson.loads(line), dict) for line in lines)
+
+
+def test_readme_range_errors_name_the_decoder_messages():
+    # Each bullet of README's range-error list names its message as
+    # (`X decoding`; the decoders raise ``score range too large for X
+    # decoding``.  Both lists must name the same decoders.
+    readme = re.findall(r"\(`([a-z-]+) decoding`", README.read_text(encoding="utf-8"))
+    raised = re.findall(
+        r"score range too large for ([a-z-]+) decoding", DECODER.read_text(encoding="utf-8")
+    )
+    assert readme and sorted(set(readme)) == sorted(set(raised))
+    assert len(readme) == len(set(readme))
