@@ -245,7 +245,7 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = _load(args.spec, lambda h: synthetic.SyntheticSpec.from_dict(json.load(h)))
-    corpus, true_ratios = synthetic.generate_synthetic(spec)
+    corpus, true_ratios = _named(args.spec, synthetic.generate_synthetic, spec)
     _atomic_write(args.out_conllu, lambda h: core.write_conllu(corpus.sentences, h))
     _atomic_write(args.out_scores, lambda h: core.write_scores(corpus.matrices, h))
     if args.out_constraints:
@@ -307,34 +307,24 @@ def cmd_ratio_gap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(low: int, kind: str):
-    """An argparse type: an int of at least ``low``, named ``kind`` in its
-    errors."""
+def _arg_type(parse: Callable, rule: core._Range, expected: str) -> Callable:
+    """An argparse type: ``parse`` of the text, held to ``rule``; ``expected`` is what to give."""
 
-    def parse(text: str) -> int:
+    def convert(text: str) -> Any:
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}") from None
+        if not rule.holds(value):
+            raise argparse.ArgumentTypeError(f"{rule.phrase}, got {value}")
         return value
 
-    return parse
+    return convert
 
 
-_positive, _nonnegative = _at_least(1, "positive"), _at_least(0, "nonnegative")
-
-
-def _margin(text: str) -> float:
-    """An argparse type: a constraint margin, a float in [0, 0.5]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 0.5], got {text!r}") from None
-    if not 0.0 <= value <= 0.5:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 0.5], got {value}")
-    return value
+_positive = _arg_type(int, core.POSITIVE, "a positive integer")
+_nonnegative = _arg_type(int, core.NONNEGATIVE, "a nonnegative integer")
+_margin = _arg_type(float, core.HALF, "a number in [0, 0.5]")
 
 
 @functools.cache

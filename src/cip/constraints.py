@@ -18,12 +18,12 @@ in which position 0 is to the left of everything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .core import Corpus, ParseTree, Sentence, _read_each
+from .core import HALF, UNIT, Corpus, ParseTree, Sentence, _check_ranges, _read_each
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,12 @@ class Constraint:
     id: str
     kind: str  # "unary" | "binary"
     pos: str
-    r: float
-    theta: float
+    r: float = field(metadata={"range": UNIT})
+    theta: float = field(metadata={"range": HALF})
     pos2: str | None = None
 
     def __post_init__(self) -> None:
+        _check_ranges(self)
         if self.kind not in ("unary", "binary"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.kind == "binary":
@@ -45,10 +46,6 @@ class Constraint:
                 raise ValueError("binary constraint requires two distinct POS tags")
         elif self.pos2 is not None:
             raise ValueError("unary constraint must not carry pos2")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"ratio r={self.r} outside [0, 1]")
-        if not 0.0 <= self.theta <= 0.5:
-            raise ValueError(f"margin theta={self.theta} outside [0, 0.5]")
 
     @property
     def lower(self) -> float:

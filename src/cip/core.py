@@ -429,6 +429,41 @@ def _number(value: Any) -> float:
 _CONVERTERS: dict[Any, Callable] = {bool: _boolean, int: _integer, float: _number, str: _string}
 
 
+@dataclass(frozen=True)
+class _Range:
+    """A numeric range: ``test`` states what a value must satisfy, so NaN
+    fails it, and ``phrase`` completes the error ``f"{name} {phrase}"``."""
+
+    phrase: str
+    test: Callable[[Any], bool]
+
+    def holds(self, value: Any) -> bool:
+        """``test`` of ``value``, finite too unless an int (huge ints overflow ``isfinite``)."""
+        return self.test(value) and (isinstance(value, int) or math.isfinite(value))
+
+    def check(self, name: str, value: Any) -> None:
+        """Raise ``ValueError`` naming ``name`` unless ``value`` holds."""
+        if not self.holds(value):
+            raise ValueError(f"{name} {self.phrase}")
+
+
+POSITIVE = _Range("must be positive", lambda x: x > 0)
+NONNEGATIVE = _Range("must be nonnegative", lambda x: x >= 0)
+AT_LEAST_1 = _Range("must be at least 1", lambda x: x >= 1)
+UNIT = _Range("must lie in [0, 1]", lambda x: 0 <= x <= 1)
+STEP = _Range("must lie in (0, 1]", lambda x: 0 < x <= 1)
+HALF = _Range("must lie in [0, 0.5]", lambda x: 0 <= x <= 0.5)
+FINITE = _Range("must be finite", lambda x: True)
+
+
+def _check_ranges(obj: Any) -> None:
+    """Check each ``metadata["range"]`` that a field of the dataclass ``obj``
+    declares, in declaration order, raising ``ValueError`` at the first."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            f.metadata["range"].check(f.name, getattr(obj, f.name))
+
+
 @functools.cache
 def _converters(cls: type) -> dict[str, Callable]:
     """The converter of each field of the dataclass ``cls``: its

@@ -19,27 +19,22 @@ array steps per bucket.  Trees are built only for the returned iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import Constraint, _class_row, is_satisfied
+from .core import AT_LEAST_1, POSITIVE, STEP, _check_ranges
 from .view import CorpusView, InferenceResult
 
 
 @dataclass(frozen=True)
 class LrParams:
-    alpha0: float = 50.0
-    eta: float = 0.9
-    max_iter: int = 60
+    alpha0: float = field(default=50.0, metadata={"range": POSITIVE})
+    eta: float = field(default=0.9, metadata={"range": STEP})
+    max_iter: int = field(default=60, metadata={"range": AT_LEAST_1})
 
-    def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,13 @@ the scores by class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .constraints import Constraint, _class_row
+from .core import AT_LEAST_1, NONNEGATIVE, POSITIVE, STEP, _check_ranges
 from .view import CorpusView, InferenceResult
 
 _ADAM_BETA1 = 0.9
@@ -58,26 +59,14 @@ _LINEAR_SPAN = 600.0
 
 @dataclass(frozen=True)
 class PrParams:
-    lr0: float = 1.0
-    decay: float = 0.98
-    max_iter: int = 100
-    batch_size: int = 128
-    grad_tol: float = 1e-4
-    seed: int = 0
+    lr0: float = field(default=1.0, metadata={"range": POSITIVE})
+    decay: float = field(default=0.98, metadata={"range": STEP})
+    max_iter: int = field(default=100, metadata={"range": AT_LEAST_1})
+    batch_size: int = field(default=128, metadata={"range": AT_LEAST_1})
+    grad_tol: float = field(default=1e-4, metadata={"range": NONNEGATIVE})
+    seed: int = field(default=0, metadata={"range": NONNEGATIVE})
 
-    def __post_init__(self) -> None:
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if not 0 < self.decay <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True, eq=False)

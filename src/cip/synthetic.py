@@ -18,7 +18,8 @@ import numpy as np
 
 from .constraints import Constraint, class_matrix, ratio
 from .core import (
-    Corpus, ParseTree, ScoreMatrix, Sentence, _array, _number, _object, _read, _read_each
+    AT_LEAST_1, FINITE, NONNEGATIVE, POSITIVE, UNIT, Corpus, ParseTree, ScoreMatrix, Sentence,
+    _array, _check_ranges, _number, _object, _read, _read_each,
 )
 
 
@@ -33,35 +34,25 @@ def _planted(value: Any) -> tuple[Constraint, ...]:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_sentences: int
+    n_sentences: int = field(metadata={"range": AT_LEAST_1})
     min_len: int
     max_len: int
     pos_weights: tuple[tuple[str, float], ...] = field(metadata={"convert": _pos_weights})
     planted: tuple[Constraint, ...] = field(default=(), metadata={"convert": _planted})
-    sigma: float = 0.0
-    margin: float = 1.0
-    flip_prob: float = 0.0
-    flip_boost: float = 0.5
+    sigma: float = field(default=0.0, metadata={"range": NONNEGATIVE})
+    margin: float = field(default=1.0, metadata={"range": POSITIVE})
+    flip_prob: float = field(default=0.0, metadata={"range": UNIT})
+    flip_boost: float = field(default=0.5, metadata={"range": FINITE})
     allow_nonprojective: bool = False
-    seed: int = 0
+    seed: int = field(default=0, metadata={"range": NONNEGATIVE})
 
     def __post_init__(self) -> None:
-        if self.n_sentences < 1:
-            raise ValueError("n_sentences must be at least 1")
+        _check_ranges(self)
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError("need 1 <= min_len <= max_len")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if not 0 <= self.flip_prob <= 1:
-            raise ValueError("flip_prob must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         seen = set()
         for pos, weight in self.pos_weights:
-            if weight <= 0:
-                raise ValueError(f"POS weight for {pos!r} must be positive")
+            POSITIVE.check(f"POS weight for {pos!r}", weight)
             if pos in seen:
                 raise ValueError(f"duplicate POS {pos!r} in inventory")
             seen.add(pos)
@@ -106,13 +97,11 @@ def _random_tree_heads(length: int, rng: np.random.Generator) -> list[int]:
 
 def _plant_unary(
     constraint: Constraint,
-    weight: float,
+    count: int,
     slots: dict[tuple[int, int], str],
     tags: list[list[str | None]],
-    total_tokens: int,
     rng: np.random.Generator,
 ) -> None:
-    count = round(weight * total_tokens)
     n_plus = round(constraint.r * count)
     n_minus = count - n_plus
     left = [key for key, side in slots.items() if side == "L" and tags[key[0]][key[1] - 1] is None]
@@ -132,13 +121,11 @@ def _plant_unary(
 
 def _plant_binary(
     constraint: Constraint,
-    weight: float,
+    count: int,
     arcs: list[tuple[int, int, int]],
     tags: list[list[str | None]],
-    total_tokens: int,
     rng: np.random.Generator,
 ) -> None:
-    count = round(weight * total_tokens)
     n_plus = round(constraint.r * count)
     neighbours: dict[tuple[int, int], list[int]] = {}
     for k, head, dep in arcs:
@@ -202,11 +189,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, float | N
 
     weights = dict(spec.pos_weights)
     for constraint in spec.planted:
+        # A share above 1 asks for more tokens than there are, which is
+        # infeasible either way; capping it keeps the count finite.
         if constraint.kind == "unary":
-            _plant_unary(constraint, weights[constraint.pos], slots, tags, total_tokens, rng)
+            count = round(min(weights[constraint.pos], 1.0) * total_tokens)
+            _plant_unary(constraint, count, slots, tags, rng)
         else:
-            share = min(weights[constraint.pos], weights[constraint.pos2 or ""])
-            _plant_binary(constraint, share, gold_arcs, tags, total_tokens, rng)
+            share = min(weights[constraint.pos], weights[constraint.pos2 or ""], 1.0)
+            _plant_binary(constraint, round(share * total_tokens), gold_arcs, tags, rng)
 
     planted_pos = {c.pos for c in spec.planted} | {
         c.pos2 for c in spec.planted if c.pos2 is not None
@@ -221,8 +211,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, float | N
     if untagged:
         names = [pos for pos, _ in filler]
         probs = np.asarray([w for _, w in filler], dtype=float)
-        probs /= probs.sum()
-        draws = rng.choice(len(names), size=len(untagged), p=probs)
+        with np.errstate(over="ignore"):
+            total = probs.sum()
+        if not np.isfinite(total):
+            raise ValueError("filler POS weights sum past the largest float")
+        draws = rng.choice(len(names), size=len(untagged), p=probs / total)
         for (k, j), pick in zip(untagged, draws):
             tags[k][j - 1] = names[int(pick)]
 

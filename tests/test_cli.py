@@ -1425,6 +1425,36 @@ def test_spec_field_of_wrong_type_is_a_clean_error(tmp_path, capsys, key, value,
     assert err.startswith(f"cip: {spec}: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            # Length-2 sentences hold 30 right-headed tokens at most.
+            {"min_len": 2, "max_len": 2, "pos_weights": {"NOUN": 0.9, "VERB": 0.1},
+             "planted": [{"id": "noun-left", "kind": "unary", "pos": "NOUN", "r": 0.0}]},
+            "planted ratio 0.0 for noun-left is infeasible: need 0 left-headed and 54",
+        ),
+        # Finite weights whose token count, or whose sum, overflows.
+        ({"pos_weights": {"NOUN": 1e308, "VERB": 1.0}}, "planted ratio 0.9 for noun-left is"),
+        (
+            {"pos_weights": {"NOUN": 0.3, "VERB": 1e308, "DET": 1e308}},
+            "filler POS weights sum past the largest float",
+        ),
+    ],
+    ids=["infeasible", "huge-planted-weight", "huge-filler-weights"],
+)
+def test_synth_content_error_names_the_spec(tmp_path, capsys, fields, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, **fields}))
+    outputs = [tmp_path / "gold.conllu", tmp_path / "scores.jsonl"]
+    code = main(["synth", "--spec", str(spec),
+                 "--out-conllu", str(outputs[0]), "--out-scores", str(outputs[1])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cip: {spec}: {message}") and err.count("\n") == 1
+    assert not any(path.exists() for path in outputs)
+
+
 def test_decode_holds_the_scores_once(workspace, monkeypatch):
     # Once the view is built, cmd_decode drops the corpus: its score
     # matrices are gone by the time the trees are written.

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -394,3 +395,47 @@ def test_field_of_unknown_type_without_converter_is_caught():
     with pytest.raises(KeyError):
         _read(Tagged, {"tags": ["x"]}, "tagged")
 
+
+# A valid instance of each dataclass whose numeric fields declare a range.
+RANGED = {
+    cip.LrParams: {},
+    cip.PrParams: {},
+    cip.SyntheticSpec: {
+        "n_sentences": 2, "min_len": 1, "max_len": 3, "pos_weights": (("NOUN", 0.5),),
+    },
+    cip.Constraint: {"id": "x", "kind": "unary", "pos": "NOUN", "r": 0.5, "theta": 0.1},
+}
+
+
+def _non_finite_cases():
+    """NaN and ±inf in every float field and in one POS weight, and NaN and
+    +inf in every int field that declares a range, each with the start of
+    the message that names it."""
+    for cls, valid in RANGED.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if hints[f.name] is float:
+                values = ("nan", "inf", "-inf")
+            elif hints[f.name] is int and "range" in f.metadata:
+                values = ("nan", "inf")
+            else:
+                continue
+            for value in values:
+                yield pytest.param(
+                    cls, {**valid, f.name: float(value)}, f"^{f.name} ",
+                    id=f"{cls.__name__}.{f.name}={value}",
+                )
+    for value in ("nan", "inf", "-inf"):
+        weights = (("NOUN", 0.5), ("VERB", float(value)))
+        yield pytest.param(
+            cip.SyntheticSpec, {**RANGED[cip.SyntheticSpec], "pos_weights": weights},
+            "^POS weight for 'VERB' ", id=f"SyntheticSpec.pos_weights={value}",
+        )
+
+
+@pytest.mark.parametrize("cls, values, message", _non_finite_cases())
+def test_every_numeric_field_rejects_non_finite_values(cls, values, message):
+    # A float field added later without a range fails here.
+    cls(**RANGED[cls])
+    with pytest.raises(ValueError, match=message):
+        cls(**values)
