@@ -25,9 +25,6 @@ from .core import (
     write_scores,
 )
 from .decoder import (
-    InfeasibleError,
-    brute_force_constrained,
-    brute_force_decode,
     is_projective,
     mst_decode,
     projective_decode,
@@ -51,7 +48,6 @@ __all__ = [
     "Corpus",
     "CorpusView",
     "FormatError",
-    "InfeasibleError",
     "InferenceConfig",
     "InferenceResult",
     "LrParams",
@@ -62,8 +58,6 @@ __all__ = [
     "Sentence",
     "SyntheticSpec",
     "TypologyTable",
-    "brute_force_constrained",
-    "brute_force_decode",
     "compile_binary",
     "coverage",
     "estimate_ratio",

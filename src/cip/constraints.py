@@ -23,7 +23,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .core import HALF, UNIT, Corpus, ParseTree, Sentence, _check_ranges, _read_each
+from .core import HALF, NONNEGATIVE, UNIT, Corpus, ParseTree, Sentence, _check_ranges, _read_each
 
 
 @dataclass(frozen=True)
@@ -214,17 +214,22 @@ def ratio_gap(
     target_ratios: Sequence[float],
     coverages: Sequence[float],
 ) -> float:
-    """Coverage-weighted mean absolute difference between two ratio vectors."""
+    """Coverage-weighted mean absolute difference between two ratio vectors.
+
+    Each coverage must be finite and nonnegative, not all zero, and each
+    ratio finite; otherwise ``ValueError`` is raised."""
     if not (len(constraints) == len(source_ratios) == len(target_ratios) == len(coverages)):
         raise ValueError("ratio_gap inputs differ in length")
     weights = np.asarray(coverages, dtype=float)
-    if np.any(weights < 0):
+    if not all(map(NONNEGATIVE.holds, weights)):
         raise ValueError("coverages must be nonnegative")
+    ratios = np.asarray([source_ratios, target_ratios], dtype=float)
+    if not np.isfinite(ratios).all():
+        raise ValueError("ratios must be finite")
     total = weights.sum()
     if total == 0:
         raise ValueError("all coverages are zero")
-    diffs = np.abs(np.asarray(source_ratios, dtype=float) - np.asarray(target_ratios, dtype=float))
-    return float((weights * diffs).sum() / total)
+    return float((weights * np.abs(ratios[0] - ratios[1])).sum() / total)
 
 
 # ---------------------------------------------------------------------------

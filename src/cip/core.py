@@ -275,11 +275,14 @@ def write_conllu(
 
     With ``trees`` given, the HEAD column carries the predicted heads while
     DEPREL passes the gold labels through unchanged; otherwise gold heads are
-    written (``_`` when absent).
+    written (``_`` when absent).  A tree whose length differs from its
+    sentence's raises ``ValueError``.
     """
     if trees is not None and len(trees) != len(sentences):
         raise ValueError("trees and sentences differ in length")
     for k, sentence in enumerate(sentences):
+        if trees is not None and len(trees[k]) != len(sentence):
+            raise ValueError(f"sentence {k}: tree and sentence lengths differ")
         if sentence.sent_id:
             stream.write(f"# sent_id = {sentence.sent_id}\n")
         heads: Sequence[int] | None

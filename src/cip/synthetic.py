@@ -36,7 +36,7 @@ def _planted(value: Any) -> tuple[Constraint, ...]:
 class SyntheticSpec:
     n_sentences: int = field(metadata={"range": AT_LEAST_1})
     min_len: int
-    max_len: int
+    max_len: int = field(metadata={"range": AT_LEAST_1})
     pos_weights: tuple[tuple[str, float], ...] = field(metadata={"convert": _pos_weights})
     planted: tuple[Constraint, ...] = field(default=(), metadata={"convert": _planted})
     sigma: float = field(default=0.0, metadata={"range": NONNEGATIVE})

@@ -358,9 +358,14 @@ class TestRatioGap:
         with pytest.raises(ValueError):
             cip.ratio_gap([UNARY], [0.5, 0.6], [0.8], [0.1])
 
-    def test_negative_coverage(self):
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_negative_coverage(self, value):
         with pytest.raises(ValueError, match="^coverages must be nonnegative$"):
-            cip.ratio_gap([UNARY, BINARY], [0.5, 0.2], [0.8, 0.8], [0.2, -0.1])
+            cip.ratio_gap([UNARY, BINARY], [0.5, 0.2], [0.8, 0.8], [0.2, value])
+
+    def test_nan_ratio(self):
+        with pytest.raises(ValueError, match="^ratios must be finite$"):
+            cip.ratio_gap([UNARY, BINARY], [0.5, float("nan")], [0.8, 0.8], [0.2, 0.1])
 
 
 class TestCoverage:

@@ -347,13 +347,25 @@ class TestTypeInvariants:
                 "trees and sentences differ in length",
             ),
             (
+                lambda: cip.write_conllu([ONE_TOKEN], io.StringIO(), [cip.ParseTree((0, 1))]),
+                "sentence 0: tree and sentence lengths differ",
+            ),
+            (
+                lambda: cip.write_conllu(
+                    [ONE_TOKEN, make_sentence(["A", "B"])], io.StringIO(),
+                    [cip.ParseTree((0,)), cip.ParseTree((0,))],
+                ),
+                "sentence 1: tree and sentence lengths differ",
+            ),
+            (
                 lambda: cip.uas([cip.ParseTree((0,))], [ONE_TOKEN] * 2),
                 "predicted and gold differ in sentence count",
             ),
         ],
         ids=[
             "no-token", "upos-length", "heads-length", "labels-length", "square-scores",
-            "flat-scores", "empty-scores", "pair-count", "write-count", "uas-count",
+            "flat-scores", "empty-scores", "pair-count", "write-count", "write-long-tree",
+            "write-short-tree", "uas-count",
         ],
     )
     def test_rejects_inputs_that_do_not_line_up(self, build, message):

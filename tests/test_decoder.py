@@ -19,11 +19,16 @@ from cip.decoder import (
     _bucket_projective_heads,
     _eisner_chart,
     _find_cycle,
-    projective_tree_table,
-    tree_table,
 )
 
 from conftest import _square, make_sentence
+from oracles import (
+    InfeasibleError,
+    brute_force_constrained,
+    brute_force_decode,
+    projective_tree_table,
+    tree_table,
+)
 
 
 def best_in_table(matrix, table):
@@ -234,7 +239,7 @@ class TestMstDecode:
         # the cycle and return the true optimum (2, 0).
         matrix = cip.ScoreMatrix(np.array([[0.0, 0.0], [0.0, 4.0], [5.0, 0.0]]))
         tree = cip.mst_decode(matrix)
-        brute, objective = cip.brute_force_decode(matrix)
+        brute, objective = brute_force_decode(matrix)
         assert tree.heads == brute.heads == (2, 0)
         assert matrix.tree_score(tree.heads) == objective == 5.0
 
@@ -244,7 +249,7 @@ class TestMstDecode:
             n = int(rng.integers(2, 7))
             matrix = cip.ScoreMatrix(rng.normal(0, 3, (n + 1, n)))
             tree = cip.mst_decode(matrix)
-            _, objective = cip.brute_force_decode(matrix)
+            _, objective = brute_force_decode(matrix)
             assert matrix.tree_score(tree.heads) == objective
 
     def test_contraction_matches_loop_reference(self):
@@ -334,7 +339,7 @@ class TestMstDecode:
         for n in (2, 3, 4):
             matrix = cip.ScoreMatrix(np.zeros((n + 1, n)))
             assert cip.mst_decode(matrix).heads == (0,) * n
-            assert cip.brute_force_decode(matrix)[0].heads == (0,) * n
+            assert brute_force_decode(matrix)[0].heads == (0,) * n
 
     def test_contraction_ties_prefer_lower_index(self):
         # Greedy picks the cycle 2->1, 1->2.  Both members tie as the entry
@@ -344,7 +349,7 @@ class TestMstDecode:
             np.array([[0.0, 0.0, 0.0], [0, 5, 4], [5, 0, 4], [0, 0, 0]])
         )
         assert cip.mst_decode(matrix).heads == (0, 1, 1)
-        assert cip.brute_force_decode(matrix)[0].heads == (0, 1, 1)
+        assert brute_force_decode(matrix)[0].heads == (0, 1, 1)
 
     def test_single_root_flag(self):
         # Two strong root arcs: multi-root decode takes both, single-root
@@ -677,20 +682,20 @@ class TestProjectiveDecode:
 
 class TestBruteForce:
     def test_single_token(self):
-        tree, objective = cip.brute_force_decode(cip.ScoreMatrix(np.array([[2.0], [0.0]])))
+        tree, objective = brute_force_decode(cip.ScoreMatrix(np.array([[2.0], [0.0]])))
         assert tree.heads == (0,)
         assert objective == 2.0
 
     def test_objective_is_arc_sum(self):
         rng = np.random.default_rng(16)
         matrix = cip.ScoreMatrix(rng.normal(0, 1, (5, 4)))
-        tree, objective = cip.brute_force_decode(matrix)
+        tree, objective = brute_force_decode(matrix)
         manual = sum(matrix.scores[h, d - 1] for h, d in tree.arcs())
         assert objective == pytest.approx(manual, abs=1e-12)
 
     def test_guard(self):
         with pytest.raises(ValueError, match="^tree table limited to n <= 6, got 7$"):
-            cip.brute_force_decode(cip.ScoreMatrix(np.zeros((8, 7))))
+            brute_force_decode(cip.ScoreMatrix(np.zeros((8, 7))))
         with pytest.raises(ValueError, match="^tree table limited to n <= 6, got 7$"):
             tree_table(7)
 
@@ -711,10 +716,10 @@ class TestBruteForceConstrained:
                 (make_sentence(upos), cip.ScoreMatrix(rng.normal(0, 2, (n + 1, n))))
             )
         corpus = cip.Corpus(tuple(entries))
-        trees, objective = cip.brute_force_constrained(corpus, [])
+        trees, objective = brute_force_constrained(corpus, [])
         expected = 0.0
         for (_, matrix), tree in zip(corpus, trees):
-            single, best = cip.brute_force_decode(matrix)
+            single, best = brute_force_decode(matrix)
             assert tree.heads == single.heads
             expected += best
         assert objective == pytest.approx(expected, abs=1e-12)
@@ -731,9 +736,9 @@ class TestBruteForceConstrained:
         scores[1, 1] = 1.0  # det -> noun: best left-headed option
         corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),))
         constraint = cip.Constraint(id="c", kind="unary", pos="NOUN", r=1.0, theta=0.01)
-        free, _ = cip.brute_force_constrained(corpus, [])
+        free, _ = brute_force_constrained(corpus, [])
         assert free[0].heads == (0, 3, 0)
-        trees, _ = cip.brute_force_constrained(corpus, [constraint])
+        trees, _ = brute_force_constrained(corpus, [constraint])
         assert trees[0].heads == (0, 1, 0)
 
     def test_infeasible(self):
@@ -743,8 +748,8 @@ class TestBruteForceConstrained:
         scores = np.zeros((4, 3))
         corpus = cip.Corpus(((sentence, cip.ScoreMatrix(scores)),))
         constraint = cip.Constraint(id="c", kind="unary", pos="NOUN", r=0.5, theta=0.0)
-        with pytest.raises(cip.InfeasibleError):
-            cip.brute_force_constrained(corpus, [constraint], root_counts_left=True)
+        with pytest.raises(InfeasibleError):
+            brute_force_constrained(corpus, [constraint], root_counts_left=True)
 
     def test_constrained_never_beats_unconstrained(self):
         rng = np.random.default_rng(18)
@@ -760,10 +765,10 @@ class TestBruteForceConstrained:
             constraint = cip.Constraint(
                 id="c", kind="unary", pos="NOUN", r=0.5, theta=0.5
             )
-            free, free_obj = cip.brute_force_constrained(corpus, [])
+            free, free_obj = brute_force_constrained(corpus, [])
             try:
-                _, constrained_obj = cip.brute_force_constrained(corpus, [constraint])
-            except cip.InfeasibleError:
+                _, constrained_obj = brute_force_constrained(corpus, [constraint])
+            except InfeasibleError:
                 continue
             assert constrained_obj <= free_obj + 1e-12
 
@@ -775,4 +780,4 @@ class TestBruteForceConstrained:
             )
         corpus = cip.Corpus(tuple(entries))
         with pytest.raises(ValueError, match="guard"):
-            cip.brute_force_constrained(corpus, [])
+            brute_force_constrained(corpus, [])

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import cip
 from cip.core import is_tree
-from cip.decoder import _arborescence, projective_tree_table, tree_table
+from cip.decoder import _arborescence
 
 from conftest import _square
+from oracles import projective_tree_table, tree_table
 
 VALUES = st.one_of(
     st.integers(-2, 2).map(float),  # ties everywhere

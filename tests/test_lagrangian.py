@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 import cip
 from cip.constraints import class_matrix
 from cip.core import NEG_INF
-from cip.decoder import projective_tree_table
 from cip.constraints import _class_row
 from cip.lagrangian import IterationRecord
 from cip.view import InferenceResult, _lookup
 
 from conftest import make_sentence, noun_toy_entry, random_corpus
+from oracles import (
+    InfeasibleError,
+    brute_force_constrained,
+    brute_force_decode,
+    projective_tree_table,
+)
 
 NOUN_LEFT = cip.Constraint(id="noun-left", kind="unary", pos="NOUN", r=1.0, theta=0.01)
 
@@ -190,7 +195,7 @@ class TestLrInfer:
         assert result.converged
         assert cip.ratio(NOUN_LEFT, noun_toy_corpus, result.trees) == 1.0
 
-        reference, best = cip.brute_force_constrained(noun_toy_corpus, [NOUN_LEFT])
+        reference, best = brute_force_constrained(noun_toy_corpus, [NOUN_LEFT])
         objective = sum(
             m.tree_score(t.heads) for (_, m), t in zip(noun_toy_corpus, result.trees)
         )
@@ -237,7 +242,7 @@ class TestLrInfer:
             for sentence, matrix in corpus:
                 augmented = augment_scores(matrix, sentence, cons, lambdas)
                 fast = cip.mst_decode(augmented)
-                _, best = cip.brute_force_decode(augmented)
+                _, best = brute_force_decode(augmented)
                 assert augmented.tree_score(fast.heads) == best
 
     def test_deterministic(self, noun_toy_corpus):
@@ -433,7 +438,7 @@ def test_projective_weak_duality(problem, root_counts_left):
                 cip.Constraint(id=f"c{i}", kind=kind, pos=pos, pos2=pos2, r=measured, theta=0.0)
             )
     assume(constraints)
-    _, optimum = cip.brute_force_constrained(
+    _, optimum = brute_force_constrained(
         corpus, constraints, projective=True, root_counts_left=root_counts_left
     )
     view = cip.CorpusView.of(corpus, constraints, root_counts_left, projective=True)
@@ -468,8 +473,8 @@ def test_projective_infeasible_bands_never_converge(problem, bands):
         for i, ((kind, pos, pos2), r, theta) in enumerate(bands)
     ]
     try:
-        cip.brute_force_constrained(corpus, constraints, projective=True, root_counts_left=True)
-    except cip.InfeasibleError:
+        brute_force_constrained(corpus, constraints, projective=True, root_counts_left=True)
+    except InfeasibleError:
         view = cip.CorpusView.of(corpus, constraints, True, projective=True)
         result = cip.lr_decode(view, cip.LrParams(max_iter=20))
         assert not result.converged

@@ -43,6 +43,7 @@ class TestSpecValidation:
         [
             ({"n_sentences": 0}, "n_sentences must be at least 1"),
             ({"min_len": 0}, "need 1 <= min_len <= max_len"),
+            ({"min_len": 1, "max_len": 0}, "max_len must be at least 1"),
             ({"sigma": -0.1}, "sigma must be nonnegative"),
             ({"margin": 0.0}, "margin must be positive"),
             ({"flip_prob": 1.5}, r"flip_prob must lie in \[0, 1\]"),
@@ -55,7 +56,7 @@ class TestSpecValidation:
             ),
         ],
         ids=[
-            "no-sentences", "zero-min-len", "negative-sigma", "zero-margin", "flip-prob",
+            "no-sentences", "zero-min-len", "zero-max-len", "negative-sigma", "zero-margin", "flip-prob",
             "negative-seed", "zero-weight", "duplicate-pos", "binary-pos2",
         ],
     )
