@@ -11,6 +11,15 @@ method, ``--projective`` and ``single_root``:
 - ``reports.json``: the ``--report`` object;
 - ``traces.json``: the ``--trace`` records of the LR and PR cases.
 
+The ``synth`` cases decode a corpus at scale under the same constraints:
+168 sentences of 10-30 tokens, in length buckets of up to 13 sentences,
+which PR steps through in minibatches.  Its 1.6 MB of scores are not
+committed; ``cip synth`` writes them from ``synth_spec.json``, and
+``inputs.json`` holds the sha256 of its two outputs.  numpy does not
+promise the same random streams across versions, so a changed input fails
+with its own message before any decode is compared.  These cases record
+every file but ``heads.json``, whose heads the output digest pins.
+
 A decoder rewrite must keep every head, ties included, so heads and
 output digests are compared exactly.  Report and trace numbers are compared with
 ``math.isclose(rel_tol=1e-9, abs_tol=1e-12)``, and every other value
@@ -21,11 +30,13 @@ says why in CHANGES.md.  To record the output of a commit, run this file at
 that commit: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import atexit
 import functools
 import hashlib
 import itertools
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -38,11 +49,37 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = [
     f"{scores}/{method}/{'eisner' if projective else 'mst'}/{'single' if single else 'multi'}"
     for scores, method, projective, single in itertools.product(
-        ("scores", "scores_tied"), ("baseline", "lr", "pr"), (False, True), (False, True)
+        ("scores", "scores_tied", "synth"), ("baseline", "lr", "pr"), (False, True), (False, True)
     )
 ]
+HEADED = [case for case in CASES if not case.startswith("synth/")]
 TRACED = [case for case in CASES if case.split("/")[1] != "baseline"]
 FILES = ("heads", "outputs", "reports", "traces")
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@functools.cache
+def synth_inputs() -> Path:
+    """The directory, kept until exit, where ``cip synth`` wrote
+    ``corpus.conllu`` and ``scores.jsonl`` from ``synth_spec.json``."""
+    workdir = Path(tempfile.mkdtemp(prefix="cip-golden-"))
+    atexit.register(shutil.rmtree, workdir, ignore_errors=True)
+    argv = [
+        "synth",
+        "--spec", str(GOLDEN / "synth_spec.json"),
+        "--out-conllu", str(workdir / "corpus.conllu"),
+        "--out-scores", str(workdir / "scores.jsonl"),
+    ]
+    assert main(argv) == 0
+    return workdir
+
+
+def input_digests() -> dict[str, str]:
+    """The sha256 of each file ``cip synth`` wrote, by file name."""
+    return {name: digest(synth_inputs() / name) for name in ("corpus.conllu", "scores.jsonl")}
 
 
 @functools.cache
@@ -56,13 +93,17 @@ def decode_case(case: str) -> dict:
 
 def _decode_case(case: str, workdir: Path) -> dict:
     scores, method, decoder, root = case.split("/")
+    if scores == "synth":
+        conllu, scores_file = synth_inputs() / "corpus.conllu", synth_inputs() / "scores.jsonl"
+    else:
+        conllu, scores_file = GOLDEN / "corpus.conllu", GOLDEN / f"{scores}.jsonl"
     config = workdir / "config.json"
     config.write_text(json.dumps({"single_root": root == "single"}))
     out, report, trace = workdir / "out.conllu", workdir / "report.json", workdir / "trace.jsonl"
     argv = [
         "decode",
-        "--conllu", str(GOLDEN / "corpus.conllu"),
-        "--scores", str(GOLDEN / f"{scores}.jsonl"),
+        "--conllu", str(conllu),
+        "--scores", str(scores_file),
         "--constraints", str(GOLDEN / "constraints.json"),
         "--method", method,
         "--config", str(config),
@@ -76,7 +117,7 @@ def _decode_case(case: str, workdir: Path) -> dict:
     assert main(argv) == 0
     with out.open() as handle:
         recorded = {"heads": [list(s.gold_heads) for s in cip.read_conllu(handle)]}
-    recorded["outputs"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    recorded["outputs"] = digest(out)
     recorded["reports"] = json.loads(report.read_text())
     if case in TRACED:
         recorded["traces"] = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -112,29 +153,42 @@ def mismatches(got, want) -> list[tuple[float, str]]:
 
 @pytest.fixture(scope="module")
 def golden():
-    return {name: json.loads((GOLDEN / f"{name}.json").read_text()) for name in FILES}
+    return {name: json.loads((GOLDEN / f"{name}.json").read_text()) for name in FILES + ("inputs",)}
+
+
+def decoded(case: str, golden: dict) -> dict:
+    """``decode_case(case)``, once the inputs of a ``synth`` case are
+    known to be the recorded ones."""
+    if case.startswith("synth/") and input_digests() != golden["inputs"]:
+        pytest.fail(f"{case}: input changed: cip synth wrote {input_digests()} from"
+                    f" synth_spec.json, recorded {golden['inputs']}; no decode compared")
+    return decode_case(case)
+
+
+def test_synth_inputs_match_golden(golden):
+    assert input_digests() == golden["inputs"], "input changed: cip synth output differs"
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden["heads"]) == sorted(CASES)
+    assert sorted(golden["heads"]) == sorted(HEADED)
     assert sorted(golden["outputs"]) == sorted(CASES)
     assert sorted(golden["reports"]) == sorted(CASES)
     assert sorted(golden["traces"]) == sorted(TRACED)
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", HEADED)
 def test_heads_match_golden(case, golden):
     assert decode_case(case)["heads"] == golden["heads"][case]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_output_bytes_match_golden(case, golden):
-    assert decode_case(case)["outputs"] == golden["outputs"][case]
+    assert decoded(case, golden)["outputs"] == golden["outputs"][case]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_report_and_trace_match_golden(case, golden):
-    recorded = decode_case(case)
+    recorded = decoded(case, golden)
     for name in ("reports", "traces"):
         if name in recorded:
             found = mismatches(recorded[name], golden[name][case])
@@ -163,6 +217,7 @@ if __name__ == "__main__":
         lines = [
             f"{json.dumps(case)}: {json.dumps(output[case][name])}"
             for case in CASES
-            if name in output[case]
+            if name in output[case] and (name != "heads" or case in HEADED)
         ]
         (GOLDEN / f"{name}.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    (GOLDEN / "inputs.json").write_text(json.dumps(input_digests(), indent=2) + "\n")
