@@ -33,7 +33,6 @@ from .lagrangian import LrParams, lr_decode
 from .posterior import PrParams, posterior_arc_probs, pr_decode, solve_dual
 from .synthetic import SyntheticSpec, generate_synthetic
 from .typology import (
-    Orientation,
     TypologyTable,
     compile_binary,
     estimate_ratio,
@@ -51,7 +50,6 @@ __all__ = [
     "InferenceConfig",
     "InferenceResult",
     "LrParams",
-    "Orientation",
     "ParseTree",
     "PrParams",
     "ScoreMatrix",

@@ -195,7 +195,7 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
     templates = _load(args.templates)
     if not isinstance(templates, list):
         raise ValueError(f"{args.templates}: expected a JSON array, got {templates!r}")
-    ratios = _load(args.unary_ratios) if args.unary_ratios else {}
+    ratios = {} if args.unary_ratios is None else _load(args.unary_ratios)
     if not isinstance(ratios, dict):
         raise ValueError(f"{args.unary_ratios}: expected a JSON object, got {ratios!r}")
     unary_ratios = {lang: _field(ratios, lang, _number, args.unary_ratios) for lang in ratios}
@@ -213,7 +213,7 @@ def cmd_compile_constraints(args: argparse.Namespace) -> int:
             fixed = dict(zip(("r", "theta"), compiled))
             template_keys = ("feature", "orientations")
         elif kind == "unary":
-            if not unary_ratios:
+            if args.unary_ratios is None:
                 print("compile-constraints: unary templates require --unary-ratios",
                       file=sys.stderr)
                 return 2

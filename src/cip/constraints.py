@@ -226,10 +226,11 @@ def ratio_gap(
     ratios = np.asarray([source_ratios, target_ratios], dtype=float)
     if not np.isfinite(ratios).all():
         raise ValueError("ratios must be finite")
-    total = weights.sum()
-    if total == 0:
+    largest = weights.max(initial=0.0)
+    if largest == 0:
         raise ValueError("all coverages are zero")
-    return float((weights * np.abs(ratios[0] - ratios[1])).sum() / total)
+    weights = weights / largest  # so that summing large coverages cannot overflow
+    return float((weights * np.abs(ratios[0] - ratios[1])).sum() / weights.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,16 +26,8 @@ NOUN_ORDER_FEATURES = ("82A", "83A", "85A", "86A", "87A", "88A", "89A")
 
 MISSING = "<missing>"
 
-DOMINANT_RATIO = 0.875
-DOMINANT_THETA = 0.125
-NO_DOMINANT_RATIO = 0.5
-NO_DOMINANT_THETA = 0.25
-
-
-class Orientation(Enum):
-    POS1_FIRST = "pos1_first"
-    POS2_FIRST = "pos2_first"
-    NO_DOMINANT = "no_dominant"
+# The (r, theta) band of each dominant-order orientation of a binary template.
+BANDS = {"pos1_first": (0.875, 0.125), "pos2_first": (0.125, 0.125), "no_dominant": (0.5, 0.25)}
 
 
 @dataclass(frozen=True)
@@ -79,29 +70,26 @@ class TypologyTable:
 
 
 def compile_binary(
-    feature_value: str | None,
-    value_orientations: Mapping[str, Orientation | str],
+    feature_value: str | None, value_orientations: Mapping[str, str]
 ) -> tuple[float, float]:
-    """(r, theta) for a binary constraint given a feature value.
-
-    A dominant POS1-first order yields (0.875, 0.125), the reverse order the
-    complement (0.125, 0.125), and no dominant order or a missing feature
-    (0.5, 0.25).
-    """
+    """(r, theta) for a binary constraint given a feature value: the band
+    of the value's orientation in ``BANDS``, and ``no_dominant``'s for a
+    missing feature.  Every orientation in the map must name a band."""
+    for value, orientation in value_orientations.items():
+        # A list, not the dict, so that an unhashable orientation is named.
+        if orientation not in list(BANDS):
+            raise ValueError(
+                f"orientation of feature value {value!r}: expected one of"
+                f" {', '.join(map(repr, BANDS))}, got {orientation!r}"
+            )
     if feature_value is None:
-        return NO_DOMINANT_RATIO, NO_DOMINANT_THETA
+        return BANDS["no_dominant"]
     try:
-        orientation = value_orientations[feature_value]
+        return BANDS[value_orientations[feature_value]]
     except KeyError:
         raise ValueError(
             f"no orientation configured for feature value {feature_value!r}"
         ) from None
-    orientation = Orientation(orientation)
-    if orientation is Orientation.POS1_FIRST:
-        return DOMINANT_RATIO, DOMINANT_THETA
-    if orientation is Orientation.POS2_FIRST:
-        return 1.0 - DOMINANT_RATIO, DOMINANT_THETA
-    return NO_DOMINANT_RATIO, NO_DOMINANT_THETA
 
 
 def build_feature_vocab(
@@ -141,25 +129,25 @@ def fit_unary_ratio(
     """Least-squares prediction of a unary ratio, clamped to [0, 1].
 
     The caller enforces the leave-one-out protocol (the target language must
-    not appear in ``train``).  A degenerate design matrix falls back to the
-    mean training ratio.
+    not appear in ``train``).  A degenerate design matrix (all zero, or one
+    that sends a coefficient to infinity) falls back to the mean training
+    ratio.  Non-finite ratios or feature entries raise ``ValueError``.
     """
     if len(train) < 2:
         raise ValueError("need at least 2 training languages")
     design = np.asarray([vec for vec, _ in train], dtype=float)
     targets = np.asarray([r for _, r in train], dtype=float)
-    fallback = False
-    if np.linalg.matrix_rank(design) == 0:
-        fallback = True
-    else:
-        coef, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
-        if not np.all(np.isfinite(coef)):
-            fallback = True
-    if fallback:
+    target = np.asarray(target, dtype=float)
+    checked = (("ratios", targets), ("training features", design), ("target features", target))
+    for name, values in checked:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    coef = np.linalg.lstsq(design, targets, rcond=None)[0]
+    if not design.any() or not np.all(np.isfinite(coef)):
         logger.warning("degenerate design matrix; falling back to mean training ratio")
         prediction = float(targets.mean())
     else:
-        prediction = float(np.asarray(target, dtype=float) @ coef)
+        prediction = float(target @ coef)
     return min(1.0, max(0.0, prediction))
 
 

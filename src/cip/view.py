@@ -168,19 +168,15 @@ class CorpusView:
 
 
 def _lookup(offsets: np.ndarray | None, grids: Sequence[np.ndarray]) -> np.ndarray | float:
-    """``0.0 + sum(row[grid])`` over the nonzero rows of ``offsets`` and the
-    grids of their constraints, in order; 0.0 when there are none.
+    """``0.0 + sum(row[grid])`` over the rows of ``offsets`` and the grids
+    of their constraints, in order; 0.0 when there are none.
 
     ``offsets`` is a ``(C, 3)`` table: row c holds the offset of an arc of
     class 0, +1 and -1 (the last) under constraint c, so grid c indexes it
     directly.  A grid may stack the class grids of any number of sentences
-    of one length.  Each term is added in place; float addition commutes,
-    so ``term += total`` equals ``total + term``.
+    of one length.
     """
     total: np.ndarray | float = 0.0
     for row, grid in zip(() if offsets is None else offsets, grids):
-        if row.any():
-            term = row.take(grid)
-            term += total
-            total = term
+        total = total + row.take(grid)
     return total

@@ -871,6 +871,14 @@ def _without(template, key):
         # The target's own ratio is left out of the regression.
         ([UNARY_TEMPLATE], {"hi": 0.5}, "{r}: need at least 2 training languages"),
         ([UNARY_TEMPLATE], {"hi": 0.5, "en": 0.3}, "{r}: need at least 2 training languages"),
+        # An empty file is given, not missing.
+        ([UNARY_TEMPLATE], {}, "{r}: need at least 2 training languages"),
+        (
+            [{**BINARY_TEMPLATE, "orientations": {"Postpositions": "pos1_first", "Prepositions": 5}}],
+            UNARY_RATIOS,
+            "{t}: template 0: orientation of feature value 'Prepositions': expected one of"
+            " 'pos1_first', 'pos2_first', 'no_dominant', got 5",
+        ),
         (
             [UNARY_TEMPLATE, {**BINARY_TEMPLATE, "kind": "ternary"}],
             UNARY_RATIOS,
@@ -883,7 +891,7 @@ def _without(template, key):
         "null-ratio", "orientation-missing-target-value", "misspelt-theta", "unary-with-feature",
         "string-features", "nan-ratio", "unary-sets-r", "binary-sets-theta", "repeated-id",
         "without-kind", "binary-without-feature", "ratios-only-target", "ratios-one-other",
-        "unknown-kind",
+        "empty-ratios", "number-orientation", "unknown-kind",
     ],
 )
 def test_malformed_template_or_ratios_is_a_clean_error(

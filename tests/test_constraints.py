@@ -1,6 +1,7 @@
 """Arc classification, ratio statistics, features, and the ratio gap."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,12 @@ class TestRatioGap:
         a = cip.ratio_gap([UNARY, BINARY], [0.5, 0.2], [0.8, 0.8], [0.2, 0.1])
         b = cip.ratio_gap([UNARY, BINARY], [0.5, 0.2], [0.8, 0.8], [2.0, 1.0])
         assert a == pytest.approx(b)
+
+    def test_large_coverages_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = cip.ratio_gap([UNARY, BINARY], [0.5, 0.5], [0.6, 0.6], [1e308, 1e308])
+        assert gap == pytest.approx(0.1)
 
     def test_zero_coverage(self):
         with pytest.raises(ValueError, match="zero"):

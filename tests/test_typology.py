@@ -2,6 +2,7 @@
 
 import io
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,22 @@ class TestCompileBinary:
         with pytest.raises(ValueError, match="no orientation"):
             cip.compile_binary("Inpositions", ORIENT_85A)
 
+    @pytest.mark.parametrize("value", ["Postpositions", "Prepositions", None])
+    def test_misspelt_orientation_fails_for_every_value(self, value):
+        # The typo sits on another value than the one compiled.
+        orientations = {"Postpositions": "pos1_first", "Prepositions": "pos2_frist"}
+        message = (
+            r"^orientation of feature value 'Prepositions': expected one of"
+            r" 'pos1_first', 'pos2_first', 'no_dominant', got 'pos2_frist'$"
+        )
+        with pytest.raises(ValueError, match=message):
+            cip.compile_binary(value, orientations)
+
+    @pytest.mark.parametrize("orientation", [[], 5, None, {}], ids=["list", "int", "null", "object"])
+    def test_orientation_that_is_not_a_string(self, orientation):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(orientation))}$"):
+            cip.compile_binary("Postpositions", {"Postpositions": orientation})
+
 
 class TestFeatureEncoding:
     def test_one_hot_with_missing_level(self):
@@ -165,6 +182,23 @@ class TestFitUnaryRatio:
         with caplog.at_level(logging.WARNING):
             result = cip.fit_unary_ratio(train, a)
         assert result == 1.0  # the mean, 5e307, clamped
+        assert any("degenerate" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_input_raises(self, value):
+        a, b, bad = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, value])
+        for train, target, name in (
+            ([(a, 0.2), (b, value)], a, "ratios"),
+            ([(a, 0.2), (bad, 0.8)], a, "training features"),
+            ([(a, 0.2), (b, 0.8)], bad, "target features"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                cip.fit_unary_ratio(train, target)
+
+    def test_empty_design_falls_back_to_mean(self, caplog):
+        train = [(np.zeros(0), 0.2), (np.zeros(0), 0.6)]
+        with caplog.at_level(logging.WARNING):
+            assert cip.fit_unary_ratio(train, np.zeros(0)) == pytest.approx(0.4)
         assert any("degenerate" in r.message for r in caplog.records)
 
     def test_requires_two_points(self):
